@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys as _sys
 import time
@@ -47,6 +48,7 @@ from .lift import (
     HarnessReport,
     HarnessRow,
     CheckReport,
+    LiftedSystem,
     equivalence_harness,
     invariant_metas,
     lift_system,
@@ -67,7 +69,6 @@ from .spaces import (
     Measure,
     tightness_profile,
 )
-from .util import env_override
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -380,6 +381,37 @@ def _vertex_crowd_replay(
     return run
 
 
+def _extreme_meta_replay(
+    lifted: LiftedSystem, meta: Measure
+) -> Callable[[], bool]:
+    """Invariant, uniform on its support, and that support is one orbit
+    that every lifted generator maps bijectively onto itself."""
+
+    def run() -> bool:
+        if any(
+            push_meta(lifted, (gi,), meta) != meta
+            for gi in range(len(lifted.generators))
+        ):
+            return False
+        support = set(meta.support())
+        if len({meta.weights[x] for x in support}) != 1:
+            return False
+        maps = [t.image for t in lifted.generators]
+        if any({g[x] for x in support} != support for g in maps):
+            return False
+        start = min(support)
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for g in maps:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    frontier.append(g[x])
+        return orbit == support
+
+    return run
+
+
 def _mode_base(
     system: ActionSystem, b: Budget
 ) -> tuple[dict, int, list[Replay]]:
@@ -471,15 +503,10 @@ def _mode_invariant(
                 "point_mass_at_vertex": atom_ok,
             }
         )
-    replays: list[Replay] = []
-    for idx, meta in enumerate(metas):
-        def run(meta: Measure = meta) -> bool:
-            return all(
-                push_meta(lifted, (gi,), meta) == meta
-                for gi in range(len(system.generators))
-            )
-
-        replays.append((f"extreme meta {idx} is invariant", run))
+    replays: list[Replay] = [
+        (f"extreme meta {idx} is invariant", _extreme_meta_replay(lifted, meta))
+        for idx, meta in enumerate(metas)
+    ]
     results = {
         "invariant_metas": {
             "count": len(metas),
@@ -732,22 +759,7 @@ def demo_sl(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument plumbing; every flag can also come from PROXILIFT_<NAME>.
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = env_override(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
-
-
-def _env_str(name: str, fallback: str) -> str:
-    raw = env_override(name)
-    return raw if raw is not None else fallback
-
+# Argument plumbing; most flags can also come from PROXILIFT_<NAME>.
 
 def _rational_flag(text: str) -> Fraction:
     try:
@@ -772,31 +784,40 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # An environment value is passed as the raw string default, which
+    # argparse converts with the flag's type, so a bad value is a usage error.
+    env = os.environ.get
 
     an = sub.add_parser("analyze", help="analyze a JSON system spec")
     an.add_argument("spec", help="path to the spec file")
     an.add_argument(
         "--mode",
         choices=["base", "prop1", "thm", "psi", "invariant", "affine"],
-        default=_env_str("MODE", "base"),
+        default=env("PROXILIFT_MODE", "base"),
     )
-    an.add_argument("--grid", type=int, default=_env_int("GRID", 2))
+    an.add_argument("--grid", type=int, default=env("PROXILIFT_GRID", "2"))
     an.add_argument(
-        "--max-word-len", type=int, default=_env_int("MAX_WORD_LEN", 64)
+        "--max-word-len",
+        type=int,
+        default=env("PROXILIFT_MAX_WORD_LEN", "64"),
     )
     an.add_argument(
-        "--max-closure", type=int, default=_env_int("MAX_CLOSURE", 100_000)
+        "--max-closure",
+        type=int,
+        default=env("PROXILIFT_MAX_CLOSURE", "100000"),
     )
     an.add_argument(
         "--epsilon",
         type=_rational_flag,
-        default=Fraction(_env_str("EPSILON", "1/1000")),
+        default=env("PROXILIFT_EPSILON", "1/1000"),
     )
     an.add_argument(
-        "--format", choices=["json", "text"], default=_env_str("FORMAT", "json")
+        "--format",
+        choices=["json", "text"],
+        default=env("PROXILIFT_FORMAT", "json"),
     )
-    an.add_argument("--seed", type=int, default=_env_int("SEED", 0))
-    an.add_argument("--trials", type=int, default=_env_int("TRIALS", 200))
+    an.add_argument("--seed", type=int, default=env("PROXILIFT_SEED", "0"))
+    an.add_argument("--trials", type=int, default=env("PROXILIFT_TRIALS", "200"))
     an.add_argument(
         "--verify",
         action="store_true",
@@ -807,12 +828,14 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser(
         "demo-sl", help="numeric demo of a proximal, not strongly proximal action"
     )
-    demo.add_argument("--n-max", type=int, default=_env_int("N_MAX", 2000))
-    demo.add_argument("--steps", type=int, default=_env_int("STEPS", 12))
+    demo.add_argument(
+        "--n-max", type=int, default=env("PROXILIFT_N_MAX", "2000")
+    )
+    demo.add_argument("--steps", type=int, default=env("PROXILIFT_STEPS", "12"))
     demo.add_argument(
         "--grid",
         type=int,
-        default=_env_int("GRID", 200),
+        default=200,
         help="quadrature cells per axis for the ball-mass integral",
     )
     demo.add_argument("--radius", type=float, default=0.1)

@@ -28,6 +28,3 @@ class SpecError(ProxiliftError, ValueError):
         self.path = path
         super().__init__(f"{path}: {message}")
 
-
-class EnumerationLimit(ProxiliftError, RuntimeError):
-    """An exact enumeration would exceed the configured size cap."""

@@ -34,7 +34,6 @@ from .actions import (
     pushforward,
 )
 from .errors import DimensionMismatch, UnsupportedKind
-from .linalg import polytope_vertices
 from .proximality import (
     Budget,
     Status,
@@ -50,7 +49,6 @@ from .spaces import (
     random_measure,
     w1_distance,
 )
-from .util import parallel_map
 
 # A meta-measure is a probability vector over grid atoms: same validation,
 # different index set, so the measure type is reused as-is.
@@ -86,16 +84,10 @@ class LiftedSystem:
     def metric(self) -> tuple[tuple[Fraction, ...], ...]:
         """Pairwise Wasserstein-1 distances between atoms (built on demand;
         the exact decision procedures only use the discrete topology)."""
-        atoms = self.grid.atoms
-        n = len(atoms)
-        base = self.grid.base
-
-        def row(i: int) -> tuple[Fraction, ...]:
-            return tuple(
-                w1_distance(base, atoms[i], atoms[j]) for j in range(n)
-            )
-
-        return tuple(parallel_map(row, range(n)))
+        atoms, base = self.grid.atoms, self.grid.base
+        return tuple(
+            tuple(w1_distance(base, a, b) for b in atoms) for a in atoms
+        )
 
     def __len__(self) -> int:
         return len(self.grid.atoms)
@@ -322,33 +314,53 @@ def invariant_metas(sys: ActionSystem, q: int) -> list[MetaMeasure]:
     """Extreme points of the polytope of generator-invariant meta-measures.
 
     Invariance under each generator (hence under the generated semigroup)
-    is a linear condition: the pushforward along the lifted atom map must
-    reproduce the meta-measure.  The resulting polytope is described by its
-    extreme points, exactly.  For a strongly proximal system every extreme
-    point is expected to be a point mass at a vertex atom, and a non
-    point-mass extreme certifies failure of strong proximality.
+    means the pushforward along every lifted atom map reproduces the
+    meta-measure.  The support S of an invariant meta-measure is then mapped
+    onto itself by every generator, which on a finite set means bijectively.
+    So every support lies in the largest set of atoms that all generators
+    map bijectively onto itself, the greatest fixed point of
+    S -> {x in S : g(x) in S for all g} & (intersection of the g(S)),
+    iterated down from all atoms.  There every generator is a permutation,
+    and invariance under a permutation means being constant on its cycles;
+    the invariant meta-measures are therefore the mixtures of the uniform
+    measures on the generator orbits of that set, and those uniform measures
+    are the extreme points, returned sorted by weights.
+
+    For a strongly proximal system every extreme point is expected to be a
+    point mass at a vertex atom, and a non point-mass extreme certifies
+    failure of strong proximality.
     """
     lifted = lift_system(sys, q)
-    n = len(lifted.grid.atoms)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for t in lifted.generators:
-        preimages: dict[int, list[int]] = {}
-        for i, j in enumerate(t.image):
-            preimages.setdefault(j, []).append(i)
-        if all(p == [j] for j, p in preimages.items()):
-            continue  # identity atom map constrains nothing
-        for j in range(n):
-            row = [ZERO] * n
-            for i in preimages.get(j, []):
-                row[i] += 1
-            row[j] -= 1
-            if any(row):
-                rows.append(row)
-                rhs.append(ZERO)
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
-    vertices = polytope_vertices(rows, rhs, n)
-    metas = [Measure(tuple(v)) for v in vertices]
+    maps = [t.image for t in lifted.generators]
+    core = set(range(len(lifted)))
+    while True:
+        shrunk = {x for x in core if all(g[x] in core for g in maps)}
+        for g in maps:
+            shrunk &= {g[x] for x in core}
+        if shrunk == core:
+            break
+        core = shrunk
+
+    parent = {x: x for x in core}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in maps:
+        for x in core:
+            parent[find(x)] = find(g[x])
+    orbits: dict[int, list[int]] = {}
+    for x in core:
+        orbits.setdefault(find(x), []).append(x)
+
+    metas = []
+    for orbit in orbits.values():
+        weights = [ZERO] * len(lifted)
+        for x in orbit:
+            weights[x] = Fraction(1, len(orbit))
+        metas.append(Measure(tuple(weights)))
     metas.sort(key=lambda mmeas: mmeas.weights)
     return metas

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: elimination, affine solution sets, polytope vertices.
+"""Exact rational linear algebra: elimination, rank, affine solution sets.
 
 Everything here works on lists of :class:`fractions.Fraction` and is exact; no
 floating point, no tolerances.  Matrices are small (desk scale), so plain
@@ -8,9 +8,6 @@ Gaussian elimination is the right tool.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-
-from .errors import EnumerationLimit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,73 +72,3 @@ def solve_affine(
             vec[c] = -aug[i][fc]
         basis.append(vec)
     return particular, basis
-
-
-def solve_unique(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve ``A x = b`` when a unique solution is required; ``None`` otherwise."""
-    sol = solve_affine(rows, rhs)
-    if sol is None:
-        return None
-    particular, basis = sol
-    if basis:
-        return None
-    return particular
-
-
-def polytope_vertices(
-    eq_rows: list[list[Fraction]],
-    eq_rhs: list[Fraction],
-    n: int,
-    max_candidates: int = 2_000_000,
-) -> list[tuple[Fraction, ...]]:
-    """All vertices of ``{x in Q^n : A x = b, x >= 0}``, exactly.
-
-    The affine solution set of the equalities is computed first; a vertex of
-    the polytope then pins an additional ``dim`` coordinates to zero, where
-    ``dim`` is the dimension of that solution set.  Every size-``dim`` zero
-    pattern is tried; degenerate vertices are still found because some
-    independent subset of their zero coordinates completes the equality rows
-    to full rank.
-    """
-    sol = solve_affine(eq_rows, eq_rhs)
-    if sol is None:
-        return []
-    particular, basis = sol
-    dim = len(basis)
-    if dim == 0:
-        if all(x >= 0 for x in particular):
-            return [tuple(particular)]
-        return []
-
-    from math import comb
-
-    if comb(n, dim) > max_candidates:
-        raise EnumerationLimit(
-            f"vertex enumeration needs C({n},{dim}) = {comb(n, dim)} candidate "
-            f"zero patterns (cap {max_candidates})"
-        )
-
-    vertices: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for zero_set in combinations(range(n), dim):
-        # Pinning x_i = 0 for i in zero_set means solving, in the free
-        # coordinates t of x = particular + basis . t, the square system
-        # particular[i] + sum_k basis[k][i] t_k = 0.
-        rows = [[basis[k][i] for k in range(dim)] for i in zero_set]
-        rhs = [-particular[i] for i in zero_set]
-        t = solve_unique(rows, rhs)
-        if t is None:
-            continue
-        point = [
-            particular[i] + sum(basis[k][i] * t[k] for k in range(dim))
-            for i in range(n)
-        ]
-        if any(x < 0 for x in point):
-            continue
-        tup = tuple(point)
-        if tup not in seen:
-            seen.add(tup)
-            vertices.append(tup)
-    return vertices

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's algorithms: transport is
 solved by enumerating every integer coupling, synchronization by enumerating
-words level by level.  Expected values frozen into tests come from these or
+words level by level, invariant meta-measures by enumerating the vertices of
+the invariance polytope.  Expected values frozen into tests come from these or
 from hand evaluation, never from the code under test.
 """
 
@@ -11,10 +12,17 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
-from proxilift import ActionSystem, FiniteSpace, Measure, StochasticMatrix
+from proxilift import (
+    ActionSystem,
+    FiniteSpace,
+    Measure,
+    StochasticMatrix,
+    lift_system,
+)
+from proxilift.linalg import solve_affine
 
 
 # ---------------------------------------------------------------------------
@@ -158,3 +166,109 @@ def brute_merge_length(
             if image[x] == image[y]:
                 return length
     return None
+
+
+# ---------------------------------------------------------------------------
+# Invariant meta-measure oracle: exhaustive vertex enumeration of the
+# invariance polytope, trying every zero pattern.
+
+def solve_unique(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction] | None:
+    """Solve ``A x = b`` when a unique solution is required; ``None`` otherwise."""
+    sol = solve_affine(rows, rhs)
+    if sol is None:
+        return None
+    particular, basis = sol
+    if basis:
+        return None
+    return particular
+
+
+def polytope_vertices(
+    eq_rows: list[list[Fraction]],
+    eq_rhs: list[Fraction],
+    n: int,
+    max_candidates: int = 2_000_000,
+) -> list[tuple[Fraction, ...]]:
+    """All vertices of ``{x in Q^n : A x = b, x >= 0}``, exactly.
+
+    The affine solution set of the equalities is computed first; a vertex of
+    the polytope then pins an additional ``dim`` coordinates to zero, where
+    ``dim`` is the dimension of that solution set.  Every size-``dim`` zero
+    pattern is tried; degenerate vertices are still found because some
+    independent subset of their zero coordinates completes the equality rows
+    to full rank.
+    """
+    sol = solve_affine(eq_rows, eq_rhs)
+    if sol is None:
+        return []
+    particular, basis = sol
+    dim = len(basis)
+    if dim == 0:
+        if all(x >= 0 for x in particular):
+            return [tuple(particular)]
+        return []
+
+    from math import comb
+
+    if comb(n, dim) > max_candidates:
+        raise RuntimeError(
+            f"vertex enumeration needs C({n},{dim}) = {comb(n, dim)} candidate "
+            f"zero patterns (cap {max_candidates})"
+        )
+
+    vertices: list[tuple[Fraction, ...]] = []
+    seen: set[tuple[Fraction, ...]] = set()
+    for zero_set in combinations(range(n), dim):
+        # Pinning x_i = 0 for i in zero_set means solving, in the free
+        # coordinates t of x = particular + basis . t, the square system
+        # particular[i] + sum_k basis[k][i] t_k = 0.
+        rows = [[basis[k][i] for k in range(dim)] for i in zero_set]
+        rhs = [-particular[i] for i in zero_set]
+        t = solve_unique(rows, rhs)
+        if t is None:
+            continue
+        point = [
+            particular[i] + sum(basis[k][i] * t[k] for k in range(dim))
+            for i in range(n)
+        ]
+        if any(x < 0 for x in point):
+            continue
+        tup = tuple(point)
+        if tup not in seen:
+            seen.add(tup)
+            vertices.append(tup)
+    return vertices
+
+
+def polytope_oracle(sys: ActionSystem, q: int) -> list[Measure]:
+    """Extreme invariant meta-measures of the q-lift, sorted by weights.
+
+    Invariance under each lifted atom map is a linear equality on the
+    meta-measure; together with total mass one and nonnegativity it cuts out
+    a polytope whose vertices are enumerated exactly.
+    """
+    lifted = lift_system(sys, q)
+    n = len(lifted.grid.atoms)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for t in lifted.generators:
+        preimages: dict[int, list[int]] = {}
+        for i, j in enumerate(t.image):
+            preimages.setdefault(j, []).append(i)
+        if all(p == [j] for j, p in preimages.items()):
+            continue  # identity atom map constrains nothing
+        for j in range(n):
+            row = [Fraction(0)] * n
+            for i in preimages.get(j, []):
+                row[i] += 1
+            row[j] -= 1
+            if any(row):
+                rows.append(row)
+                rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * n)
+    rhs.append(Fraction(1))
+    metas = [Measure(v) for v in polytope_vertices(rows, rhs, n)]
+    metas.sort(key=lambda meta: meta.weights)
+    return metas

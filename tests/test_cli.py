@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from proxilift import SpecError
+from proxilift import Measure, SpecError
+from proxilift import cli
 from proxilift.cli import (
+    build_parser,
     load_spec,
     main,
     parse_rational,
@@ -179,6 +181,25 @@ class TestAnalyzeModes:
         assert rep["verify"]["checked"] >= 1
         assert rep["verify"]["failures"] == []
 
+    def test_verify_rejects_invariant_non_extreme(self, monkeypatch, capsys):
+        # the swap's q=2 lift has orbits {(2,0), (0,2)} and {(1,1)}; the
+        # uniform measure on their union is invariant but not extreme
+        monkeypatch.setattr(
+            cli, "invariant_metas", lambda system, q: [Measure.uniform(3)]
+        )
+        code, rep = run_json(
+            [
+                "analyze",
+                str(SPECS / "swap2.json"),
+                "--mode",
+                "invariant",
+                "--verify",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert rep["verify"]["failures"] == ["extreme meta 0 is invariant"]
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["analyze", "/nonexistent.json", "--mode", "base"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -237,6 +258,23 @@ class TestDeterminism:
             ["analyze", str(SPECS / "swap2.json"), "--mode", "invariant"], capsys
         )
         assert rep["flags"]["grid"] == 3
+
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [("PROXILIFT_MAX_CLOSURE", "--max-closure"), ("PROXILIFT_EPSILON", "--epsilon")],
+    )
+    def test_bad_env_value_is_usage_error(self, monkeypatch, capsys, name, flag):
+        monkeypatch.setenv(name, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(SPECS / "swap2.json"), "--mode", "base"])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_demo_grid_has_no_env_override(self, monkeypatch):
+        monkeypatch.setenv("PROXILIFT_GRID", "3")
+        assert build_parser().parse_args(["demo-sl"]).grid == 200
+        assert build_parser().parse_args(["analyze", "x.json"]).grid == 3
 
 
 class TestDemoSL:

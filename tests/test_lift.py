@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,7 +30,7 @@ from proxilift import (
     reset_word,
     w1_distance,
 )
-from helpers import rand_det_system, rand_measure
+from helpers import polytope_oracle, rand_det_system, rand_measure
 
 F = Fraction
 B = Budget()
@@ -225,6 +226,46 @@ class TestInvariantMetas:
         sys = det_system((1, 0))
         metas = invariant_metas(sys, 1)
         assert metas == [Measure.from_weights([F(1, 2), F(1, 2)])]
+
+    def test_matches_polytope_oracle(self):
+        # every (m, q) whose lift has at most 10 atoms; odd draws use
+        # permutations only, even draws arbitrary maps, which exercises the
+        # pruning down to the largest set every generator maps bijectively
+        shapes = [(2, q) for q in range(1, 10)]
+        shapes += [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+        rng = random.Random(61)
+        pruned = 0
+        for k in range(160):
+            m, q = rng.choice(shapes)
+            gens = [
+                tuple(rng.sample(range(m), m))
+                if k % 2
+                else tuple(rng.randrange(m) for _ in range(m))
+                for _ in range(rng.randint(1, 3))
+            ]
+            sys = det_system(*gens)
+            metas = invariant_metas(sys, q)
+            assert metas == polytope_oracle(sys, q), (gens, q)
+            covered = sum(len(meta.support()) for meta in metas)
+            pruned += 0 < covered < len(lift_system(sys, q))
+        assert pruned >= 20, "batch too degenerate to exercise the pruning"
+
+    @pytest.mark.parametrize("n, q, extremes", [(4, 4, 10), (5, 3, 7)])
+    def test_cycle_orbits_match_burnside(self, n, q, extremes):
+        # Burnside's lemma over the rotations, on compositions of q into n
+        # parts enumerated here: the orbit count, independent of the library
+        comps = [c for c in product(range(q + 1), repeat=n) if sum(c) == q]
+        fixed = sum(c[k:] + c[:k] == c for c in comps for k in range(n))
+        assert fixed == extremes * n
+        sys = det_system(tuple((i + 1) % n for i in range(n)))
+        metas = invariant_metas(sys, q)
+        assert len(metas) == extremes
+        supports = [set(meta.support()) for meta in metas]
+        assert sum(map(len, supports)) == len(comps)
+        assert set().union(*supports) == set(range(len(comps)))
+        lifted = lift_system(sys, q)
+        for meta in metas:
+            assert push_meta(lifted, (0,), meta) == meta
 
     def test_invariance_replays(self):
         rng = random.Random(53)
