@@ -64,16 +64,9 @@ class LiftedSystem:
 
     @cached_property
     def atom_space(self) -> FiniteSpace:
-        labels = tuple(
-            "("
-            + ",".join(
-                str(w.numerator * (self.grid.resolution // w.denominator))
-                for w in atom.weights
-            )
-            + ")"
-            for atom in self.grid.atoms
+        return FiniteSpace.discrete(
+            tuple(f"({','.join(map(str, c))})" for c in self.grid.numerators)
         )
-        return FiniteSpace.discrete(labels)
 
     @cached_property
     def system(self) -> ActionSystem:
@@ -95,17 +88,28 @@ class LiftedSystem:
 
 @lru_cache(maxsize=256)
 def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
-    """Lift a deterministic system to its resolution-q grid simplex."""
+    """Lift a deterministic system to its resolution-q grid simplex.
+
+    Atoms are handled as integer compositions c of q (atom = c / q).  A
+    generator g pushes c to the composition that adds c_x into g(x) for
+    every point x, which is the numerator vector of the pushforward; its
+    atom index comes from a dict keyed by the composition tuples.
+    """
     if sys.kind is not Kind.DETERMINISTIC:
         raise UnsupportedKind("only deterministic systems lift to the grid")
     grid = GridSimplex.build(sys.space, q)
+    comps = grid.numerators
+    index = {c: k for k, c in enumerate(comps)}
+    m = len(sys.space)
     lifted = []
-    for gi in range(len(sys.generators)):
-        images = tuple(
-            grid.atom_index(pushforward(sys, (gi,), atom))
-            for atom in grid.atoms
-        )
-        lifted.append(Transformation(images))
+    for g in sys.generators:
+        images = []
+        for c in comps:
+            pushed = [0] * m
+            for target, a in zip(g.image, c):
+                pushed[target] += a
+            images.append(index[tuple(pushed)])
+        lifted.append(Transformation(tuple(images)))
     return LiftedSystem(grid, tuple(lifted))
 
 

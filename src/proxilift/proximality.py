@@ -18,6 +18,7 @@ emitted only with a checkable obstruction, everything else is UNKNOWN.
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,27 +133,33 @@ def _pair_bfs(gens: list[Transformation], x: int, y: int) -> Optional[Word]:
     return tuple(reversed(letters))
 
 
-def _mergeable_pairs(gens: list[Transformation], m: int) -> set[tuple[int, int]]:
-    """All unordered pairs from which the diagonal is reachable."""
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    reverse: dict[tuple[int, int], list[tuple[int, int]]] = {p: [] for p in pairs}
-    direct: list[tuple[int, int]] = []
-    for p in pairs:
-        for g in gens:
-            a, b = g(p[0]), g(p[1])
-            if a == b:
-                direct.append(p)
-            else:
-                reverse[(min(a, b), max(a, b))].append(p)
-    merged = set(direct)
-    queue = deque(direct)
-    while queue:
-        q = queue.popleft()
-        for p in reverse[q]:
-            if p not in merged:
-                merged.add(p)
-                queue.append(p)
-    return merged
+def _mergeable_pairs(gens: list[Transformation], m: int) -> bytearray:
+    """Flags of the unordered pairs from which the diagonal is reachable.
+
+    Pair (i, j) with i < j has id i*m + j, and its flag is 1 exactly when
+    some word merges i and j.  The search runs backward from the diagonal
+    pairs (a, a): the pairs a generator g sends onto {a, b} are those drawn
+    from g^-1(a) x g^-1(b), so preimage lists stand in for a stored reverse
+    pair graph.
+    """
+    preimages = []
+    for g in gens:
+        pre: list[list[int]] = [[] for _ in range(m)]
+        for x, a in enumerate(g.image):
+            pre[a].append(x)
+        preimages.append(pre)
+    flags = bytearray(m * m)
+    stack = array("q", (a * m + a for a in range(m)))
+    while stack:
+        a, b = divmod(stack.pop(), m)
+        for pre in preimages:
+            for x in pre[a]:
+                for y in pre[b]:
+                    pid = x * m + y if x < y else y * m + x
+                    if x != y and not flags[pid]:
+                        flags[pid] = 1
+                        stack.append(pid)
+    return flags
 
 
 def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
@@ -228,17 +235,24 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     if gens is not None:
         if m == 1:
             return yes(certificate="single point, trivially proximal")
-        merged = _mergeable_pairs(gens, m)
+        flags = _mergeable_pairs(gens, m)
         total = m * (m - 1) // 2
-        if len(merged) == total:
+        obstructed = total - flags.count(1)
+        if not obstructed:
             return yes(certificate=f"all {total} point pairs reach the diagonal")
-        bad = min(
-            (i, j) for i in range(m) for j in range(i + 1, m)
-            if (i, j) not in merged
+        # Ids grow lexicographically in (i, j), so the first unflagged id
+        # above the diagonal is the smallest obstructed pair.
+        bad = divmod(
+            next(
+                pid
+                for i in range(m)
+                if (pid := flags.find(0, i * m + i + 1, (i + 1) * m)) >= 0
+            ),
+            m,
         )
         return no(
             f"pair {bad} cannot reach the diagonal "
-            f"({total - len(merged)} of {total} pairs obstructed)"
+            f"({obstructed} of {total} pairs obstructed)"
         )
     word: Word = ()
     matrix = sys.word_matrix(())

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
 from .transport import min_cost_transport
@@ -35,12 +35,18 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSpace:
-    """Point labels plus a symmetric rational metric matrix."""
+    """Point labels plus a symmetric rational metric.
+
+    ``matrix`` is an explicit metric matrix, validated on construction, or
+    None for the discrete metric (build that with ``discrete``).  Equality
+    compares labels and metric values, so a discrete space equals the
+    explicit space with the same labels and the 0/1 matrix.
+    """
 
     labels: tuple[str, ...]
-    metric: tuple[tuple[Fraction, ...], ...]
+    matrix: Optional[tuple[tuple[Fraction, ...], ...]]
 
     def __post_init__(self) -> None:
         m = len(self.labels)
@@ -48,6 +54,8 @@ class FiniteSpace:
             raise ValidationError("a space needs at least one point")
         if len(set(self.labels)) != m:
             raise ValidationError("point labels must be distinct")
+        if self.matrix is None:
+            return
         if len(self.metric) != m or any(len(row) != m for row in self.metric):
             raise DimensionMismatch("metric matrix must be square of size", m)
         for i in range(m):
@@ -80,12 +88,13 @@ class FiniteSpace:
 
     @classmethod
     def discrete(cls, labels: Sequence[str]) -> "FiniteSpace":
-        """All distinct distances equal to 1 (the discrete metric)."""
-        m = len(labels)
-        rows = tuple(
-            tuple(ZERO if i == j else ONE for j in range(m)) for i in range(m)
-        )
-        return cls(tuple(labels), rows)
+        """All distinct distances equal to 1 (the discrete metric).
+
+        No matrix is stored: ``distance`` and ``diameter`` answer directly,
+        the metric is valid by construction, and ``metric`` builds the n x n
+        matrix only when something reads it.
+        """
+        return cls(tuple(labels), None)
 
     @classmethod
     def from_rows(
@@ -96,14 +105,38 @@ class FiniteSpace:
             tuple(tuple(_as_fraction(x) for x in row) for row in rows),
         )
 
+    @cached_property
+    def metric(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The metric matrix, built on first read for a discrete space."""
+        if self.matrix is not None:
+            return self.matrix
+        m = len(self.labels)
+        return tuple(
+            tuple(ZERO if i == j else ONE for j in range(m)) for i in range(m)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteSpace):
+            return NotImplemented
+        return self.labels == other.labels and (
+            self.matrix is other.matrix or self.metric == other.metric
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
     def __len__(self) -> int:
         return len(self.labels)
 
     def distance(self, i: int, j: int) -> Fraction:
+        if self.matrix is None:
+            return ZERO if i == j else ONE
         return self.metric[i][j]
 
     def diameter(self) -> Fraction:
         m = len(self.labels)
+        if self.matrix is None:
+            return ONE if m > 1 else ZERO
         return max(
             (self.metric[i][j] for i in range(m) for j in range(i + 1, m)),
             default=ZERO,
@@ -254,6 +287,15 @@ class GridSimplex:
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """Atom k as the integer composition c of q with atom = c / q."""
+        q = self.resolution
+        return tuple(
+            tuple(w.numerator * (q // w.denominator) for w in atom.weights)
+            for atom in self.atoms
+        )
 
     @cached_property
     def _index(self) -> dict[Measure, int]:

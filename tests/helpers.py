@@ -168,6 +168,30 @@ def brute_merge_length(
     return None
 
 
+def mergeable_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
+    """Pairs x < y that some word merges, as a forward fixed point.
+
+    A pair is mergeable when some generator merges it or sends it to a
+    mergeable pair; sweeps over all pairs repeat until nothing changes.
+    """
+    gens = [g.image for g in sys.generators]
+    m = len(sys.space)
+    merged: set[tuple[int, int]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for x, y in combinations(range(m), 2):
+            if (x, y) in merged:
+                continue
+            for g in gens:
+                a, b = sorted((g[x], g[y]))
+                if a == b or (a, b) in merged:
+                    merged.add((x, y))
+                    changed = True
+                    break
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # Invariant meta-measure oracle: exhaustive vertex enumeration of the
 # invariance polytope, trying every zero pattern.

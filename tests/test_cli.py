@@ -277,6 +277,49 @@ class TestDeterminism:
         assert build_parser().parse_args(["analyze", "x.json"]).grid == 3
 
 
+class TestGoldenDigests:
+    """Pinned report digests of every shipped spec in its applicable modes,
+    so any change of verdict, witness, certificate text or replay shows.
+
+    ``input.path`` is part of the digest, so every run uses the relative
+    path ``specs/<name>.json`` from the repository root.
+    """
+
+    @pytest.mark.parametrize(
+        "name, mode, digest",
+        [
+            ("cerny4", "base", "9e9ed569e875ac5ab2958a57d15bb9fedb24d52d16553ce4ce24b36f1aefb559"),
+            ("cerny4", "prop1", "3d2907f56bdf23c77e18c00030dfb4f59dbbc641cbed87307da999df2aef2e53"),
+            ("cerny4", "thm", "548cc3a1885dd735bed26dafc818b7a51a56d618f79ae40888f1a2b6f684bcca"),
+            ("cerny4", "invariant", "8b2ae876ac0c9a1b53fedb0bb7439caecf880ce7162ef7293365c45ca303aa61"),
+            ("collapse3", "base", "af4d320e1a691c03cd9209b5fea6543b4c74c5ff4880c9d445960229bbd88e1d"),
+            ("collapse3", "prop1", "864b628153c2a180778cee9ab44b37d575f66e9f094c99a073649943eae1494b"),
+            ("collapse3", "thm", "f597dc30e2c021f19f276a819cd3e431ffba3171d796419cf0c39adef0ec3db6"),
+            ("collapse3", "invariant", "c6cb8a878faa9478ec1167781a1d389e2f43d46d012e6d756601903e84511346"),
+            ("swap2", "base", "f9ab198c2ca5c933225c8cf5b5e1c14fc0888ab927c9aa823b40c237bc37e79f"),
+            ("swap2", "prop1", "4cbca2414ad883576fab3d96631921a234d6aa53db72089af1471597bf05ca6b"),
+            ("swap2", "thm", "b1f285207000967a9b994590a9d155181fd58573dcc93675843e91d07c8b950d"),
+            ("swap2", "invariant", "c399a425fd167c9b9f11bce29c4d31eee34dc055c6f4cc2b7bafd48daf2d4afb"),
+            ("z2_translation", "base", "53e60a23518292c6dd94937906e5c9ac74807d3c8c4eb235289206b267315a04"),
+            ("z2_translation", "prop1", "d7844f172ff6e26639d1abd821099720d773a6e4706b98b2793d13b8f038d0d2"),
+            ("z2_translation", "thm", "f2ad6d8410c82ed01439efd691b9d4e37889241af1d46a0cf39eb81f8f74fb2c"),
+            ("z2_translation", "invariant", "91085260788984b2a9f7414297ff15641a7bd04f0987a6d0ccfd926d4b123969"),
+            ("lazy_chain", "base", "220c771582f6ee1aefffda4977fa20d23abe3a3cee28db548df2742474977f08"),
+            ("affine_wedge", "affine", "c762184106fbb2c4a38f3d3eccf0499698f610897bc9c27d8e84baf5cf8af6b4"),
+        ],
+    )
+    def test_digest(self, name, mode, digest, monkeypatch, capsys):
+        monkeypatch.chdir(SPECS.parent)
+        args = [
+            "analyze", f"specs/{name}.json", "--mode", mode, "--grid", "3",
+            "--verify",
+        ]
+        code, rep = run_json(args, capsys)
+        assert code == 0
+        assert rep["verify"]["ok"]
+        assert rep["report_digest"] == digest
+
+
 class TestDemoSL:
     def test_csv_written(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"

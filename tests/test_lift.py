@@ -16,6 +16,7 @@ from proxilift import (
     SemigroupTable,
     Status,
     StochasticMatrix,
+    Transformation,
     UnsupportedKind,
     barycenter,
     equivalence_harness,
@@ -30,7 +31,12 @@ from proxilift import (
     reset_word,
     w1_distance,
 )
-from helpers import polytope_oracle, rand_det_system, rand_measure
+from helpers import (
+    polytope_oracle,
+    rand_det_system,
+    rand_measure,
+    rand_metric_space,
+)
 
 F = Fraction
 B = Budget()
@@ -61,13 +67,30 @@ class TestLiftSystem:
 
     def test_atom_maps_commute_with_pushforward(self):
         rng = random.Random(41)
-        for _ in range(15):
-            sys = rand_det_system(rng, rng.randint(2, 4))
-            q = rng.randint(1, 3)
+        for t in range(60):
+            m = rng.randint(1, 5)
+            if t % 2:
+                base = rand_metric_space(rng, m)
+            else:
+                base = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+            images = [
+                tuple(rng.randrange(m) for _ in range(m))
+                for _ in range(rng.randint(1, 3))
+            ]
+            sys = ActionSystem.deterministic(base, images)
+            q = rng.randint(1, 4)
             lifted = lift_system(sys, q)
-            for gi, t in enumerate(lifted.generators):
-                for i, atom in enumerate(lifted.grid.atoms):
-                    assert lifted.grid.atoms[t(i)] == pushforward(sys, (gi,), atom)
+            grid = lifted.grid
+            assert grid == GridSimplex.build(base, q)
+            assert lifted.generators == tuple(
+                Transformation(
+                    tuple(
+                        grid.atom_index(pushforward(sys, (gi,), atom))
+                        for atom in grid.atoms
+                    )
+                )
+                for gi in range(len(images))
+            )
 
     def test_cerny_lift_is_strongly_proximal(self):
         lifted = lift_system(cerny4(), 2)

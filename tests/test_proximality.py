@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from proxilift import (
     ValidationError,
     Verdict,
     is_proximal,
+    lift_system,
     measure_pair_proximal,
     proximal_pair,
     pushforward,
@@ -26,6 +28,7 @@ from proxilift import (
 from helpers import (
     brute_merge_length,
     brute_reset_length,
+    mergeable_pairs_oracle,
     rand_det_system,
     rand_measure,
 )
@@ -126,6 +129,38 @@ class TestIsProximal:
             assert (is_proximal(sys, B).status is Status.YES) == (
                 reset_word(sys, B).status is Status.YES
             )
+
+    def test_matches_forward_fixed_point_oracle(self):
+        rng = random.Random(31)
+        systems = []
+        for _ in range(240):
+            m = rng.randint(2, 9)
+            images = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 1 / 3:
+                    images.append(tuple(rng.sample(range(m), m)))
+                else:
+                    images.append(tuple(rng.randrange(m) for _ in range(m)))
+            systems.append(det_system(*images))
+        lifted = [lift_system(sys, 2).system for sys in systems[:30]]
+        verdicts = {"YES": 0, "NO": 0}
+        for sys in systems + lifted:
+            m = len(sys.space)
+            obstructed = sorted(
+                set(combinations(range(m), 2)) - mergeable_pairs_oracle(sys)
+            )
+            v = is_proximal(sys, B)
+            verdicts[v.status.value] += 1
+            if not obstructed:
+                assert v.status is Status.YES
+                continue
+            total = m * (m - 1) // 2
+            assert v.status is Status.NO
+            assert v.certificate == (
+                f"pair {obstructed[0]} cannot reach the diagonal "
+                f"({len(obstructed)} of {total} pairs obstructed)"
+            )
+        assert min(verdicts.values()) >= 50
 
     def test_stochastic_contraction_yes(self):
         sys = stoch_system([[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]])

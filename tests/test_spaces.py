@@ -1,5 +1,6 @@
 """Spaces: metric validation, measures, distances, grid atoms, tightness."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,18 +8,21 @@ from fractions import Fraction
 import pytest
 
 from proxilift import (
+    ActionSystem,
     DimensionMismatch,
     FiniteSpace,
     GridSimplex,
     Measure,
     ValidationError,
     grid_atoms,
+    lift_system,
     random_measure,
     tight_at,
     tightness_profile,
     tv_distance,
     w1_distance,
 )
+from proxilift.cli import ParsedSpec, load_spec, serialize_spec
 from helpers import brute_force_w1, rand_grid_measure, rand_metric_space
 
 F = Fraction
@@ -62,6 +66,67 @@ class TestFiniteSpace:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
             FiniteSpace.from_rows(("a", "b"), [[0, 1, 1], [1, 0, 1]])
+
+
+class TestDiscreteSpace:
+    """The discrete metric is implicit but reads like the explicit 0/1 matrix."""
+
+    @staticmethod
+    def labels(m):
+        return tuple(f"x{i}" for i in range(m))
+
+    @staticmethod
+    def zero_one(m):
+        return tuple(tuple(F(int(i != j)) for j in range(m)) for i in range(m))
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_reads_as_zero_one_matrix(self, m):
+        sp = FiniteSpace.discrete(self.labels(m))
+        assert sp.metric == self.zero_one(m)
+        for i in range(m):
+            for j in range(m):
+                assert sp.distance(i, j) == sp.metric[i][j]
+        assert sp.diameter() == (1 if m > 1 else 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_matrix_passes_the_full_validator(self, m):
+        sp = FiniteSpace.discrete(self.labels(m))
+        explicit = FiniteSpace(self.labels(m), sp.metric)
+        assert explicit.matrix is not None
+        assert explicit.diameter() == sp.diameter()
+        assert explicit == sp and hash(explicit) == hash(sp)
+
+    def test_equal_labels_equal_and_hash_equal(self):
+        a = FiniteSpace.discrete(self.labels(4))
+        b = FiniteSpace.discrete(list(self.labels(4)))
+        assert a == b and hash(a) == hash(b)
+        assert a != FiniteSpace.discrete(("x0", "x1", "x2", "y3"))
+        path = FiniteSpace.from_rows(
+            self.labels(3), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        )
+        assert path != FiniteSpace.discrete(self.labels(3))
+        sys_a = ActionSystem.deterministic(a, [(1, 2, 3, 0)])
+        sys_b = ActionSystem.deterministic(b, [(1, 2, 3, 0)])
+        assert lift_system(sys_a, 2) is lift_system(sys_b, 2)
+
+    def test_duplicate_labels_raise(self):
+        with pytest.raises(ValidationError):
+            FiniteSpace.discrete(("a", "b", "a"))
+        with pytest.raises(ValidationError):
+            FiniteSpace.discrete(())
+
+    def test_spec_round_trip(self, tmp_path):
+        sys = ActionSystem.deterministic(
+            FiniteSpace.discrete(self.labels(3)), [(1, 2, 0), (0, 0, 2)]
+        )
+        spec = ParsedSpec("discrete.json", "", sys, None, None, None)
+        doc = serialize_spec(spec)
+        assert doc["space"]["metric"] == [
+            ["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]
+        ]
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_spec(str(path)).system == sys
 
 
 class TestMeasure:
