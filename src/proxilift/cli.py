@@ -60,6 +60,7 @@ from .proximality import (
     Budget,
     Status,
     Verdict,
+    _strong_from_reset,
     is_proximal,
     reset_word,
     strongly_proximal,
@@ -418,20 +419,24 @@ def _mode_base(
     results: dict[str, Any] = {}
     replays: list[Replay] = []
     prox = is_proximal(system, b)
-    strong = strongly_proximal(system, b)
     results["is_proximal"] = verdict_json(prox)
-    results["strongly_proximal"] = verdict_json(strong)
-    verdicts = [prox, strong]
+    verdicts = [prox]
     if system.kind is Kind.DETERMINISTIC:
+        # One subset BFS answers both reset_word and strong proximality.
         reset = reset_word(system, b)
+        strong = _strong_from_reset(reset)
+        results["strongly_proximal"] = verdict_json(strong)
         results["reset_word"] = verdict_json(reset)
-        verdicts.append(reset)
+        verdicts += [strong, reset]
         for name, v in (("reset_word", reset), ("strongly_proximal", strong)):
             if v.status is Status.YES and v.witness is not None:
                 replays.append(
                     (f"{name} witness is constant", _constant_replay(system, v.witness))
                 )
     else:
+        strong = strongly_proximal(system, b)
+        results["strongly_proximal"] = verdict_json(strong)
+        verdicts.append(strong)
         if prox.status is Status.YES and prox.witness is not None:
             replays.append(
                 ("is_proximal witness contracts", _contraction_replay(system, prox.witness))

@@ -8,21 +8,29 @@ system is strongly proximal exactly when some word acts as a constant map, a
 reset word: applied to any measure it yields a point mass, and conversely a
 sequence pushing every measure toward point masses must eventually act
 constantly on a finite set.  Subset BFS from the full point set finds a
-length-minimal reset word.
+length-minimal reset word; it maps subset bitmasks a byte at a time through
+per-generator nibble tables.  One subset BFS answers both questions:
+``_strong_from_reset`` turns a ``reset_word`` verdict into the strong
+proximality verdict, so a caller that needs both runs the search once.
 
 Stochastic systems get semi-decisions under an explicit budget: YES verdicts
 carry a replayable word plus a contraction certificate, NO verdicts are
-emitted only with a checkable obstruction, everything else is UNKNOWN.
+emitted only with a checkable obstruction, everything else is UNKNOWN.  The
+greedy word searches keep each product exactly as integer rows over one
+integer denominator; only the scores they compare become ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import combinations
+from operator import mul, sub
+from typing import Callable, Iterator, Optional
 
 from .actions import (
     ActionSystem,
@@ -30,7 +38,6 @@ from .actions import (
     StochasticMatrix,
     Transformation,
     Word,
-    dobrushin,
     pushforward,
 )
 from .errors import UnsupportedKind, ValidationError
@@ -162,6 +169,63 @@ def _mergeable_pairs(gens: list[Transformation], m: int) -> bytearray:
     return flags
 
 
+IntRows = list[list[int]]
+
+
+def _integer_rows(s: StochasticMatrix) -> tuple[IntRows, int]:
+    """Rows of s as integers over their least common denominator."""
+    den = math.lcm(*(p.denominator for row in s.rows for p in row))
+    rows = [[p.numerator * (den // p.denominator) for p in row] for row in s.rows]
+    return rows, den
+
+
+def _dobrushin(rows: IntRows, den: int) -> Fraction:
+    """Dobrushin coefficient of the matrix with these rows over den."""
+    gap = max(
+        (sum(map(abs, map(sub, r, t))) for r, t in combinations(rows, 2)),
+        default=0,
+    )
+    return Fraction(gap, 2 * den)
+
+
+def _by_dobrushin(rows: IntRows, den: int) -> tuple[Fraction]:
+    return (_dobrushin(rows, den),)
+
+
+def _greedy_products(
+    sys: ActionSystem, b: Budget, key: Callable[[IntRows, int], tuple]
+) -> Iterator[tuple[Word, tuple, IntRows]]:
+    """Greedy word search on a stochastic system, one letter per step.
+
+    The product S_w is kept exactly, as integer rows over one integer
+    denominator.  Each step appends the generator g whose product S_wg
+    minimizes ``key(rows, den) + (g,)`` and yields the word, that key and
+    the rows, for at most ``b.max_word_len`` steps.  The values are exact,
+    so keys and ties are those of the same products in ``Fraction`` form.
+    """
+    steps = []
+    for g in sys.generators:
+        assert isinstance(g, StochasticMatrix)
+        g_rows, g_den = _integer_rows(g)
+        steps.append((list(zip(*g_rows)), g_den))
+    m = len(sys.space)
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    den = 1
+    word: Word = ()
+    for _ in range(b.max_word_len):
+        best = None
+        for gi, (cols, g_den) in enumerate(steps):
+            nxt = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            nxt_den = den * g_den
+            k = key(nxt, nxt_den) + (gi,)
+            if best is None or k < best[0]:
+                best = (k, nxt, nxt_den)
+        assert best is not None
+        k, rows, den = best
+        word += (k[-1],)
+        yield word, k, rows
+
+
 def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     """Does some word send x and y to a common point (or epsilon-close masses)?
 
@@ -192,25 +256,22 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
 def _stochastic_pair_search(
     sys: ActionSystem, mu: Measure, nu: Measure, b: Budget, label: str
 ) -> Verdict:
-    """Greedy descent over words on tv(mu S_w, nu S_w), Dobrushin as tiebreak."""
-    word: Word = ()
-    matrix = sys.word_matrix(())
-    cur_mu, cur_nu = mu, nu
-    if tv_distance(cur_mu, cur_nu) < b.epsilon:
+    """Greedy descent over words on tv(mu S_w, nu S_w), Dobrushin as tiebreak.
+
+    tv(mu S_w, nu S_w) is half the L1 norm of (mu - nu) S_w, so the search
+    pushes one integer row vector, mu - nu over the common denominator of
+    their weights, through each candidate product.
+    """
+    if tv_distance(mu, nu) < b.epsilon:
         return yes((), f"tv already below epsilon for {label}")
-    for _ in range(b.max_word_len):
-        best = None
-        for gi, g in enumerate(sys.generators):
-            assert isinstance(g, StochasticMatrix)
-            nxt = matrix.then(g)
-            t_mu = pushforward(sys, (gi,), cur_mu)
-            t_nu = pushforward(sys, (gi,), cur_nu)
-            key = (tv_distance(t_mu, t_nu), dobrushin(nxt), gi)
-            if best is None or key < best[0]:
-                best = (key, gi, nxt, t_mu, t_nu)
-        assert best is not None
-        (tv, coeff, _), gi, matrix, cur_mu, cur_nu = best
-        word = word + (gi,)
+    scale = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
+    diff = [int((p - r) * scale) for p, r in zip(mu.weights, nu.weights)]
+
+    def key(rows: IntRows, den: int) -> tuple[Fraction, Fraction]:
+        gap = sum(abs(sum(map(mul, diff, col))) for col in zip(*rows))
+        return Fraction(gap, 2 * scale * den), _dobrushin(rows, den)
+
+    for word, (tv, coeff, _), _ in _greedy_products(sys, b, key):
         if tv < b.epsilon:
             return yes(word, f"tv = {tv} < epsilon = {b.epsilon} for {label}")
         if coeff < b.epsilon:
@@ -254,19 +315,7 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
             f"pair {bad} cannot reach the diagonal "
             f"({obstructed} of {total} pairs obstructed)"
         )
-    word: Word = ()
-    matrix = sys.word_matrix(())
-    for _ in range(b.max_word_len):
-        best = None
-        for gi, g in enumerate(sys.generators):
-            assert isinstance(g, StochasticMatrix)
-            nxt = matrix.then(g)
-            key = (dobrushin(nxt), gi)
-            if best is None or key < best[0]:
-                best = (key, gi, nxt)
-        assert best is not None
-        (coeff, _), gi, matrix = best
-        word = word + (gi,)
+    for word, (coeff, _), _ in _greedy_products(sys, b, _by_dobrushin):
         if coeff < 1:
             return yes(
                 word,
@@ -279,31 +328,41 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     )
 
 
-def _apply_to_mask(images: list[int], mask: int) -> int:
-    out = 0
-    m = mask
-    i = 0
-    while m:
-        if m & 1:
-            out |= 1 << images[i]
-        m >>= 1
-        i += 1
-    return out
+def _nibble_tables(image: tuple[int, ...], m: int) -> list[list[int]]:
+    """Images of subsets under a map, two 16-entry tables per mask byte.
+
+    Tables 2k and 2k + 1 serve the low and the high nibble of byte k: entry
+    n of table j is the mask of the images of the points 4j + i for the set
+    bits i of n.
+    """
+    tables = []
+    for first in range(0, m + (-m) % 8, 4):
+        table = [0] * 16
+        for n in range(1, 16):
+            low = n & -n
+            point = first + low.bit_length() - 1
+            table[n] = table[n ^ low] | (1 << image[point] if point < m else 0)
+        tables.append(table)
+    return tables
 
 
 def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     """Length-minimal word acting as a constant map, by subset BFS.
 
-    States are images of the full point set; BFS is exact whenever the
-    reachable subset family fits the closure budget.  Beyond the budget a
-    greedy pair-merging fallback still produces valid (possibly non-minimal)
-    witnesses or an exact pair obstruction.
+    States are images of the full point set, as bitmasks; each generator
+    maps a mask byte by byte through two 16-entry tables, one per nibble.
+    BFS is exact whenever the reachable subset family fits the closure
+    budget.  Beyond the budget a greedy pair-merging fallback still produces
+    valid (possibly non-minimal) witnesses or an exact pair obstruction.
+    ``strongly_proximal`` on a deterministic system is this verdict passed
+    through ``_strong_from_reset``.
     """
     gens = _gens_as_transformations(sys)
     if gens is None:
         raise UnsupportedKind("reset_word is defined for deterministic systems")
     m = len(sys.space)
-    images = [list(g.image) for g in gens]
+    tables = [_nibble_tables(g.image, m) for g in gens]
+    width = (m + 7) // 8
     full = (1 << m) - 1
     if m == 1:
         return yes((), "single point, identity already constant")
@@ -313,8 +372,13 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     exhausted = True
     while queue:
         mask = queue.popleft()
-        for gi in range(len(gens)):
-            nxt = _apply_to_mask(images[gi], mask)
+        data = mask.to_bytes(width, "little")
+        for gi, table in enumerate(tables):
+            nxt = 0
+            i = 0
+            for byte in data:
+                nxt |= table[i][byte & 15] | table[i + 1][byte >> 4]
+                i += 2
             if nxt in seen:
                 continue
             if len(seen) >= b.max_closure:
@@ -389,20 +453,21 @@ def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
             if sys.kind is Kind.DETERMINISTIC
             else ActionSystem(sys.space, Kind.DETERMINISTIC, tuple(gens))
         )
-        v = reset_word(det_sys, b)
-        if v.status is Status.YES:
-            return yes(
-                v.witness,
-                "reset word collapses every measure to a point mass",
-            )
-        if v.status is Status.NO:
-            return no(f"no constant word exists ({v.certificate})")
-        return v
+        return _strong_from_reset(reset_word(det_sys, b))
     if len(sys.generators) == 1:
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
             return blocked
     return _stochastic_vertex_search(sys, b)
+
+
+def _strong_from_reset(v: Verdict) -> Verdict:
+    """The strong proximality verdict that a reset_word verdict decides."""
+    if v.status is Status.YES:
+        return yes(v.witness, "reset word collapses every measure to a point mass")
+    if v.status is Status.NO:
+        return no(f"no constant word exists ({v.certificate})")
+    return v
 
 
 def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verdict]:
@@ -421,49 +486,38 @@ def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verd
     pi, basis = solved
     if basis or any(p <= 0 for p in pi):
         return None
-    power = s
-    for k in range(1, b.max_word_len + 1):
-        coeff = dobrushin(power)
+    # With one generator the greedy words are the powers S^k.
+    for word, (coeff, _), _ in _greedy_products(sys, b, _by_dobrushin):
         if coeff < 1:
             margin = 1 - max(pi)
             return no(
                 "unique stationary distribution "
                 f"({', '.join(str(p) for p in pi)}) has full support and "
-                f"dobrushin(S^{k}) = {coeff} < 1: every orbit converges to it, "
+                f"dobrushin(S^{len(word)}) = {coeff} < 1: every orbit converges to it, "
                 f"staying tv >= {margin} away from every point mass in the limit"
             )
-        power = power.then(s)
     return None
 
 
 def _stochastic_vertex_search(sys: ActionSystem, b: Budget) -> Verdict:
-    """Greedy search for a word whose rows all crowd one vertex column."""
-    word: Word = ()
-    matrix = sys.word_matrix(())
+    """Greedy search for a word whose rows all crowd one vertex column.
 
-    def score(mat: StochasticMatrix) -> Fraction:
-        # max over columns of the smallest entry; tv(row, delta_x) = 1 - row[x],
-        # so rows all lie within eps of delta_x exactly when this exceeds 1-eps.
-        return max(min(col) for col in zip(*mat.rows))
+    The score of S_w is the largest over columns of the smallest entry;
+    tv(row, delta_x) = 1 - row[x], so all rows lie within epsilon of delta_x
+    exactly when the score exceeds 1 - epsilon.  Candidates are ranked by
+    the score, then by the Dobrushin coefficient.
+    """
 
-    for _ in range(b.max_word_len):
-        best = None
-        for gi, g in enumerate(sys.generators):
-            assert isinstance(g, StochasticMatrix)
-            nxt = matrix.then(g)
-            key = (-score(nxt), dobrushin(nxt), gi)
-            if best is None or key < best[0]:
-                best = (key, gi, nxt)
-        assert best is not None
-        _, gi, matrix = best
-        word = word + (gi,)
-        s = score(matrix)
-        if 1 - s < b.epsilon:
-            cols = list(zip(*matrix.rows))
+    def key(rows: IntRows, den: int) -> tuple[Fraction, Fraction]:
+        return -Fraction(max(map(min, zip(*rows))), den), _dobrushin(rows, den)
+
+    for word, (neg_score, _, _), rows in _greedy_products(sys, b, key):
+        if 1 + neg_score < b.epsilon:
+            cols = list(zip(*rows))
             target = max(range(len(cols)), key=lambda j: min(cols[j]))
             return yes(
                 word,
-                f"every row of S_w is within {1 - s} < epsilon of the "
+                f"every row of S_w is within {1 + neg_score} < epsilon of the "
                 f"vertex row at point {target}",
             )
     return unknown(

@@ -2,25 +2,34 @@
 
 The oracles here deliberately avoid the library's algorithms: transport is
 solved by enumerating every integer coupling, synchronization by enumerating
-words level by level, invariant meta-measures by enumerating the vertices of
-the invariance polytope.  Expected values frozen into tests come from these or
-from hand evaluation, never from the code under test.
+words level by level or by a subset BFS that applies maps point by point,
+invariant meta-measures by enumerating the vertices of the invariance
+polytope, and the stochastic greedy searches by multiplying ``Fraction``
+matrices.  Expected values frozen into tests come from these or from hand
+evaluation, never from the code under test.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
 from proxilift import (
     ActionSystem,
+    Budget,
     FiniteSpace,
     Measure,
+    Status,
     StochasticMatrix,
+    Verdict,
+    dobrushin,
     lift_system,
+    pushforward,
+    tv_distance,
 )
 from proxilift.linalg import solve_affine
 
@@ -80,6 +89,38 @@ def rand_det_system(
 def rand_stochastic(rng: random.Random, m: int, granularity: int = 8) -> StochasticMatrix:
     return StochasticMatrix(
         tuple(rand_measure(rng, m, granularity).weights for _ in range(m))
+    )
+
+
+def rand_sparse_stochastic_system(rng: random.Random, m: int) -> ActionSystem:
+    """1-3 generators whose rows have random supports and denominators.
+
+    Each row has a denominator from 2, 3, 4, 7, 12 and a random support;
+    about one row in five is a 0/1 row.  One entry strictly between 0 and 1
+    is forced, so the system is never deterministic.
+    """
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        rows = []
+        for _ in range(m):
+            den = rng.choice((2, 3, 4, 7, 12))
+            nums = [0] * m
+            if rng.random() < 0.2:
+                nums[rng.randrange(m)] = den
+            else:
+                support = rng.sample(range(m), rng.randint(1, m))
+                for _ in range(den):
+                    nums[rng.choice(support)] += 1
+            rows.append([Fraction(a, den) for a in nums])
+        gens.append(rows)
+    if all(p in (0, 1) for rows in gens for row in rows for p in row):
+        row = gens[0][rng.randrange(m)]
+        hit = row.index(1)
+        row[hit] = Fraction(1, 2)
+        row[(hit + 1) % m] += Fraction(1, 2)
+    space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+    return ActionSystem.stochastic(
+        space, [StochasticMatrix.from_rows(rows) for rows in gens]
     )
 
 
@@ -166,6 +207,110 @@ def brute_merge_length(
             if image[x] == image[y]:
                 return length
     return None
+
+
+def _apply_bitwise(image: Sequence[int], mask: int) -> int:
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << image[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
+def subset_bfs_oracle(
+    sys: ActionSystem, max_closure: int
+) -> tuple[str, Optional[tuple[int, ...]], int]:
+    """Status, witness and reachable-subset count of the reset-word search.
+
+    Breadth-first search over the images of the full point set as bitmasks,
+    each generator applied bit by bit, generators in index order, so the
+    first singleton found ends the length-minimal, lexicographically least
+    reset word.  "YES" comes with that word; "NO" means all reachable
+    subsets were seen; "BUDGET" means a new subset arrived with
+    ``max_closure`` subsets already seen.  The count is the subsets seen.
+    """
+    gens = [g.image for g in sys.generators]
+    m = len(sys.space)
+    full = (1 << m) - 1
+    if m == 1:
+        return "YES", (), 1
+    words = {full: ()}
+    queue = deque([full])
+    while queue:
+        mask = queue.popleft()
+        for gi, image in enumerate(gens):
+            nxt = _apply_bitwise(image, mask)
+            if nxt in words:
+                continue
+            if len(words) >= max_closure:
+                return "BUDGET", None, len(words)
+            words[nxt] = words[mask] + (gi,)
+            queue.append(nxt)
+            if bin(nxt).count("1") == 1:
+                return "YES", words[nxt], len(words)
+    return "NO", None, len(words)
+
+
+def merge_word_oracle(
+    sys: ActionSystem, x: int, y: int
+) -> Optional[tuple[int, ...]]:
+    """Shortest, then lexicographically least, word sending x and y together.
+
+    Breadth-first over ordered pairs of points, words stored with each
+    state.  The pair (x, y) and (y, x) merge by the same words, so ordered
+    states find the same shortest word as unordered ones.
+    """
+    gens = [g.image for g in sys.generators]
+    words = {(x, y): ()}
+    queue = deque([(x, y)])
+    while queue:
+        a, b = queue.popleft()
+        if a == b:
+            return words[(a, b)]
+        for gi, image in enumerate(gens):
+            nxt = (image[a], image[b])
+            if nxt not in words and (nxt[1], nxt[0]) not in words:
+                words[nxt] = words[(a, b)] + (gi,)
+                queue.append(nxt)
+    return None
+
+
+def greedy_reset_oracle(sys: ActionSystem, max_word_len: int) -> Verdict:
+    """The greedy reset fallback: merge the two smallest image points, repeat.
+
+    Gives up with UNKNOWN once the word exceeds max_word_len * m letters,
+    and answers NO when two image points can never merge.
+    """
+    gens = [g.image for g in sys.generators]
+    m = len(sys.space)
+    current = list(range(m))
+    word: tuple[int, ...] = ()
+    while len(set(current)) > 1:
+        x, y = sorted(set(current))[:2]
+        piece = merge_word_oracle(sys, x, y)
+        if piece is None:
+            return Verdict(
+                Status.NO,
+                None,
+                f"pair ({x},{y}) can never merge, so no constant word exists",
+            )
+        word += piece
+        if len(word) > max_word_len * m:
+            return Verdict(
+                Status.UNKNOWN,
+                None,
+                f"greedy fallback exceeded word budget ({max_word_len * m} letters)",
+            )
+        current = [_word_images(gens, piece)[p] for p in current]
+    return Verdict(
+        Status.YES,
+        word,
+        f"greedy pair merging, constant to point {current[0]} "
+        "(witness may be non-minimal)",
+    )
 
 
 def mergeable_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
@@ -296,3 +441,146 @@ def polytope_oracle(sys: ActionSystem, q: int) -> list[Measure]:
     metas = [Measure(v) for v in polytope_vertices(rows, rhs, n)]
     metas.sort(key=lambda meta: meta.weights)
     return metas
+
+
+# ---------------------------------------------------------------------------
+# Stochastic search oracle: the greedy word searches on exact Fraction
+# matrix products, one StochasticMatrix.then per candidate.  Verdicts come
+# with the same witnesses and certificate text as the library's searches.
+
+def _yes(word: tuple[int, ...], certificate: str) -> Verdict:
+    return Verdict(Status.YES, word, certificate)
+
+
+def _unknown(certificate: str) -> Verdict:
+    return Verdict(Status.UNKNOWN, None, certificate)
+
+
+def fraction_pair_search(
+    sys: ActionSystem, mu: Measure, nu: Measure, b: Budget, label: str
+) -> Verdict:
+    """Greedy tv descent for proximal_pair and measure_pair_proximal."""
+    word: tuple[int, ...] = ()
+    matrix = sys.word_matrix(())
+    cur_mu, cur_nu = mu, nu
+    if tv_distance(cur_mu, cur_nu) < b.epsilon:
+        return _yes((), f"tv already below epsilon for {label}")
+    for _ in range(b.max_word_len):
+        best = None
+        for gi, g in enumerate(sys.generators):
+            nxt = matrix.then(g)
+            t_mu = pushforward(sys, (gi,), cur_mu)
+            t_nu = pushforward(sys, (gi,), cur_nu)
+            key = (tv_distance(t_mu, t_nu), dobrushin(nxt), gi)
+            if best is None or key < best[0]:
+                best = (key, gi, nxt, t_mu, t_nu)
+        (tv, coeff, _), gi, matrix, cur_mu, cur_nu = best
+        word = word + (gi,)
+        if tv < b.epsilon:
+            return _yes(word, f"tv = {tv} < epsilon = {b.epsilon} for {label}")
+        if coeff < b.epsilon:
+            return _yes(
+                word,
+                f"dobrushin product = {coeff} < epsilon bounds tv for {label}",
+            )
+    return _unknown(
+        f"budget exhausted (max_word_len={b.max_word_len}); last tv = {tv}"
+    )
+
+
+def fraction_is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
+    """Greedy Dobrushin descent of is_proximal on a stochastic system."""
+    word: tuple[int, ...] = ()
+    matrix = sys.word_matrix(())
+    for _ in range(b.max_word_len):
+        best = None
+        for gi, g in enumerate(sys.generators):
+            nxt = matrix.then(g)
+            key = (dobrushin(nxt), gi)
+            if best is None or key < best[0]:
+                best = (key, gi, nxt)
+        (coeff, _), gi, matrix = best
+        word = word + (gi,)
+        if coeff < 1:
+            return _yes(
+                word,
+                f"dobrushin(S_w) = {coeff} < 1, so powers of the word "
+                "contract every pair of measures",
+            )
+    return _unknown(
+        f"budget exhausted (max_word_len={b.max_word_len}); "
+        "no word with contraction coefficient below 1 found"
+    )
+
+
+def _fraction_single_generator_obstruction(
+    sys: ActionSystem, b: Budget
+) -> Optional[Verdict]:
+    s = sys.generators[0]
+    m = len(s)
+    rows = [
+        [s.rows[i][j] - (1 if i == j else 0) for i in range(m)] for j in range(m)
+    ]
+    rows.append([Fraction(1)] * m)
+    rhs = [Fraction(0)] * m + [Fraction(1)]
+    solved = solve_affine([list(map(Fraction, r)) for r in rows], rhs)
+    if solved is None:
+        return None
+    pi, basis = solved
+    if basis or any(p <= 0 for p in pi):
+        return None
+    power = s
+    for k in range(1, b.max_word_len + 1):
+        coeff = dobrushin(power)
+        if coeff < 1:
+            margin = 1 - max(pi)
+            return Verdict(
+                Status.NO,
+                None,
+                "unique stationary distribution "
+                f"({', '.join(str(p) for p in pi)}) has full support and "
+                f"dobrushin(S^{k}) = {coeff} < 1: every orbit converges to it, "
+                f"staying tv >= {margin} away from every point mass in the limit",
+            )
+        power = power.then(s)
+    return None
+
+
+def _fraction_vertex_search(sys: ActionSystem, b: Budget) -> Verdict:
+    word: tuple[int, ...] = ()
+    matrix = sys.word_matrix(())
+
+    def score(mat: StochasticMatrix) -> Fraction:
+        return max(min(col) for col in zip(*mat.rows))
+
+    for _ in range(b.max_word_len):
+        best = None
+        for gi, g in enumerate(sys.generators):
+            nxt = matrix.then(g)
+            key = (-score(nxt), dobrushin(nxt), gi)
+            if best is None or key < best[0]:
+                best = (key, gi, nxt)
+        _, gi, matrix = best
+        word = word + (gi,)
+        s = score(matrix)
+        if 1 - s < b.epsilon:
+            cols = list(zip(*matrix.rows))
+            target = max(range(len(cols)), key=lambda j: min(cols[j]))
+            return _yes(
+                word,
+                f"every row of S_w is within {1 - s} < epsilon of the "
+                f"vertex row at point {target}",
+            )
+    return _unknown(
+        f"budget exhausted (max_word_len={b.max_word_len}); "
+        "no word crowds all rows near one vertex"
+    )
+
+
+def fraction_strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
+    """strongly_proximal on a stochastic system: obstruction, then search."""
+    if len(sys.generators) == 1:
+        blocked = _fraction_single_generator_obstruction(sys, b)
+        if blocked is not None:
+            return blocked
+    return _fraction_vertex_search(sys, b)

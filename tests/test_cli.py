@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from proxilift import Measure, SpecError
-from proxilift import cli
+from proxilift import cli, proximality
 from proxilift.cli import (
     build_parser,
     load_spec,
@@ -117,6 +117,23 @@ class TestAnalyzeModes:
         assert res["is_proximal"]["status"] == "YES"
         assert res["strongly_proximal"]["status"] == "YES"
         assert len(res["reset_word"]["witness"]) == 9
+
+    @pytest.mark.parametrize("name", ["cerny4", "swap2"])
+    def test_base_runs_one_subset_search(self, name, monkeypatch, capsys):
+        searched = []
+        real = proximality.reset_word
+
+        def counting(system, b):
+            searched.append(system)
+            return real(system, b)
+
+        monkeypatch.setattr(proximality, "reset_word", counting)
+        monkeypatch.setattr(cli, "reset_word", counting)
+        code, _ = run_json(
+            ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"], capsys
+        )
+        assert code == 0
+        assert len(searched) == 1
 
     def test_prop1_and_thm_pass(self, capsys):
         for mode in ("prop1", "thm"):
@@ -277,12 +294,108 @@ class TestDeterminism:
         assert build_parser().parse_args(["analyze", "x.json"]).grid == 3
 
 
+def _det_doc(generators):
+    m = len(generators[0])
+    return {
+        "space": {
+            "labels": [f"p{i}" for i in range(m)],
+            "metric": [[int(i != j) for j in range(m)] for i in range(m)],
+        },
+        "action": {"kind": "deterministic", "generators": generators},
+    }
+
+
+def _stoch_doc(twelfths):
+    """Stochastic spec from generators given as rows of multiples of 1/12."""
+    m = len(twelfths[0])
+    return {
+        "space": {
+            "labels": [f"p{i}" for i in range(m)],
+            "metric": [[int(i != j) for j in range(m)] for i in range(m)],
+        },
+        "action": {
+            "kind": "stochastic",
+            "generators": [
+                [[f"{a}/12" for a in row] for row in g] for g in twelfths
+            ],
+        },
+    }
+
+
+# Larger than any shipped spec: subset masks span two bytes and stochastic
+# searches run long words.
+GENERATED_SPECS = {
+    # Cerny's C_9: a 9-cycle and one merge, shortest reset word of length 64.
+    "cerny9": _det_doc(
+        [[1, 2, 3, 4, 5, 6, 7, 8, 0], [1, 1, 2, 3, 4, 5, 6, 7, 8]]
+    ),
+    # An 11-cycle and a letter sending point 0 two steps along it.
+    "circular11_step2": _det_doc(
+        [
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0],
+            [2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        ]
+    ),
+    # Points 0 and 1 fixed by both letters beside a circular automaton with
+    # step 3 on points 2..9: never synchronizing.
+    "two_sink10": _det_doc(
+        [
+            [0, 1, 3, 4, 5, 6, 7, 8, 9, 2],
+            [0, 1, 5, 3, 4, 5, 6, 7, 8, 9],
+        ]
+    ),
+    # Every entry positive.
+    "dense4x2": _stoch_doc(
+        [
+            [[3, 4, 2, 3], [1, 5, 3, 3], [6, 2, 2, 2], [2, 2, 5, 3]],
+            [[5, 1, 3, 3], [2, 2, 2, 6], [4, 4, 1, 3], [1, 7, 2, 2]],
+        ]
+    ),
+    # Row i on i and on its successor along the cycle i -> i + 1, i + 2 or
+    # i + 3 (mod 5), one cycle per generator.
+    "sparse5x3": _stoch_doc(
+        [
+            [
+                [5, 7, 0, 0, 0],
+                [0, 3, 9, 0, 0],
+                [0, 0, 8, 4, 0],
+                [0, 0, 0, 6, 6],
+                [11, 0, 0, 0, 1],
+            ],
+            [
+                [7, 0, 5, 0, 0],
+                [0, 10, 0, 2, 0],
+                [0, 0, 4, 0, 8],
+                [3, 0, 0, 9, 0],
+                [0, 6, 0, 0, 6],
+            ],
+            [
+                [2, 0, 0, 10, 0],
+                [0, 6, 0, 0, 6],
+                [1, 0, 11, 0, 0],
+                [0, 8, 0, 4, 0],
+                [0, 0, 3, 0, 9],
+            ],
+        ]
+    ),
+    # Two closed classes {0, 1} and {2, 3}, dense inside each.
+    "block4x2": _stoch_doc(
+        [
+            [[5, 7, 0, 0], [9, 3, 0, 0], [0, 0, 4, 8], [0, 0, 11, 1]],
+            [[2, 10, 0, 0], [6, 6, 0, 0], [0, 0, 7, 5], [0, 0, 3, 9]],
+        ]
+    ),
+}
+
+
 class TestGoldenDigests:
     """Pinned report digests of every shipped spec in its applicable modes,
-    so any change of verdict, witness, certificate text or replay shows.
+    and of ``GENERATED_SPECS`` in base mode, so any change of verdict,
+    witness, certificate text or replay shows.
 
-    ``input.path`` is part of the digest, so every run uses the relative
-    path ``specs/<name>.json`` from the repository root.
+    ``input.path`` is part of the digest, so every run uses a relative path:
+    ``specs/<name>.json`` from the repository root, or ``<name>.json`` in
+    the temporary directory a generated spec is written to.
     """
 
     @pytest.mark.parametrize(
@@ -316,6 +429,26 @@ class TestGoldenDigests:
         ]
         code, rep = run_json(args, capsys)
         assert code == 0
+        assert rep["verify"]["ok"]
+        assert rep["report_digest"] == digest
+
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cerny9", "e9bcb49321f0674733c6dc6d226659db30a69c43afe073d5ad8a6988b7a95d7d"),
+            ("circular11_step2", "85baade3dfc379114efb3e87337fb78bbe9c75c9ecb146a8bb9034a2b8103f66"),
+            ("two_sink10", "73380ab6dfdac23a10960f83bd27fa2b3006976c43538e546f558fca79250744"),
+            ("dense4x2", "66479940117ad69acc610b877cf2623cdd61d7458fb1408b1863ae5ab69fbd0b"),
+            ("sparse5x3", "2d12d412e53c49f5b3fb903af30571b43c1d2aa4c7af60471681ea4d528b43ff"),
+            ("block4x2", "f926135e31f3ae5fa230c7efb5a787202965371bffd326797c3ecafb8bec6019"),
+        ],
+    )
+    def test_generated_digest(self, name, digest, tmp_path, monkeypatch, capsys):
+        write_spec(tmp_path, GENERATED_SPECS[name], f"{name}.json")
+        monkeypatch.chdir(tmp_path)
+        args = ["analyze", f"{name}.json", "--mode", "base", "--verify"]
+        _, rep = run_json(args, capsys)
         assert rep["verify"]["ok"]
         assert rep["report_digest"] == digest
 

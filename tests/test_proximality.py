@@ -1,6 +1,7 @@
 """Proximality engines: pair decisions, reset words, strong proximality."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,9 +29,15 @@ from proxilift import (
 from helpers import (
     brute_merge_length,
     brute_reset_length,
+    fraction_is_proximal,
+    fraction_pair_search,
+    fraction_strongly_proximal,
+    greedy_reset_oracle,
     mergeable_pairs_oracle,
     rand_det_system,
     rand_measure,
+    rand_sparse_stochastic_system,
+    subset_bfs_oracle,
 )
 
 F = Fraction
@@ -41,6 +48,17 @@ def det_system(*images):
     m = len(images[0])
     space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
     return ActionSystem.deterministic(space, images)
+
+
+def rand_images(rng, m):
+    """1-3 random maps on m points, about a third of them permutations."""
+    images = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 1 / 3:
+            images.append(tuple(rng.sample(range(m), m)))
+        else:
+            images.append(tuple(rng.randrange(m) for _ in range(m)))
+    return images
 
 
 def cerny4():
@@ -134,14 +152,7 @@ class TestIsProximal:
         rng = random.Random(31)
         systems = []
         for _ in range(240):
-            m = rng.randint(2, 9)
-            images = []
-            for _ in range(rng.randint(1, 3)):
-                if rng.random() < 1 / 3:
-                    images.append(tuple(rng.sample(range(m), m)))
-                else:
-                    images.append(tuple(rng.randrange(m) for _ in range(m)))
-            systems.append(det_system(*images))
+            systems.append(det_system(*rand_images(rng, rng.randint(2, 9))))
         lifted = [lift_system(sys, 2).system for sys in systems[:30]]
         verdicts = {"YES": 0, "NO": 0}
         for sys in systems + lifted:
@@ -230,6 +241,40 @@ class TestResetWord:
         tight = Budget(max_word_len=64, max_closure=2)
         assert reset_word(sys, tight).status is Status.NO
 
+    def test_matches_subset_bfs_oracle(self):
+        # Sizes 7-9 and 15-17 put the last point on either side of a byte
+        # (and a nibble) boundary of the subset mask.
+        rng = random.Random(41)
+        sizes = [7, 8, 9, 15, 16, 17] * 5 + [rng.randint(1, 20) for _ in range(190)]
+        systems = [det_system(*rand_images(rng, m)) for m in sizes]
+        small = [sys for sys in systems if len(sys.space) <= 5]
+        systems += [lift_system(sys, 3).system for sys in small[:30]]
+        outcomes = Counter()
+        for sys in systems:
+            for b in (B, Budget(max_closure=50)):
+                status, witness, count = subset_bfs_oracle(sys, b.max_closure)
+                outcomes[status] += 1
+                if status == "BUDGET":
+                    want = greedy_reset_oracle(sys, b.max_word_len)
+                elif status == "NO":
+                    want = Verdict(
+                        Status.NO,
+                        None,
+                        f"subset BFS exhausted {count} reachable subsets, "
+                        "none a singleton",
+                    )
+                elif len(sys.space) == 1:
+                    want = Verdict(
+                        Status.YES, (), "single point, identity already constant"
+                    )
+                else:
+                    point = sys.word_transformation(witness)(0)
+                    want = Verdict(
+                        Status.YES, witness, f"word is constant to point {point}"
+                    )
+                assert reset_word(sys, b) == want
+        assert min(outcomes.values()) >= 30
+
     def test_stochastic_rejected(self):
         sys = stoch_system([[F(1, 2), F(1, 2)], [0, 1]])
         with pytest.raises(UnsupportedKind):
@@ -278,6 +323,45 @@ class TestStronglyProximal:
     def test_doubly_deterministic_delegates(self):
         sys = stoch_system([[0, 1], [1, 0]])
         assert strongly_proximal(sys, B).status is Status.NO
+
+
+class TestStochasticSearches:
+    def test_match_fraction_oracle(self):
+        # The oracle multiplies Fraction matrices, so the long budget and the
+        # general measure pair run on a quarter of the systems each.
+        rng = random.Random(43)
+        outcomes = Counter()
+        for i in range(200):
+            m = rng.randint(2, 6)
+            sys = rand_sparse_stochastic_system(rng, m)
+            b = Budget(max_word_len=(64, 16, 16, 16)[i % 4])
+            x, y = rng.sample(range(m), 2)
+            mu, nu = rand_measure(rng, m, 6), rand_measure(rng, m, 6)
+            pairs = [
+                (is_proximal(sys, b), fraction_is_proximal(sys, b)),
+                (strongly_proximal(sys, b), fraction_strongly_proximal(sys, b)),
+                (
+                    proximal_pair(sys, x, y, b),
+                    fraction_pair_search(
+                        sys,
+                        Measure.point_mass(m, x),
+                        Measure.point_mass(m, y),
+                        b,
+                        f"({x},{y})",
+                    ),
+                ),
+            ]
+            if i % 4 == 1:
+                pairs.append(
+                    (
+                        measure_pair_proximal(sys, mu, nu, b),
+                        fraction_pair_search(sys, mu, nu, b, "(mu,nu)"),
+                    )
+                )
+            for got, want in pairs:
+                assert got == want
+                outcomes[want.status] += 1
+        assert min(outcomes.values()) >= 15
 
 
 class TestMeasurePairProximal:
