@@ -314,21 +314,29 @@ class SemigroupTable:
         return self.table[x][y]
 
 
+def _convolve(
+    table: SemigroupTable, mu: Sequence[int | Fraction], nu: Sequence[int | Fraction]
+) -> list:
+    """(mu * nu)(z) = sum over x.y = z of mu(x) nu(y) for exact weight
+    vectors; integer compositions convolve to integer compositions."""
+    out = [0] * len(table)
+    for x, wx in enumerate(mu):
+        if wx == 0:
+            continue
+        row = table.table[x]
+        for y, wy in enumerate(nu):
+            if wy == 0:
+                continue
+            out[row[y]] += wx * wy
+    return out
+
+
 def convolution(table: SemigroupTable, mu: Measure, nu: Measure) -> Measure:
     """(mu * nu)(z) = sum over x.y = z of mu(x) nu(y), exact."""
     m = len(table)
     if len(mu) != m or len(nu) != m:
         raise DimensionMismatch("measure size does not match table", m)
-    out = [ZERO] * m
-    for x, wx in enumerate(mu.weights):
-        if wx == 0:
-            continue
-        row = table.table[x]
-        for y, wy in enumerate(nu.weights):
-            if wy == 0:
-                continue
-            out[row[y]] += wx * wy
-    return Measure(tuple(out))
+    return Measure.from_weights(_convolve(table, mu.weights, nu.weights))
 
 
 def dobrushin(s: StochasticMatrix) -> Fraction:

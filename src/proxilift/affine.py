@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .actions import (
     ActionSystem,
@@ -71,29 +71,14 @@ class SimplexModel:
         return len(self.vertices[0])
 
 
-@dataclass(frozen=True)
-class AffineVertexMap:
+class AffineVertexMap(StochasticMatrix):
     """Images of the vertices, as convex-coefficient rows over the vertices.
 
-    A deterministic vertex map is the 0/1 special case; those are the maps
-    the exact harness accepts.  General rows are valid affine selfmaps of the
-    hull and route to the stochastic engine instead.
+    The rows form a stochastic matrix on the vertex set.  A deterministic
+    vertex map is the 0/1 special case; those are the maps the exact harness
+    accepts.  General rows are valid affine selfmaps of the hull and route to
+    the stochastic engine instead.
     """
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise DimensionMismatch("coefficient rows must be square", n)
-            total = ZERO
-            for p in row:
-                if p < 0 or p > 1:
-                    raise ValidationError("coefficients must lie in [0,1]")
-                total += p
-            if total != 1:
-                raise ValidationError("coefficient rows must sum to 1")
 
     @classmethod
     def from_vertex_images(
@@ -101,33 +86,19 @@ class AffineVertexMap:
     ) -> "AffineVertexMap":
         if len(images) != n or any(not 0 <= j < n for j in images):
             raise ValidationError("vertex images must map 0..n-1 into itself")
-        one, zero = Fraction(1), Fraction(0)
-        return cls(
-            tuple(
-                tuple(one if j == img else zero for j in range(n))
-                for img in images
-            )
-        )
+        return cls.from_transformation(Transformation(tuple(images)))
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
-    def is_deterministic(self) -> bool:
-        return all(all(p in (0, 1) for p in row) for row in self.rows)
-
     def vertex_images(self) -> tuple[int, ...]:
-        if not self.is_deterministic():
-            raise ValidationError("map has non 0/1 coefficient rows")
-        return tuple(row.index(Fraction(1)) for row in self.rows)
+        return self.to_transformation().image
 
     def is_surjective(self) -> bool:
         """Vertex images form a permutation (the surjective affine selfmaps
         of a simplex are exactly the vertex permutations)."""
-        if not self.is_deterministic():
-            return False
-        images = self.vertex_images()
-        return len(set(images)) == len(images)
+        return self.is_deterministic() and self.to_transformation().is_permutation()
 
 
 def embed(model: SimplexModel, lam: Measure) -> tuple[Fraction, ...]:
@@ -201,11 +172,9 @@ def vertex_system(
     )
     space = FiniteSpace(tuple(f"v{i}" for i in range(n)), metric)
     if all(m.is_deterministic() for m in maps):
-        gens: tuple = tuple(Transformation(m.vertex_images()) for m in maps)
+        gens: tuple = tuple(m.to_transformation() for m in maps)
         return ActionSystem(space, Kind.DETERMINISTIC, gens)
-    return ActionSystem(
-        space, Kind.STOCHASTIC, tuple(StochasticMatrix(m.rows) for m in maps)
-    )
+    return ActionSystem(space, Kind.STOCHASTIC, tuple(maps))
 
 
 def f_equivariance_check(

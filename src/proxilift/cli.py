@@ -41,6 +41,7 @@ from .affine import (
     SimplexModel,
     corollary_harness,
     f_equivariance_check,
+    vertex_system,
 )
 from .errors import ProxiliftError, SpecError
 from .lift import (
@@ -52,6 +53,7 @@ from .lift import (
     equivalence_harness,
     invariant_metas,
     lift_system,
+    meta_is_vertex_point_mass,
     push_meta,
     psi_checks,
     psi_homomorphism_check,
@@ -105,24 +107,28 @@ def _expect_int(node: Any, path: str) -> int:
     return node
 
 
+def _rows(
+    node: Any, path: str, entry: Callable[[Any, str], Any]
+) -> tuple[tuple, ...]:
+    """A list of lists at path, each entry parsed by entry(x, its path)."""
+    return tuple(
+        tuple(
+            entry(x, f"{path}[{i}][{j}]")
+            for j, x in enumerate(_expect_list(row, f"{path}[{i}]"))
+        )
+        for i, row in enumerate(_expect_list(node, path))
+    )
+
+
 def parse_space(node: Any, path: str) -> FiniteSpace:
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with labels and metric")
     labels = _expect_list(node.get("labels"), f"{path}.labels")
     if not all(isinstance(x, str) for x in labels):
         raise SpecError(f"{path}.labels", "labels must be strings")
-    metric_node = _expect_list(node.get("metric"), f"{path}.metric")
-    rows = []
-    for i, row_node in enumerate(metric_node):
-        row = _expect_list(row_node, f"{path}.metric[{i}]")
-        rows.append(
-            tuple(
-                parse_rational(x, f"{path}.metric[{i}][{j}]")
-                for j, x in enumerate(row)
-            )
-        )
+    rows = _rows(node.get("metric"), f"{path}.metric", parse_rational)
     try:
-        return FiniteSpace(tuple(labels), tuple(rows))
+        return FiniteSpace(tuple(labels), rows)
     except ProxiliftError as exc:
         raise SpecError(path, str(exc)) from exc
 
@@ -154,17 +160,9 @@ def parse_action(node: Any, space: FiniteSpace, path: str) -> ActionSystem:
             except ProxiliftError as exc:
                 raise SpecError(gpath, str(exc)) from exc
         else:
-            rows = []
-            for i, row_node in enumerate(glist):
-                row = _expect_list(row_node, f"{gpath}[{i}]")
-                rows.append(
-                    tuple(
-                        parse_rational(x, f"{gpath}[{i}][{j}]")
-                        for j, x in enumerate(row)
-                    )
-                )
+            rows = _rows(glist, gpath, parse_rational)
             try:
-                gens.append(StochasticMatrix(tuple(rows)))
+                gens.append(StochasticMatrix(rows))
             except ProxiliftError as exc:
                 raise SpecError(gpath, str(exc)) from exc
     try:
@@ -174,14 +172,9 @@ def parse_action(node: Any, space: FiniteSpace, path: str) -> ActionSystem:
 
 
 def parse_table(node: Any, path: str) -> SemigroupTable:
-    rows = []
-    for i, row_node in enumerate(_expect_list(node, path)):
-        row = _expect_list(row_node, f"{path}[{i}]")
-        rows.append(
-            tuple(_expect_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
-        )
+    rows = _rows(node, path, _expect_int)
     try:
-        return SemigroupTable(tuple(rows))
+        return SemigroupTable(rows)
     except ProxiliftError as exc:
         raise SpecError(path, str(exc)) from exc
 
@@ -191,18 +184,9 @@ def parse_simplex(
 ) -> tuple[SimplexModel, tuple[AffineVertexMap, ...]]:
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with vertices and maps")
-    vert_nodes = _expect_list(node.get("vertices"), f"{path}.vertices")
-    vertices = []
-    for i, vnode in enumerate(vert_nodes):
-        row = _expect_list(vnode, f"{path}.vertices[{i}]")
-        vertices.append(
-            tuple(
-                parse_rational(x, f"{path}.vertices[{i}][{j}]")
-                for j, x in enumerate(row)
-            )
-        )
+    vertices = _rows(node.get("vertices"), f"{path}.vertices", parse_rational)
     try:
-        model = SimplexModel(tuple(vertices))
+        model = SimplexModel(vertices)
     except ProxiliftError as exc:
         raise SpecError(f"{path}.vertices", str(exc)) from exc
     map_nodes = _expect_list(node.get("maps"), f"{path}.maps")
@@ -218,16 +202,7 @@ def parse_simplex(
                     AffineVertexMap.from_vertex_images(mlist, model.n)
                 )
             else:
-                rows = []
-                for i, row_node in enumerate(mlist):
-                    row = _expect_list(row_node, f"{mpath}[{i}]")
-                    rows.append(
-                        tuple(
-                            parse_rational(x, f"{mpath}[{i}][{j}]")
-                            for j, x in enumerate(row)
-                        )
-                    )
-                maps.append(AffineVertexMap(tuple(rows)))
+                maps.append(AffineVertexMap(_rows(mlist, mpath, parse_rational)))
         except SpecError:
             raise
         except ProxiliftError as exc:
@@ -499,13 +474,10 @@ def _mode_invariant(
     grid = lifted.grid
     rows = []
     for meta in metas:
-        atom_ok = meta.is_point_mass() and grid.atoms[
-            meta.point_of_mass()
-        ].is_point_mass()
         rows.append(
             {
                 "weights": [rational_str(w) for w in meta.weights],
-                "point_mass_at_vertex": atom_ok,
+                "point_mass_at_vertex": meta_is_vertex_point_mass(grid, meta),
             }
         )
     replays: list[Replay] = [
@@ -541,8 +513,6 @@ def _mode_affine(
         },
     }
     replays: list[Replay] = []
-    from .affine import vertex_system
-
     lifted = lift_system(vertex_system(spec.simplex, spec.maps), q)
     if cor.strong.status is Status.YES and cor.strong.witness is not None:
         replays.append(
@@ -860,13 +830,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except ProxiliftError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProxiliftError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ from .actions import (
     SemigroupTable,
     Transformation,
     Word,
+    _convolve,
     convolution,
     pushforward,
 )
@@ -41,14 +42,8 @@ from .proximality import (
     is_proximal,
     strongly_proximal,
 )
-from .spaces import (
-    ZERO,
-    FiniteSpace,
-    GridSimplex,
-    Measure,
-    random_measure,
-    w1_distance,
-)
+from .spaces import ZERO, FiniteSpace, GridSimplex, Measure, random_measure
+from .transport import min_cost_transport
 
 # A meta-measure is a probability vector over grid atoms: same validation,
 # different index set, so the measure type is reused as-is.
@@ -65,7 +60,7 @@ class LiftedSystem:
     @cached_property
     def atom_space(self) -> FiniteSpace:
         return FiniteSpace.discrete(
-            tuple(f"({','.join(map(str, c))})" for c in self.grid.numerators)
+            tuple(f"({','.join(map(str, c))})" for c in self.grid.compositions)
         )
 
     @cached_property
@@ -76,35 +71,44 @@ class LiftedSystem:
     @cached_property
     def metric(self) -> tuple[tuple[Fraction, ...], ...]:
         """Pairwise Wasserstein-1 distances between atoms (built on demand;
-        the exact decision procedures only use the discrete topology)."""
-        atoms, base = self.grid.atoms, self.grid.base
+        the exact decision procedures only use the discrete topology).
+
+        The distance between atoms a / q and b / q is the optimal cost of
+        transporting the integer masses a onto b under the base metric,
+        divided by q.
+        """
+        comps, q = self.grid.compositions, self.grid.resolution
+        cost = self.grid.base.metric
         return tuple(
-            tuple(w1_distance(base, a, b) for b in atoms) for a in atoms
+            tuple(
+                ZERO if a == b else min_cost_transport(a, b, cost) / q
+                for b in comps
+            )
+            for a in comps
         )
 
     def __len__(self) -> int:
-        return len(self.grid.atoms)
+        return len(self.grid)
 
 
 @lru_cache(maxsize=256)
 def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
     """Lift a deterministic system to its resolution-q grid simplex.
 
-    Atoms are handled as integer compositions c of q (atom = c / q).  A
+    Atoms are the grid's integer compositions c of q (atom = c / q).  A
     generator g pushes c to the composition that adds c_x into g(x) for
     every point x, which is the numerator vector of the pushforward; its
-    atom index comes from a dict keyed by the composition tuples.
+    atom index comes from ``grid.index``.
     """
     if sys.kind is not Kind.DETERMINISTIC:
         raise UnsupportedKind("only deterministic systems lift to the grid")
     grid = GridSimplex.build(sys.space, q)
-    comps = grid.numerators
-    index = {c: k for k, c in enumerate(comps)}
+    index = grid.index
     m = len(sys.space)
     lifted = []
     for g in sys.generators:
         images = []
-        for c in comps:
+        for c in grid.compositions:
             pushed = [0] * m
             for target, a in zip(g.image, c):
                 pushed[target] += a
@@ -114,19 +118,17 @@ def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
 
 
 def barycenter(grid: GridSimplex, rho: MetaMeasure) -> Measure:
-    """Mean measure of rho: sum over atoms of rho(atom) * atom, exact."""
-    if len(rho) != len(grid.atoms):
-        raise DimensionMismatch(
-            "meta-measure size does not match grid", len(grid.atoms)
-        )
-    m = len(grid.base)
-    out = [ZERO] * m
-    for weight, atom in zip(rho.weights, grid.atoms):
+    """Mean measure of rho: sum over atoms c / q of rho(c / q) * c / q, exact."""
+    if len(rho) != len(grid):
+        raise DimensionMismatch("meta-measure size does not match grid", len(grid))
+    out = [ZERO] * len(grid.base)
+    for weight, c in zip(rho.weights, grid.compositions):
         if weight == 0:
             continue
-        for j in range(m):
-            out[j] += weight * atom.weights[j]
-    return Measure(tuple(out))
+        for j, a in enumerate(c):
+            if a:
+                out[j] += weight * a
+    return Measure(tuple(w / grid.resolution for w in out))
 
 
 def push_meta(lifted: LiftedSystem, w: Word, rho: MetaMeasure) -> MetaMeasure:
@@ -136,7 +138,10 @@ def push_meta(lifted: LiftedSystem, w: Word, rho: MetaMeasure) -> MetaMeasure:
 
 def meta_is_vertex_point_mass(grid: GridSimplex, rho: MetaMeasure) -> bool:
     """Whether rho is a point mass at an atom that is itself a point mass."""
-    return rho.is_point_mass() and grid.atoms[rho.point_of_mass()].is_point_mass()
+    return (
+        rho.is_point_mass()
+        and grid.resolution in grid.compositions[rho.point_of_mass()]
+    )
 
 
 @dataclass(frozen=True)
@@ -169,13 +174,13 @@ def psi_checks(
     """
     lifted = lift_system(sys, q)
     grid = lifted.grid
-    n = len(grid.atoms)
+    n = len(grid)
     rng = random.Random(seed)
     violations: list[str] = []
 
-    for i, atom in enumerate(grid.atoms):
+    for i, c in enumerate(grid.compositions):
         got = barycenter(grid, Measure.point_mass(n, i))
-        if got != atom:
+        if tuple(w * q for w in got.weights) != c:
             violations.append(f"delta section fails at atom {i}")
 
     m = len(grid.base)
@@ -203,7 +208,7 @@ def psi_checks(
             mix = Measure.point_mass(n, vi).mix(
                 Measure.point_mass(n, other), Fraction(rng.randint(1, 5), 6)
             )
-            if barycenter(grid, mix) == grid.atoms[vi]:
+            if barycenter(grid, mix) == Measure.point_mass(m, vertex_atoms[vi]):
                 violations.append(
                     f"point-mass pullback fails on mixture trial {t}"
                 )
@@ -218,26 +223,28 @@ def psi_homomorphism_check(
     Meta-level convolution pushes the product of two q-grid meta-measures
     through the semigroup product of atoms; the results live on the q^2 grid
     (no rounding), where the identity barycenter(rho1 conv rho2) =
-    barycenter(rho1) * barycenter(rho2) is asserted exactly.
+    barycenter(rho1) * barycenter(rho2) is asserted exactly.  Atoms a / q and
+    b / q convolve to the q^2-grid atom whose composition is the integer
+    convolution of a and b.
     """
     m = len(table)
     base = FiniteSpace.discrete(tuple(f"s{i}" for i in range(m)))
     grid = GridSimplex.build(base, q)
     fine = GridSimplex.build(base, q * q)
-    n = len(grid.atoms)
+    n = len(grid)
     rng = random.Random(seed)
     violations: list[str] = []
     for t in range(trials):
         rho1 = random_measure(rng, n)
         rho2 = random_measure(rng, n)
-        fine_weights = [ZERO] * len(fine.atoms)
-        for wa, a in zip(rho1.weights, grid.atoms):
+        fine_weights = [ZERO] * len(fine)
+        for wa, a in zip(rho1.weights, grid.compositions):
             if wa == 0:
                 continue
-            for wb, b in zip(rho2.weights, grid.atoms):
+            for wb, b in zip(rho2.weights, grid.compositions):
                 if wb == 0:
                     continue
-                fine_weights[fine.atom_index(convolution(table, a, b))] += wa * wb
+                fine_weights[fine.index[tuple(_convolve(table, a, b))]] += wa * wb
         lhs = barycenter(fine, Measure(tuple(fine_weights)))
         rhs = convolution(
             table, barycenter(grid, rho1), barycenter(grid, rho2)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .actions import (
     ActionSystem,
@@ -94,20 +94,18 @@ class Budget:
             raise ValidationError("epsilon must lie strictly between 0 and 1")
 
 
-def _gens_as_transformations(sys: ActionSystem) -> Optional[list[Transformation]]:
-    """Deterministic generator list, unwrapping 0/1 stochastic matrices."""
-    out: list[Transformation] = []
-    for g in sys.generators:
-        if isinstance(g, Transformation):
-            out.append(g)
-        elif isinstance(g, StochasticMatrix) and g.is_deterministic():
-            out.append(g.to_transformation())
-        else:
-            return None
-    return out
+def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
+    """The system as a deterministic one: itself, or a copy with its 0/1
+    stochastic matrices unwrapped; None if some matrix is not 0/1."""
+    if sys.kind is Kind.DETERMINISTIC:
+        return sys
+    if not all(g.is_deterministic() for g in sys.generators):
+        return None
+    gens = tuple(g.to_transformation() for g in sys.generators)
+    return ActionSystem(sys.space, Kind.DETERMINISTIC, gens)
 
 
-def _pair_bfs(gens: list[Transformation], x: int, y: int) -> Optional[Word]:
+def _pair_bfs(gens: Sequence[Transformation], x: int, y: int) -> Optional[Word]:
     """Shortest word merging x and y, ties lexicographic; None if impossible."""
     if x == y:
         return ()
@@ -140,7 +138,7 @@ def _pair_bfs(gens: list[Transformation], x: int, y: int) -> Optional[Word]:
     return tuple(reversed(letters))
 
 
-def _mergeable_pairs(gens: list[Transformation], m: int) -> bytearray:
+def _mergeable_pairs(gens: Sequence[Transformation], m: int) -> bytearray:
     """Flags of the unordered pairs from which the diagonal is reachable.
 
     Pair (i, j) with i < j has id i*m + j, and its flag is 1 exactly when
@@ -236,9 +234,9 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     m = len(sys.space)
     if not (0 <= x < m and 0 <= y < m):
         raise ValidationError(f"point indices must lie in 0..{m - 1}")
-    gens = _gens_as_transformations(sys)
-    if gens is not None:
-        w = _pair_bfs(gens, x, y)
+    det = _deterministic_view(sys)
+    if det is not None:
+        w = _pair_bfs(det.generators, x, y)
         if w is None:
             return no(
                 f"pair graph exhausted: diagonal unreachable from ({x},{y})"
@@ -292,11 +290,11 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     strictly below 1 (its powers contract every pair), otherwise UNKNOWN.
     """
     m = len(sys.space)
-    gens = _gens_as_transformations(sys)
-    if gens is not None:
+    det = _deterministic_view(sys)
+    if det is not None:
         if m == 1:
             return yes(certificate="single point, trivially proximal")
-        flags = _mergeable_pairs(gens, m)
+        flags = _mergeable_pairs(det.generators, m)
         total = m * (m - 1) // 2
         obstructed = total - flags.count(1)
         if not obstructed:
@@ -357,9 +355,10 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     ``strongly_proximal`` on a deterministic system is this verdict passed
     through ``_strong_from_reset``.
     """
-    gens = _gens_as_transformations(sys)
-    if gens is None:
+    det = _deterministic_view(sys)
+    if det is None:
         raise UnsupportedKind("reset_word is defined for deterministic systems")
+    gens = det.generators
     m = len(sys.space)
     tables = [_nibble_tables(g.image, m) for g in gens]
     width = (m + 7) // 8
@@ -403,13 +402,11 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
             f"subset BFS exhausted {len(seen)} reachable subsets, "
             "none a singleton"
         )
-    return _greedy_reset(sys, gens, b)
+    return _greedy_reset(gens, b)
 
 
-def _greedy_reset(
-    sys: ActionSystem, gens: list[Transformation], b: Budget
-) -> Verdict:
-    m = len(sys.space)
+def _greedy_reset(gens: Sequence[Transformation], b: Budget) -> Verdict:
+    m = len(gens[0])
     current = list(range(m))
     word: Word = ()
     cap = b.max_word_len * m
@@ -426,8 +423,8 @@ def _greedy_reset(
             return unknown(
                 f"greedy fallback exceeded word budget ({cap} letters)"
             )
-        t = sys.word_transformation(piece)
-        current = [t(p) for p in current]
+        for a in piece:
+            current = [gens[a](p) for p in current]
     return yes(
         word,
         f"greedy pair merging, constant to point {current[0]} "
@@ -446,14 +443,9 @@ def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     full-support stationary distribution plus strict contraction (all orbits
     then converge to an interior point); otherwise UNKNOWN.
     """
-    gens = _gens_as_transformations(sys)
-    if gens is not None:
-        det_sys = (
-            sys
-            if sys.kind is Kind.DETERMINISTIC
-            else ActionSystem(sys.space, Kind.DETERMINISTIC, tuple(gens))
-        )
-        return _strong_from_reset(reset_word(det_sys, b))
+    det = _deterministic_view(sys)
+    if det is not None:
+        return _strong_from_reset(reset_word(det, b))
     if len(sys.generators) == 1:
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
@@ -537,14 +529,9 @@ def measure_pair_proximal(
     m = len(sys.space)
     if len(mu) != m or len(nu) != m:
         raise ValidationError("measures must match the space size")
-    gens = _gens_as_transformations(sys)
-    if gens is None:
+    det = _deterministic_view(sys)
+    if det is None:
         return _stochastic_pair_search(sys, mu, nu, b, "(mu,nu)")
-    det_sys = (
-        sys
-        if sys.kind is Kind.DETERMINISTIC
-        else ActionSystem(sys.space, Kind.DETERMINISTIC, tuple(gens))
-    )
     if mu == nu:
         return yes((), "measures already equal")
     start = (mu, nu)
@@ -553,9 +540,9 @@ def measure_pair_proximal(
     queue: deque[tuple[Measure, Measure]] = deque([start])
     while queue:
         pair = queue.popleft()
-        for gi in range(len(gens)):
-            a = pushforward(det_sys, (gi,), pair[0])
-            bb = pushforward(det_sys, (gi,), pair[1])
+        for gi in range(len(det.generators)):
+            a = pushforward(det, (gi,), pair[0])
+            bb = pushforward(det, (gi,), pair[1])
             if a == bb:
                 letters = [gi]
                 node = pair

@@ -4,7 +4,9 @@ A finite metric space stands in for the compact space under study; probability
 measures over it are vectors of exact rationals summing to one.  The grid
 simplex collects all measures with a fixed common denominator q, which is the
 finite stand-in for the full probability simplex: deterministic pushforward
-maps the q-grid into itself, so lifted dynamics stay exact.
+maps the q-grid into itself, so lifted dynamics stay exact.  A grid atom is
+held as the integer composition c of q with atom = c / q; the lift works on
+compositions alone, and ``Measure`` atoms are built only on request.
 
 Weak* convergence on a finite space is metrized equivalently by total
 variation or by Wasserstein-1; both are provided, the latter computed exactly
@@ -18,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
@@ -236,6 +239,20 @@ def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
     return min_cost_transport(supply, demand, cost) / denom
 
 
+def _compositions(m: int, q: int) -> list[tuple[int, ...]]:
+    """The compositions of q into m nonnegative parts, in lexicographic order.
+
+    A choice of m - 1 bar positions among q + m - 1 slots (stars and bars)
+    gives the parts as the gaps between bars; ``combinations`` yields the
+    bar positions lexicographically, which orders the parts the same way.
+    """
+    slots = q + m - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in combinations(range(slots), m - 1)
+    ]
+
+
 def grid_atoms(m: int, q: int) -> list[Measure]:
     """All measures on m points with weights a_i/q, in lexicographic order.
 
@@ -244,70 +261,58 @@ def grid_atoms(m: int, q: int) -> list[Measure]:
     """
     if m < 1 or q < 1:
         raise ValidationError("need m >= 1 and q >= 1")
-    out: list[Measure] = []
-    prefix: list[int] = []
-
-    def rec(pos: int, left: int) -> None:
-        if pos == m - 1:
-            prefix.append(left)
-            out.append(
-                Measure(tuple(Fraction(a, q) for a in prefix))
-            )
-            prefix.pop()
-            return
-        for a in range(left + 1):
-            prefix.append(a)
-            rec(pos + 1, left - a)
-            prefix.pop()
-
-    rec(0, q)
-    return out
+    return [
+        Measure(tuple(Fraction(a, q) for a in c)) for c in _compositions(m, q)
+    ]
 
 
 @dataclass(frozen=True)
 class GridSimplex:
-    """The resolution-q discretization of the probability simplex over base."""
+    """The resolution-q discretization of the probability simplex over base.
+
+    Atom k is the measure c / q for the k-th composition c of q into
+    len(base) nonnegative parts, lexicographically ordered.  The integer
+    compositions are the atoms' one representation: ``index`` maps a
+    composition to its atom index, and ``atoms`` builds the ``Measure``
+    objects only when something reads them.
+    """
 
     base: FiniteSpace
     resolution: int
-    atoms: tuple[Measure, ...]
 
     def __post_init__(self) -> None:
-        m, q = len(self.base), self.resolution
-        if q < 1:
+        if self.resolution < 1:
             raise ValidationError("resolution must be positive")
-        if len(self.atoms) != math.comb(q + m - 1, m - 1):
-            raise ValidationError("atom count does not match binomial(q+m-1,m-1)")
-        if len(set(self.atoms)) != len(self.atoms):
-            raise ValidationError("grid atoms must be pairwise distinct")
 
     @classmethod
     def build(cls, base: FiniteSpace, q: int) -> "GridSimplex":
-        return cls(base, q, tuple(grid_atoms(len(base), q)))
+        return cls(base, q)
+
+    @cached_property
+    def compositions(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_compositions(len(self.base), self.resolution))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Atom index of each composition."""
+        return {c: k for k, c in enumerate(self.compositions)}
+
+    @cached_property
+    def atoms(self) -> tuple[Measure, ...]:
+        return tuple(grid_atoms(len(self.base), self.resolution))
 
     def __len__(self) -> int:
-        return len(self.atoms)
-
-    @cached_property
-    def numerators(self) -> tuple[tuple[int, ...], ...]:
-        """Atom k as the integer composition c of q with atom = c / q."""
-        q = self.resolution
-        return tuple(
-            tuple(w.numerator * (q // w.denominator) for w in atom.weights)
-            for atom in self.atoms
-        )
-
-    @cached_property
-    def _index(self) -> dict[Measure, int]:
-        return {atom: i for i, atom in enumerate(self.atoms)}
+        return len(self.compositions)
 
     def atom_index(self, mu: Measure) -> int:
-        try:
-            return self._index[mu]
-        except KeyError:
+        # An integral Fraction hashes and compares like the int it equals, so
+        # q * mu looks up its composition directly.
+        k = self.index.get(tuple(w * self.resolution for w in mu.weights))
+        if k is None:
             raise ValidationError(
                 f"measure is not on the resolution-{self.resolution} grid"
-            ) from None
+            )
+        return k
 
     def vertex_index(self, point: int) -> int:
         """Atom index of the point mass at the given base point."""

@@ -9,12 +9,13 @@ as exact :class:`fractions.Fraction` values, so the optimum is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 
 def min_cost_transport(
-    supply: list[int],
-    demand: list[int],
-    cost: list[list[Fraction]],
+    supply: Sequence[int],
+    demand: Sequence[int],
+    cost: Sequence[Sequence[Fraction]],
 ) -> Fraction:
     """Minimum of ``sum_{ij} flow[i][j] * cost[i][j]`` over integer transport plans.
 

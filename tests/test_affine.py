@@ -133,6 +133,7 @@ class TestVertexSystem:
         amap = AffineVertexMap(((F(1, 2), F(1, 2)), (F(0), F(1))))
         sys = vertex_system(wedge2(), [amap])
         assert sys.kind is Kind.STOCHASTIC
+        assert sys.generators == (amap,)
 
     def test_bad_rows_rejected(self):
         with pytest.raises(ValidationError):

@@ -417,6 +417,8 @@ class TestGoldenDigests:
             ("z2_translation", "prop1", "d7844f172ff6e26639d1abd821099720d773a6e4706b98b2793d13b8f038d0d2"),
             ("z2_translation", "thm", "f2ad6d8410c82ed01439efd691b9d4e37889241af1d46a0cf39eb81f8f74fb2c"),
             ("z2_translation", "invariant", "91085260788984b2a9f7414297ff15641a7bd04f0987a6d0ccfd926d4b123969"),
+            ("z2_translation", "psi", "cc0ad39643f82720ea5be5ed26f121d0d0f92d3c61c6326c3b234bc3d1e2f946"),
+            ("cerny4", "psi", "0aca029f1c96fd8d3eeb5c849efc73de1e5fbc3cea833a9b65ead556b7b59f54"),
             ("lazy_chain", "base", "220c771582f6ee1aefffda4977fa20d23abe3a3cee28db548df2742474977f08"),
             ("affine_wedge", "affine", "c762184106fbb2c4a38f3d3eccf0499698f610897bc9c27d8e84baf5cf8af6b4"),
         ],

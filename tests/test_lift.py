@@ -97,13 +97,18 @@ class TestLiftSystem:
         assert strongly_proximal(lifted.system, B).status is Status.YES
 
     def test_metric_table_is_w1(self):
-        sys = det_system((1, 0, 2))
-        lifted = lift_system(sys, 2)
-        atoms = lifted.grid.atoms
-        base = lifted.grid.base
-        for i in range(len(atoms)):
-            for j in range(len(atoms)):
-                assert lifted.metric[i][j] == w1_distance(base, atoms[i], atoms[j])
+        rng = random.Random(43)
+        for _ in range(20):
+            m = rng.randint(1, 4)
+            base = rand_metric_space(rng, m)
+            sys = ActionSystem.deterministic(
+                base, [tuple(rng.randrange(m) for _ in range(m))]
+            )
+            lifted = lift_system(sys, rng.randint(1, 3))
+            atoms = lifted.grid.atoms
+            assert lifted.metric == tuple(
+                tuple(w1_distance(base, a, b) for b in atoms) for a in atoms
+            )
 
     def test_stochastic_rejected(self):
         sp = FiniteSpace.discrete(("a", "b"))

@@ -280,6 +280,18 @@ class TestResetWord:
         with pytest.raises(UnsupportedKind):
             reset_word(sys, B)
 
+    def test_zero_one_stochastic_matches_deterministic(self):
+        # A closure budget of 2 sends the 0/1 matrices through the greedy
+        # fallback, which must compose them as transformations too.
+        det = cerny4()
+        sto = ActionSystem.stochastic(
+            det.space,
+            [StochasticMatrix.from_transformation(g) for g in det.generators],
+        )
+        for b in (B, Budget(max_closure=2)):
+            assert reset_word(sto, b) == reset_word(det, b)
+            assert strongly_proximal(sto, b) == strongly_proximal(det, b)
+
 
 class TestStronglyProximal:
     def test_deterministic_matches_reset(self):

@@ -251,6 +251,9 @@ class TestGridAtoms:
         assert grid.atoms[grid.vertex_index(1)] == Measure.point_mass(3, 1)
         with pytest.raises(ValidationError):
             grid.atom_index(Measure.from_weights([F(1, 3), F(1, 3), F(1, 3)]))
+        for wrong_length in ([1, 0], [F(1, 2), 0, 0, F(1, 2)]):
+            with pytest.raises(ValidationError):
+                grid.atom_index(Measure.from_weights(wrong_length))
 
 
 class TestTightness:
