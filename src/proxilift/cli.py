@@ -397,8 +397,8 @@ def _mode_base(
     results["is_proximal"] = verdict_json(prox)
     verdicts = [prox]
     if system.kind is Kind.DETERMINISTIC:
-        # One subset BFS answers both reset_word and strong proximality.
-        reset = reset_word(system, b)
+        # A pair obstruction is the reset verdict too; else one BFS answers both.
+        reset = prox if prox.status is Status.NO else reset_word(system, b)
         strong = _strong_from_reset(reset)
         results["strongly_proximal"] = verdict_json(strong)
         results["reset_word"] = verdict_json(reset)

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Optional
 
 from .actions import (
@@ -75,17 +76,15 @@ class LiftedSystem:
 
         The distance between atoms a / q and b / q is the optimal cost of
         transporting the integer masses a onto b under the base metric,
-        divided by q.
+        divided by q.  The base metric is validated symmetric, so W1 is too,
+        and each unordered pair is solved once.
         """
         comps, q = self.grid.compositions, self.grid.resolution
         cost = self.grid.base.metric
-        return tuple(
-            tuple(
-                ZERO if a == b else min_cost_transport(a, b, cost) / q
-                for b in comps
-            )
-            for a in comps
-        )
+        rows = [[ZERO] * len(comps) for _ in comps]
+        for i, j in combinations(range(len(comps)), 2):
+            rows[i][j] = rows[j][i] = min_cost_transport(comps[i], comps[j], cost) / q
+        return tuple(map(tuple, rows))
 
     def __len__(self) -> int:
         return len(self.grid)

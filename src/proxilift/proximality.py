@@ -1,23 +1,25 @@
 """Decision procedures for proximal and strongly proximal actions.
 
 On a finite discrete space, convergence of a sequence t_n x is eventual
-equality, so a pair of points is proximal exactly when some word over the
-generators merges them; the pair graph (states are unordered pairs plus a
-diagonal goal) decides that by breadth-first search.  A finite deterministic
-system is strongly proximal exactly when some word acts as a constant map, a
-reset word: applied to any measure it yields a point mass, and conversely a
-sequence pushing every measure toward point masses must eventually act
-constantly on a finite set.  Subset BFS from the full point set finds a
-length-minimal reset word; it maps subset bitmasks a byte at a time through
-per-generator nibble tables.  One subset BFS answers both questions:
-``_strong_from_reset`` turns a ``reset_word`` verdict into the strong
-proximality verdict, so a caller that needs both runs the search once.
+equality, so a pair of points is proximal exactly when some word merges it.
+One backward BFS from the diagonal of the pair graph (``_merge_table``)
+stores the first letter of every pair's shortest merge word.  A finite
+deterministic system is strongly proximal exactly when some word acts as a
+constant map, a reset word: applied to any measure it yields a point mass,
+and conversely a sequence pushing every measure toward point masses must
+eventually act constantly on a finite set.  A reset word exists exactly when
+every pair merges (Cerny), so each NO of either question names the smallest
+obstructed pair (``_obstruction``).  Subset BFS over bitmasks, mapped a byte
+at a time through nibble tables, finds a length-minimal reset word, and
+``_strong_from_reset`` turns that verdict into the strong proximality one.
 
-Stochastic systems get semi-decisions under an explicit budget: YES verdicts
-carry a replayable word plus a contraction certificate, NO verdicts are
-emitted only with a checkable obstruction, everything else is UNKNOWN.  The
-greedy word searches keep each product exactly as integer rows over one
-integer denominator; only the scores they compare become ``Fraction`` values.
+On stochastic systems the merge table reads the supports of the rows: an
+obstructed pair keeps two rows of every product disjoint, an exact NO for
+both questions.  Beyond that the searches are semi-decisions under an
+explicit budget: YES verdicts carry a replayable word plus a contraction
+certificate, NO verdicts a checkable obstruction, everything else is
+UNKNOWN.  The greedy searches keep each product exactly as integer rows over
+one integer denominator; only the scores they compare become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .actions import (
     ActionSystem,
@@ -105,66 +107,88 @@ def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
     return ActionSystem(sys.space, Kind.DETERMINISTIC, gens)
 
 
-def _pair_bfs(gens: Sequence[Transformation], x: int, y: int) -> Optional[Word]:
-    """Shortest word merging x and y, ties lexicographic; None if impossible."""
-    if x == y:
-        return ()
-    start = (min(x, y), max(x, y))
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    seen = {start}
-    queue: deque[tuple[int, int]] = deque([start])
-    goal: Optional[tuple[int, int]] = None
-    final_letter = -1
-    while queue and goal is None:
-        p = queue.popleft()
-        for gi, g in enumerate(gens):
-            a, b = g(p[0]), g(p[1])
-            if a == b:
-                goal = p
-                final_letter = gi
-                break
-            q = (min(a, b), max(a, b))
-            if q not in seen:
-                seen.add(q)
-                parent[q] = (p, gi)
-                queue.append(q)
-    if goal is None:
-        return None
-    letters = [final_letter]
-    node = goal
-    while node != start:
-        node, gi = parent[node]
-        letters.append(gi)
-    return tuple(reversed(letters))
+PairTable = bytearray | array  # array("L") past 255 generators
 
 
-def _mergeable_pairs(gens: Sequence[Transformation], m: int) -> bytearray:
-    """Flags of the unordered pairs from which the diagonal is reachable.
+def _merge_table(sys: ActionSystem) -> PairTable:
+    """First letters of the shortest merge words, one entry per point pair.
 
-    Pair (i, j) with i < j has id i*m + j, and its flag is 1 exactly when
-    some word merges i and j.  The search runs backward from the diagonal
-    pairs (a, a): the pairs a generator g sends onto {a, b} are those drawn
-    from g^-1(a) x g^-1(b), so preimage lists stand in for a stored reverse
-    pair graph.
+    Pair (i, j), i < j, has id i*m + j; its entry is 1 + the first letter of
+    the shortest, lexicographically least word merging i and j, or 0 if no
+    word does, and ``_merge_word`` follows the letters.  The BFS runs
+    backward from the diagonal, level by level (Eppstein, SIAM J. Comput.
+    1990): g sends the pairs of g^-1(a) x g^-1(b) onto {a, b}, and with the
+    generators in the outer loop a pair gets the least letter of its level.
+    For a stochastic matrix, g^-1(a) is the rows positive in column a, so a
+    pair merges when its two rows in some S_w share a column.
     """
+    m, gens = len(sys.space), sys.generators
     preimages = []
     for g in gens:
         pre: list[list[int]] = [[] for _ in range(m)]
-        for x, a in enumerate(g.image):
-            pre[a].append(x)
+        if isinstance(g, Transformation):
+            for x, a in enumerate(g.image):
+                pre[a].append(x)
+        else:
+            for x, row in enumerate(g.rows):
+                for a, p in enumerate(row):
+                    if p:
+                        pre[a].append(x)
         preimages.append(pre)
-    flags = bytearray(m * m)
-    stack = array("q", (a * m + a for a in range(m)))
-    while stack:
-        a, b = divmod(stack.pop(), m)
-        for pre in preimages:
-            for x in pre[a]:
-                for y in pre[b]:
-                    pid = x * m + y if x < y else y * m + x
-                    if x != y and not flags[pid]:
-                        flags[pid] = 1
-                        stack.append(pid)
-    return flags
+    table = bytearray(m * m) if len(gens) < 256 else array("L", [0]) * (m * m)
+    frontier = array("q", (a * m + a for a in range(m)))
+    while frontier:
+        reached = array("q")
+        for letter, pre in enumerate(preimages, 1):
+            for pid in frontier:
+                a, b = divmod(pid, m)
+                for x in pre[a]:
+                    for y in pre[b]:
+                        pair = x * m + y if x < y else y * m + x
+                        if x != y and not table[pair]:
+                            table[pair] = letter
+                            reached.append(pair)
+        frontier = reached
+    return table
+
+
+def _merge_word(sys: ActionSystem, table: PairTable, x: int, y: int) -> Word:
+    """The word merging x and y that the table spells; the pair must merge."""
+    m, gens = len(sys.space), sys.generators
+    word = []
+    while x != y:
+        letter = table[x * m + y if x < y else y * m + x] - 1
+        word.append(letter)
+        x, y = gens[letter](x), gens[letter](y)
+    return tuple(word)
+
+
+def _obstruction(
+    table: PairTable, m: int, pair: Optional[tuple[int, int]] = None
+) -> Optional[Verdict]:
+    """NO naming ``pair`` (i < j) if it is obstructed, or without ``pair``
+    the smallest obstructed pair; None if there is none to name.
+
+    The obstructed pairs are closed under the generators and never reach the
+    diagonal: no word merges them, so no word is constant, and their two
+    rows in every stochastic S_w have disjoint supports.
+    """
+    total = m * (m - 1) // 2
+    # Zero entries: the m diagonal ids, the ids below it, and the obstructed.
+    obstructed = table.count(0) - m - total
+    if pair is None and obstructed:
+        # Ids grow with (i, j): the first zero above the diagonal is least.
+        pair = next(
+            (i, i + 1 + row.index(0))
+            for i in range(m)
+            if 0 in (row := table[i * m + i + 1 : (i + 1) * m])
+        )
+    if pair is None or table[pair[0] * m + pair[1]]:
+        return None
+    return no(
+        f"pair {pair} cannot reach the diagonal "
+        f"({obstructed} of {total} pairs obstructed)"
+    )
 
 
 IntRows = list[list[int]]
@@ -227,21 +251,21 @@ def _greedy_products(
 def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     """Does some word send x and y to a common point (or epsilon-close masses)?
 
-    Deterministic systems are decided exactly on the pair graph.  Stochastic
-    systems search greedily for a word driving tv(delta_x S_w, delta_y S_w)
-    below epsilon, with the Dobrushin product as an alternative certificate.
+    NO when the merge table never merges the pair.  Otherwise deterministic
+    systems get the table's merge word; stochastic systems search greedily
+    for a word driving tv(delta_x S_w, delta_y S_w) below epsilon, with the
+    Dobrushin product as an alternative certificate.
     """
     m = len(sys.space)
     if not (0 <= x < m and 0 <= y < m):
         raise ValidationError(f"point indices must lie in 0..{m - 1}")
+    table = _merge_table(sys)
+    blocked = _obstruction(table, m, (min(x, y), max(x, y))) if x != y else None
+    if blocked is not None:
+        return blocked
     det = _deterministic_view(sys)
     if det is not None:
-        w = _pair_bfs(det.generators, x, y)
-        if w is None:
-            return no(
-                f"pair graph exhausted: diagonal unreachable from ({x},{y})"
-            )
-        return yes(w, f"word merges {x} and {y} exactly")
+        return yes(_merge_word(det, table, x, y), f"word merges {x} and {y} exactly")
     return _stochastic_pair_search(
         sys,
         Measure.point_mass(m, x),
@@ -285,33 +309,20 @@ def _stochastic_pair_search(
 def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     """Is every pair of points proximal?
 
-    Deterministic: exact, via multi-source reachability of the diagonal in
-    the pair graph.  Stochastic: YES once some word has Dobrushin coefficient
-    strictly below 1 (its powers contract every pair), otherwise UNKNOWN.
+    NO when the merge table has an obstructed pair.  Otherwise deterministic
+    systems are YES; stochastic ones are YES once some word has Dobrushin
+    coefficient strictly below 1 (its powers contract every pair), else
+    UNKNOWN.
     """
     m = len(sys.space)
-    det = _deterministic_view(sys)
-    if det is not None:
+    blocked = _obstruction(_merge_table(sys), m)
+    if blocked is not None:
+        return blocked
+    if _deterministic_view(sys) is not None:
         if m == 1:
             return yes(certificate="single point, trivially proximal")
-        flags = _mergeable_pairs(det.generators, m)
-        total = m * (m - 1) // 2
-        obstructed = total - flags.count(1)
-        if not obstructed:
-            return yes(certificate=f"all {total} point pairs reach the diagonal")
-        # Ids grow lexicographically in (i, j), so the first unflagged id
-        # above the diagonal is the smallest obstructed pair.
-        bad = divmod(
-            next(
-                pid
-                for i in range(m)
-                if (pid := flags.find(0, i * m + i + 1, (i + 1) * m)) >= 0
-            ),
-            m,
-        )
-        return no(
-            f"pair {bad} cannot reach the diagonal "
-            f"({obstructed} of {total} pairs obstructed)"
+        return yes(
+            certificate=f"all {m * (m - 1) // 2} point pairs reach the diagonal"
         )
     for word, (coeff, _), _ in _greedy_products(sys, b, _by_dobrushin):
         if coeff < 1:
@@ -349,18 +360,18 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
 
     States are images of the full point set, as bitmasks; each generator
     maps a mask byte by byte through two 16-entry tables, one per nibble.
-    BFS is exact whenever the reachable subset family fits the closure
-    budget.  Beyond the budget a greedy pair-merging fallback still produces
-    valid (possibly non-minimal) witnesses or an exact pair obstruction.
-    ``strongly_proximal`` on a deterministic system is this verdict passed
-    through ``_strong_from_reset``.
+    The first singleton found ends the length-minimal, lexicographically
+    least reset word.  If the subsets or the closure budget run out first,
+    the merge table decides: NO is ``is_proximal``'s obstruction, and
+    otherwise the greedy fallback chains merge words into a valid, possibly
+    non-minimal, reset word.  ``strongly_proximal`` on a deterministic
+    system is this verdict passed through ``_strong_from_reset``.
     """
     det = _deterministic_view(sys)
     if det is None:
         raise UnsupportedKind("reset_word is defined for deterministic systems")
-    gens = det.generators
     m = len(sys.space)
-    tables = [_nibble_tables(g.image, m) for g in gens]
+    tables = [_nibble_tables(g.image, m) for g in det.generators]
     width = (m + 7) // 8
     full = (1 << m) - 1
     if m == 1:
@@ -368,7 +379,6 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     parent: dict[int, tuple[int, int]] = {}
     seen = {full}
     queue: deque[int] = deque([full])
-    exhausted = True
     while queue:
         mask = queue.popleft()
         data = mask.to_bytes(width, "little")
@@ -381,7 +391,6 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
             if nxt in seen:
                 continue
             if len(seen) >= b.max_closure:
-                exhausted = False
                 queue.clear()
                 break
             seen.add(nxt)
@@ -397,37 +406,25 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     tuple(reversed(letters)),
                     f"word is constant to point {nxt.bit_length() - 1}",
                 )
-    if exhausted:
-        return no(
-            f"subset BFS exhausted {len(seen)} reachable subsets, "
-            "none a singleton"
-        )
-    return _greedy_reset(gens, b)
+    table = _merge_table(det)
+    return _obstruction(table, m) or _greedy_reset(det, table)
 
 
-def _greedy_reset(gens: Sequence[Transformation], b: Budget) -> Verdict:
-    m = len(gens[0])
-    current = list(range(m))
+def _greedy_reset(sys: ActionSystem, table: PairTable) -> Verdict:
+    """Merge the two smallest image points with the table's word, repeat;
+    every pair must merge, and at most m - 1 pieces are needed."""
+    gens = sys.generators
+    current = set(range(len(sys.space)))
     word: Word = ()
-    cap = b.max_word_len * m
-    while len(set(current)) > 1:
-        distinct = sorted(set(current))
-        piece = _pair_bfs(gens, distinct[0], distinct[1])
-        if piece is None:
-            return no(
-                f"pair ({distinct[0]},{distinct[1]}) can never merge, "
-                "so no constant word exists"
-            )
-        word = word + piece
-        if len(word) > cap:
-            return unknown(
-                f"greedy fallback exceeded word budget ({cap} letters)"
-            )
+    while len(current) > 1:
+        x, y = sorted(current)[:2]
+        piece = _merge_word(sys, table, x, y)
+        word += piece
         for a in piece:
-            current = [gens[a](p) for p in current]
+            current = {gens[a](p) for p in current}
     return yes(
         word,
-        f"greedy pair merging, constant to point {current[0]} "
+        f"greedy pair merging, constant to point {current.pop()} "
         "(witness may be non-minimal)",
     )
 
@@ -438,14 +435,18 @@ def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     Deterministic systems reduce exactly to reset_word: a constant word
     collapses every measure to a point mass, and on a finite space no weaker
     behaviour achieves convergence to point masses for all measures.
-    Stochastic systems: YES when some word takes every row within epsilon of
-    one common vertex row; NO for a single generator with a unique
-    full-support stationary distribution plus strict contraction (all orbits
-    then converge to an interior point); otherwise UNKNOWN.
+    Stochastic systems: NO when the merge table has an obstructed pair (no
+    vertex is near both of its disjoint rows); NO for a single generator
+    with a unique full-support stationary distribution plus strict
+    contraction (all orbits then converge to an interior point); YES when
+    some word takes every row within epsilon of one vertex; else UNKNOWN.
     """
     det = _deterministic_view(sys)
     if det is not None:
         return _strong_from_reset(reset_word(det, b))
+    blocked = _obstruction(_merge_table(sys), len(sys.space))
+    if blocked is not None:
+        return no(f"no word crowds all rows near one vertex ({blocked.certificate})")
     if len(sys.generators) == 1:
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
@@ -457,9 +458,7 @@ def _strong_from_reset(v: Verdict) -> Verdict:
     """The strong proximality verdict that a reset_word verdict decides."""
     if v.status is Status.YES:
         return yes(v.witness, "reset word collapses every measure to a point mass")
-    if v.status is Status.NO:
-        return no(f"no constant word exists ({v.certificate})")
-    return v
+    return no(f"no constant word exists ({v.certificate})")
 
 
 def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verdict]:

@@ -3,6 +3,7 @@
 The oracles here deliberately avoid the library's algorithms: transport is
 solved by enumerating every integer coupling, synchronization by enumerating
 words level by level or by a subset BFS that applies maps point by point,
+mergeable pairs by forward fixed points over the points or the row supports,
 invariant meta-measures by enumerating the vertices of the invariance
 polytope, and the stochastic greedy searches by multiplying ``Fraction``
 matrices.  Expected values frozen into tests come from these or from hand
@@ -118,6 +119,39 @@ def rand_sparse_stochastic_system(rng: random.Random, m: int) -> ActionSystem:
         hit = row.index(1)
         row[hit] = Fraction(1, 2)
         row[(hit + 1) % m] += Fraction(1, 2)
+    space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+    return ActionSystem.stochastic(
+        space, [StochasticMatrix.from_rows(rows) for rows in gens]
+    )
+
+
+def rand_block_stochastic_system(rng: random.Random, m: int) -> ActionSystem:
+    """1-3 generators that keep two classes of points closed.
+
+    The points, m >= 3 of them, split into {0..k-1} and {k..m-1}, and every
+    row has its support, random and nonempty, inside its own class, with a
+    denominator from 2, 3, 4, 7, 12.  No row reaches the other class, so no
+    word merges a point of one class with a point of the other.  As in
+    ``rand_sparse_stochastic_system``, one entry strictly between 0 and 1
+    is forced.
+    """
+    k = rng.randint(1, m - 1)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        rows = []
+        for i in range(m):
+            block = range(k) if i < k else range(k, m)
+            den = rng.choice((2, 3, 4, 7, 12))
+            nums = [0] * m
+            support = rng.sample(block, rng.randint(1, len(block)))
+            for _ in range(den):
+                nums[rng.choice(support)] += 1
+            rows.append([Fraction(a, den) for a in nums])
+        gens.append(rows)
+    if all(p in (0, 1) for rows in gens for row in rows for p in row):
+        first = 0 if k >= 2 else k  # the first row of a class of two or more
+        row = gens[0][first] = [Fraction(0)] * m
+        row[first] = row[first + 1] = Fraction(1, 2)
     space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
     return ActionSystem.stochastic(
         space, [StochasticMatrix.from_rows(rows) for rows in gens]
@@ -278,11 +312,10 @@ def merge_word_oracle(
     return None
 
 
-def greedy_reset_oracle(sys: ActionSystem, max_word_len: int) -> Verdict:
+def greedy_reset_oracle(sys: ActionSystem) -> Verdict:
     """The greedy reset fallback: merge the two smallest image points, repeat.
 
-    Gives up with UNKNOWN once the word exceeds max_word_len * m letters,
-    and answers NO when two image points can never merge.
+    Every pair of points must merge; each piece is ``merge_word_oracle``.
     """
     gens = [g.image for g in sys.generators]
     m = len(sys.space)
@@ -291,19 +324,8 @@ def greedy_reset_oracle(sys: ActionSystem, max_word_len: int) -> Verdict:
     while len(set(current)) > 1:
         x, y = sorted(set(current))[:2]
         piece = merge_word_oracle(sys, x, y)
-        if piece is None:
-            return Verdict(
-                Status.NO,
-                None,
-                f"pair ({x},{y}) can never merge, so no constant word exists",
-            )
+        assert piece is not None, f"pair ({x},{y}) never merges"
         word += piece
-        if len(word) > max_word_len * m:
-            return Verdict(
-                Status.UNKNOWN,
-                None,
-                f"greedy fallback exceeded word budget ({max_word_len * m} letters)",
-            )
         current = [_word_images(gens, piece)[p] for p in current]
     return Verdict(
         Status.YES,
@@ -331,6 +353,38 @@ def mergeable_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
             for g in gens:
                 a, b = sorted((g[x], g[y]))
                 if a == b or (a, b) in merged:
+                    merged.add((x, y))
+                    changed = True
+                    break
+    return merged
+
+
+def support_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
+    """Pairs x < y whose rows share a column in some product S_w.
+
+    Rows x and y of S_gw share a column when rows x and y of S_g share one,
+    or when row x of S_g has a positive entry at a and row y one at b, with
+    a != b and rows a and b of S_w sharing a column.  Sweeps over all pairs
+    repeat until nothing changes, reading only the positive entries.
+    """
+    supports = [
+        [{a for a, p in enumerate(row) if p > 0} for row in g.rows]
+        for g in sys.generators
+    ]
+    m = len(sys.space)
+    merged: set[tuple[int, int]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for x, y in combinations(range(m), 2):
+            if (x, y) in merged:
+                continue
+            for supp in supports:
+                if supp[x] & supp[y] or any(
+                    (min(a, b), max(a, b)) in merged
+                    for a in supp[x]
+                    for b in supp[y]
+                ):
                     merged.add((x, y))
                     changed = True
                     break

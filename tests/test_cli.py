@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from proxilift import Measure, SpecError
+from proxilift import Budget, Measure, SpecError, reset_word
 from proxilift import cli, proximality
 from proxilift.cli import (
     build_parser,
@@ -14,7 +14,9 @@ from proxilift.cli import (
     main,
     parse_rational,
     serialize_spec,
+    verdict_json,
 )
+from proxilift.proximality import _strong_from_reset
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -133,7 +135,21 @@ class TestAnalyzeModes:
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"], capsys
         )
         assert code == 0
-        assert len(searched) == 1
+        # swap2 is not proximal, and that NO is the reset_word verdict.
+        assert len(searched) == {"cerny4": 1, "swap2": 0}[name]
+
+    @pytest.mark.parametrize("name", ["swap2", "two_sink10"])
+    def test_base_reset_verdict_is_reset_word(self, name, tmp_path, capsys):
+        if name in GENERATED_SPECS:
+            path = write_spec(tmp_path, GENERATED_SPECS[name])
+        else:
+            path = str(SPECS / f"{name}.json")
+        _, rep = run_json(["analyze", path, "--mode", "base"], capsys)
+        reset = reset_word(load_spec(path).system, Budget())
+        assert rep["results"]["reset_word"] == verdict_json(reset)
+        assert rep["results"]["strongly_proximal"] == verdict_json(
+            _strong_from_reset(reset)
+        )
 
     def test_prop1_and_thm_pass(self, capsys):
         for mode in ("prop1", "thm"):
@@ -409,13 +425,13 @@ class TestGoldenDigests:
             ("collapse3", "prop1", "864b628153c2a180778cee9ab44b37d575f66e9f094c99a073649943eae1494b"),
             ("collapse3", "thm", "f597dc30e2c021f19f276a819cd3e431ffba3171d796419cf0c39adef0ec3db6"),
             ("collapse3", "invariant", "c6cb8a878faa9478ec1167781a1d389e2f43d46d012e6d756601903e84511346"),
-            ("swap2", "base", "f9ab198c2ca5c933225c8cf5b5e1c14fc0888ab927c9aa823b40c237bc37e79f"),
-            ("swap2", "prop1", "4cbca2414ad883576fab3d96631921a234d6aa53db72089af1471597bf05ca6b"),
-            ("swap2", "thm", "b1f285207000967a9b994590a9d155181fd58573dcc93675843e91d07c8b950d"),
+            ("swap2", "base", "f47fae2f8708c74b7e7dd48362854a1babc4b79d87eca0bdf0e0f0a98581dd7a"),
+            ("swap2", "prop1", "02ea06251ebadd0d7a9d6201eb87a3efc6cf5581f194954d7081c4e56295e9fd"),
+            ("swap2", "thm", "c431fc27c366b43d93abc4d37d583bd1970732b50a6b07056ff81a5b6edca8c6"),
             ("swap2", "invariant", "c399a425fd167c9b9f11bce29c4d31eee34dc055c6f4cc2b7bafd48daf2d4afb"),
-            ("z2_translation", "base", "53e60a23518292c6dd94937906e5c9ac74807d3c8c4eb235289206b267315a04"),
-            ("z2_translation", "prop1", "d7844f172ff6e26639d1abd821099720d773a6e4706b98b2793d13b8f038d0d2"),
-            ("z2_translation", "thm", "f2ad6d8410c82ed01439efd691b9d4e37889241af1d46a0cf39eb81f8f74fb2c"),
+            ("z2_translation", "base", "544bb60115232104fcaec7538e651dc0a9ce9fc1b67db11c92da9fd0536a1c46"),
+            ("z2_translation", "prop1", "d7b01c60ecfbdce489d36f915c5f95349a1c29f31825e0d4d3e0dfd55e8e93d5"),
+            ("z2_translation", "thm", "79367bdcc4c8ee4af5b72244ec74828e18bcde3269fdfca3e945358b29c0af25"),
             ("z2_translation", "invariant", "91085260788984b2a9f7414297ff15641a7bd04f0987a6d0ccfd926d4b123969"),
             ("z2_translation", "psi", "cc0ad39643f82720ea5be5ed26f121d0d0f92d3c61c6326c3b234bc3d1e2f946"),
             ("cerny4", "psi", "0aca029f1c96fd8d3eeb5c849efc73de1e5fbc3cea833a9b65ead556b7b59f54"),
@@ -440,10 +456,10 @@ class TestGoldenDigests:
         [
             ("cerny9", "e9bcb49321f0674733c6dc6d226659db30a69c43afe073d5ad8a6988b7a95d7d"),
             ("circular11_step2", "85baade3dfc379114efb3e87337fb78bbe9c75c9ecb146a8bb9034a2b8103f66"),
-            ("two_sink10", "73380ab6dfdac23a10960f83bd27fa2b3006976c43538e546f558fca79250744"),
+            ("two_sink10", "fc117f9be56ff4e7a7681d169e74d427a5d4c4850f33be433a7370872948216c"),
             ("dense4x2", "66479940117ad69acc610b877cf2623cdd61d7458fb1408b1863ae5ab69fbd0b"),
             ("sparse5x3", "2d12d412e53c49f5b3fb903af30571b43c1d2aa4c7af60471681ea4d528b43ff"),
-            ("block4x2", "f926135e31f3ae5fa230c7efb5a787202965371bffd326797c3ecafb8bec6019"),
+            ("block4x2", "e75a6b2010ade3a0dbe1c78d23c0d52222c8adee3d58b5ff7d38a6f9fd259bf2"),
         ],
     )
     def test_generated_digest(self, name, digest, tmp_path, monkeypatch, capsys):

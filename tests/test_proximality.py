@@ -33,11 +33,14 @@ from helpers import (
     fraction_pair_search,
     fraction_strongly_proximal,
     greedy_reset_oracle,
+    merge_word_oracle,
     mergeable_pairs_oracle,
+    rand_block_stochastic_system,
     rand_det_system,
     rand_measure,
     rand_sparse_stochastic_system,
     subset_bfs_oracle,
+    support_pairs_oracle,
 )
 
 F = Fraction
@@ -61,8 +64,30 @@ def rand_images(rng, m):
     return images
 
 
+def cerny(n):
+    """Cerny's C_n: a cycle and a letter merging points 0 and 1."""
+    return det_system(
+        tuple((i + 1) % n for i in range(n)), (1,) + tuple(range(1, n))
+    )
+
+
 def cerny4():
-    return det_system((1, 2, 3, 0), (1, 1, 2, 3))
+    return cerny(4)
+
+
+def obstructed_pairs(sys, merged):
+    """The pairs x < y of the system's points missing from ``merged``."""
+    return sorted(set(combinations(range(len(sys.space)), 2)) - merged)
+
+
+def pair_no(obstructed, m, pair=None):
+    """The NO naming ``pair``, by default the smallest obstructed pair."""
+    return Verdict(
+        Status.NO,
+        None,
+        f"pair {pair or obstructed[0]} cannot reach the diagonal "
+        f"({len(obstructed)} of {m * (m - 1) // 2} pairs obstructed)",
+    )
 
 
 def stoch_system(*rows_list):
@@ -116,6 +141,40 @@ class TestProximalPair:
             else:
                 assert oracle is None
 
+    def test_matches_merge_word_oracle(self):
+        rng = random.Random(47)
+        systems = [det_system(*rand_images(rng, rng.randint(2, 9))) for _ in range(200)]
+        small = [sys for sys in systems if len(sys.space) <= 4]
+        systems += [lift_system(sys, 3).system for sys in small]
+        outcomes = Counter()
+        for sys in systems:
+            m = len(sys.space)
+            obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
+            for x in range(m):
+                for y in range(m):
+                    word = merge_word_oracle(sys, x, y)
+                    if word is None:
+                        want = pair_no(obstructed, m, (min(x, y), max(x, y)))
+                    else:
+                        want = Verdict(
+                            Status.YES, word, f"word merges {x} and {y} exactly"
+                        )
+                    assert proximal_pair(sys, x, y, B) == want
+                    outcomes[want.status] += 1
+        assert min(outcomes.values()) >= 1000
+
+    def test_many_generators(self):
+        # 300 letters: more first-letter values than one byte holds.
+        shifts = [tuple((i + 1) % 5 for i in range(5))] * 299
+        sys = det_system(*shifts, (0, 0, 2, 3, 4))
+        v = proximal_pair(sys, 2, 3, B)
+        assert v.witness == merge_word_oracle(sys, 2, 3) == (0, 0, 0, 299)
+        assert is_proximal(sys, B).status is Status.YES
+        for b in (B, Budget(max_closure=2)):
+            v = reset_word(sys, b)
+            assert v.status is Status.YES
+            assert sys.word_transformation(v.witness).is_constant()
+
     def test_invalid_points_rejected(self):
         with pytest.raises(ValidationError):
             proximal_pair(det_system((0, 1)), 0, 5, B)
@@ -157,20 +216,13 @@ class TestIsProximal:
         verdicts = {"YES": 0, "NO": 0}
         for sys in systems + lifted:
             m = len(sys.space)
-            obstructed = sorted(
-                set(combinations(range(m), 2)) - mergeable_pairs_oracle(sys)
-            )
+            obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
             v = is_proximal(sys, B)
             verdicts[v.status.value] += 1
             if not obstructed:
                 assert v.status is Status.YES
                 continue
-            total = m * (m - 1) // 2
-            assert v.status is Status.NO
-            assert v.certificate == (
-                f"pair {obstructed[0]} cannot reach the diagonal "
-                f"({len(obstructed)} of {total} pairs obstructed)"
-            )
+            assert v == pair_no(obstructed, m)
         assert min(verdicts.values()) >= 50
 
     def test_stochastic_contraction_yes(self):
@@ -179,6 +231,8 @@ class TestIsProximal:
         assert v.status is Status.YES and v.witness is not None
 
     def test_stochastic_block_system_unknown(self):
+        """Two closed classes: the greedy search alone stays UNKNOWN, the
+        row supports decide NO."""
         half = F(1, 2)
         sys = stoch_system(
             [
@@ -188,7 +242,11 @@ class TestIsProximal:
                 [0, 0, half, half],
             ]
         )
-        assert is_proximal(sys, B).status is Status.UNKNOWN
+        assert is_proximal(sys, B) == Verdict(
+            Status.NO,
+            None,
+            "pair (0, 2) cannot reach the diagonal (4 of 6 pairs obstructed)",
+        )
 
     def test_doubly_deterministic_delegates(self):
         sys = stoch_system([[0, 1], [1, 0]])
@@ -236,10 +294,22 @@ class TestResetWord:
 
     def test_fallback_obstruction_is_exact(self):
         # 0 and 1 merge, but 2 and 3 stay fixed forever; the subset budget
-        # of 2 forces the greedy fallback, whose pair check is still exact.
+        # of 2 stops the subset BFS, and the pair table still decides.
         sys = det_system((0, 0, 2, 3), (1, 1, 2, 3))
         tight = Budget(max_word_len=64, max_closure=2)
-        assert reset_word(sys, tight).status is Status.NO
+        assert reset_word(sys, tight) == reset_word(sys, B) == Verdict(
+            Status.NO,
+            None,
+            "pair (0, 2) cannot reach the diagonal (5 of 6 pairs obstructed)",
+        )
+
+    def test_greedy_fallback_needs_no_word_budget(self):
+        sys = cerny(8)
+        tight = Budget(max_word_len=1, max_closure=2)
+        v = reset_word(sys, tight)
+        assert v == greedy_reset_oracle(sys)
+        assert sys.word_transformation(v.witness).is_constant()
+        assert strongly_proximal(sys, tight).witness == v.witness
 
     def test_matches_subset_bfs_oracle(self):
         # Sizes 7-9 and 15-17 put the last point on either side of a byte
@@ -252,17 +322,13 @@ class TestResetWord:
         outcomes = Counter()
         for sys in systems:
             for b in (B, Budget(max_closure=50)):
-                status, witness, count = subset_bfs_oracle(sys, b.max_closure)
+                status, witness, _ = subset_bfs_oracle(sys, b.max_closure)
                 outcomes[status] += 1
-                if status == "BUDGET":
-                    want = greedy_reset_oracle(sys, b.max_word_len)
-                elif status == "NO":
-                    want = Verdict(
-                        Status.NO,
-                        None,
-                        f"subset BFS exhausted {count} reachable subsets, "
-                        "none a singleton",
-                    )
+                obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
+                if status != "YES" and obstructed:
+                    want = pair_no(obstructed, len(sys.space))
+                elif status == "BUDGET":
+                    want = greedy_reset_oracle(sys)
                 elif len(sys.space) == 1:
                     want = Verdict(
                         Status.YES, (), "single point, identity already constant"
@@ -321,6 +387,8 @@ class TestStronglyProximal:
         assert "stationary" in v.certificate
 
     def test_block_system_unknown(self):
+        """Two closed classes: the greedy search alone stays UNKNOWN, the
+        row supports decide NO."""
         half = F(1, 2)
         sys = stoch_system(
             [
@@ -330,7 +398,12 @@ class TestStronglyProximal:
                 [0, 0, half, half],
             ]
         )
-        assert strongly_proximal(sys, B).status is Status.UNKNOWN
+        assert strongly_proximal(sys, B) == Verdict(
+            Status.NO,
+            None,
+            "no word crowds all rows near one vertex (pair (0, 2) cannot "
+            "reach the diagonal (4 of 6 pairs obstructed))",
+        )
 
     def test_doubly_deterministic_delegates(self):
         sys = stoch_system([[0, 1], [1, 0]])
@@ -339,29 +412,48 @@ class TestStronglyProximal:
 
 class TestStochasticSearches:
     def test_match_fraction_oracle(self):
-        # The oracle multiplies Fraction matrices, so the long budget and the
-        # general measure pair run on a quarter of the systems each.
+        # An obstructed pair of row supports decides NO.  Every other verdict
+        # is the greedy search's, which the oracle runs on Fraction matrices,
+        # so the long budget and the general measure pair run on a quarter of
+        # the systems each.  A third of the systems keep two classes closed.
         rng = random.Random(43)
         outcomes = Counter()
         for i in range(200):
-            m = rng.randint(2, 6)
-            sys = rand_sparse_stochastic_system(rng, m)
+            if i % 3 == 2:
+                m = rng.randint(3, 6)
+                sys = rand_block_stochastic_system(rng, m)
+            else:
+                m = rng.randint(2, 6)
+                sys = rand_sparse_stochastic_system(rng, m)
             b = Budget(max_word_len=(64, 16, 16, 16)[i % 4])
             x, y = rng.sample(range(m), 2)
             mu, nu = rand_measure(rng, m, 6), rand_measure(rng, m, 6)
+            obstructed = obstructed_pairs(sys, support_pairs_oracle(sys))
+            if obstructed:
+                prox = pair_no(obstructed, m)
+                strong = Verdict(
+                    Status.NO,
+                    None,
+                    f"no word crowds all rows near one vertex ({prox.certificate})",
+                )
+            else:
+                prox = fraction_is_proximal(sys, b)
+                strong = fraction_strongly_proximal(sys, b)
+            pair = (min(x, y), max(x, y))
+            if pair in obstructed:
+                pair_want = pair_no(obstructed, m, pair)
+            else:
+                pair_want = fraction_pair_search(
+                    sys,
+                    Measure.point_mass(m, x),
+                    Measure.point_mass(m, y),
+                    b,
+                    f"({x},{y})",
+                )
             pairs = [
-                (is_proximal(sys, b), fraction_is_proximal(sys, b)),
-                (strongly_proximal(sys, b), fraction_strongly_proximal(sys, b)),
-                (
-                    proximal_pair(sys, x, y, b),
-                    fraction_pair_search(
-                        sys,
-                        Measure.point_mass(m, x),
-                        Measure.point_mass(m, y),
-                        b,
-                        f"({x},{y})",
-                    ),
-                ),
+                (is_proximal(sys, b), prox),
+                (strongly_proximal(sys, b), strong),
+                (proximal_pair(sys, x, y, b), pair_want),
             ]
             if i % 4 == 1:
                 pairs.append(
