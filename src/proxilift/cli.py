@@ -660,6 +660,8 @@ def demo_sl(args: argparse.Namespace) -> int:
     cubes = args.cubes
     if sorted(cubes) != cubes or len(set(cubes)) != len(cubes):
         raise SpecError("--cubes", "cube half-widths must be strictly increasing")
+    if args.grid < 1:
+        raise SpecError("--grid", "quadrature needs at least 1 cell per axis")
     schedule = _demo_schedule(args.n_max, args.steps)
     density = 1.0 / 8.0
     ball_volume = 4.0 / 3.0 * math.pi * radius**3

@@ -110,7 +110,7 @@ def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
 PairTable = bytearray | array  # array("L") past 255 generators
 
 
-def _merge_table(sys: ActionSystem) -> PairTable:
+def _merge_table(sys: ActionSystem, until: Optional[int] = None) -> PairTable:
     """First letters of the shortest merge words, one entry per point pair.
 
     Pair (i, j), i < j, has id i*m + j; its entry is 1 + the first letter of
@@ -121,6 +121,10 @@ def _merge_table(sys: ActionSystem) -> PairTable:
     generators in the outer loop a pair gets the least letter of its level.
     For a stochastic matrix, g^-1(a) is the rows positive in column a, so a
     pair merges when its two rows in some S_w share a column.
+
+    With ``until``, a pair id, the search stops after the level that sets
+    that pair's entry.  Every pair on its merge path is set by then, at a
+    lower level; if the entry is never set, the search is complete.
     """
     m, gens = len(sys.space), sys.generators
     preimages = []
@@ -149,6 +153,8 @@ def _merge_table(sys: ActionSystem) -> PairTable:
                             table[pair] = letter
                             reached.append(pair)
         frontier = reached
+        if until is not None and table[until]:
+            break
     return table
 
 
@@ -259,8 +265,9 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     m = len(sys.space)
     if not (0 <= x < m and 0 <= y < m):
         raise ValidationError(f"point indices must lie in 0..{m - 1}")
-    table = _merge_table(sys)
-    blocked = _obstruction(table, m, (min(x, y), max(x, y))) if x != y else None
+    lo, hi = min(x, y), max(x, y)
+    table = _merge_table(sys, lo * m + hi)
+    blocked = _obstruction(table, m, (lo, hi)) if x != y else None
     if blocked is not None:
         return blocked
     det = _deterministic_view(sys)

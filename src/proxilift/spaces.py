@@ -230,13 +230,10 @@ def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
         raise DimensionMismatch("measure size does not match space", m)
     if mu == nu:
         return ZERO
-    denom = 1
-    for w in mu.weights + nu.weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    denom = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
     supply = [int(w * denom) for w in mu.weights]
     demand = [int(w * denom) for w in nu.weights]
-    cost = [list(row) for row in space.metric]
-    return min_cost_transport(supply, demand, cost) / denom
+    return min_cost_transport(supply, demand, space.metric) / denom
 
 
 def _compositions(m: int, q: int) -> list[tuple[int, ...]]:

@@ -1,13 +1,17 @@
 """Exact integer min-cost transportation via successive shortest paths.
 
 Supplies and demands are nonnegative integers with equal totals; costs are
-nonnegative rationals.  Flow amounts stay integral (the transportation
-polytope has integral vertices for integral margins), path costs are compared
-as exact :class:`fractions.Fraction` values, so the optimum is exact.
+nonnegative rationals, scaled once by the lcm of their denominators so that
+every path length is an ``int`` and the optimum is exact.  The residual graph
+lives in the dense m x n flow matrix: source i reaches sink j forward at cost
+c[i][j], and sink j reaches source i backward at cost -c[i][j] while
+flow[i][j] > 0.  Flow amounts stay integral (the transportation polytope has
+integral vertices for integral margins).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,85 +30,52 @@ def min_cost_transport(
         raise ValueError("supply and demand totals differ")
     if any(s < 0 for s in supply) or any(d < 0 for d in demand):
         raise ValueError("negative supply or demand")
-    m, n = len(supply), len(demand)
-    total = sum(supply)
-    if total == 0:
+    if sum(supply) == 0:
         return Fraction(0)
-
-    # Node ids: 0..m-1 sources, m..m+n-1 sinks, then super source / super sink.
-    src, snk = m + n, m + n + 1
-    n_nodes = m + n + 2
-    heads: list[int] = []
-    caps: list[int] = []
-    costs: list[Fraction] = []
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_arc(u: int, v: int, cap: int, c: Fraction) -> None:
-        adj[u].append(len(heads))
-        heads.append(v)
-        caps.append(cap)
-        costs.append(c)
-        adj[v].append(len(heads))
-        heads.append(u)
-        caps.append(0)
-        costs.append(-c)
-
-    for i, s in enumerate(supply):
-        if s:
-            add_arc(src, i, s, Fraction(0))
-    for j, d in enumerate(demand):
-        if d:
-            add_arc(m + j, snk, d, Fraction(0))
-    for i in range(m):
-        if supply[i] == 0:
-            continue
-        for j in range(n):
-            if demand[j] == 0:
-                continue
-            c = cost[i][j]
-            if c < 0:
-                raise ValueError("negative transport cost")
-            add_arc(i, m + j, total, c)
-
-    sent = 0
-    total_cost = Fraction(0)
-    while sent < total:
-        # Bellman-Ford over the residual graph (costs can be negative on
-        # reverse arcs; no negative cycles exist).
-        dist: list[Fraction | None] = [None] * n_nodes
-        parent_arc = [-1] * n_nodes
-        dist[src] = Fraction(0)
+    # Only rows and columns with mass can carry flow; drop the others.
+    rows = [i for i, s in enumerate(supply) if s]
+    cols = [j for j, d in enumerate(demand) if d]
+    c = [[cost[i][j] for j in cols] for i in rows]
+    if any(x < 0 for row in c for x in row):
+        raise ValueError("negative transport cost")
+    scale = math.lcm(*(x.denominator for row in c for x in row))
+    c = [[x.numerator * (scale // x.denominator) for x in row] for row in c]
+    left, need = [supply[i] for i in rows], [demand[j] for j in cols]
+    m, n = len(rows), len(cols)
+    flow = [[0] * n for _ in range(m)]
+    total = 0
+    while any(need):
+        # Bellman-Ford from every source with supply left.  The flow is
+        # optimal for what it carries, so no residual cycle is negative.
+        row_d = [0 if s else math.inf for s in left]
+        col_d = [math.inf] * n
+        row_via, col_via = [-1] * m, [-1] * n
         changed = True
         while changed:
             changed = False
-            for u in range(n_nodes):
-                du = dist[u]
-                if du is None:
-                    continue
-                for a in adj[u]:
-                    if caps[a] <= 0:
-                        continue
-                    v = heads[a]
-                    nd = du + costs[a]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-                        parent_arc[v] = a
-                        changed = True
-        if dist[snk] is None:
-            raise ValueError("transportation problem infeasible")
-        # Bottleneck along the shortest path, then push it.
-        push = total - sent
-        v = snk
-        while v != src:
-            a = parent_arc[v]
-            push = min(push, caps[a])
-            v = heads[a ^ 1]
-        v = snk
-        while v != src:
-            a = parent_arc[v]
-            caps[a] -= push
-            caps[a ^ 1] += push
-            v = heads[a ^ 1]
-        sent += push
-        total_cost += push * dist[snk]
-    return total_cost
+            for i, d in enumerate(row_d):
+                for j, cij in enumerate(c[i]):
+                    if d + cij < col_d[j]:
+                        col_d[j], col_via[j], changed = d + cij, i, True
+            for i, (f, ci) in enumerate(zip(flow, c)):
+                for j, fij in enumerate(f):
+                    if fij and col_d[j] - ci[j] < row_d[i]:
+                        row_d[i], row_via[i], changed = col_d[j] - ci[j], j, True
+        # Augment to the nearest sink with demand left, back to its source.
+        j = min((j for j in range(n) if need[j]), key=col_d.__getitem__)
+        i = col_via[j]
+        forward, backward = [(i, j)], []
+        while row_via[i] >= 0:
+            k = row_via[i]
+            backward.append((i, k))
+            i = col_via[k]
+            forward.append((i, k))
+        push = min([left[i], need[j]] + [flow[a][b] for a, b in backward])
+        for a, b in forward:
+            flow[a][b] += push
+        for a, b in backward:
+            flow[a][b] -= push
+        left[i] -= push
+        need[j] -= push
+        total += push * col_d[j]
+    return Fraction(total, scale)

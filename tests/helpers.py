@@ -183,29 +183,33 @@ def _tables(rows: list[int], cols: list[int]):
             yield [first] + sub
 
 
-def brute_force_w1(
-    metric: Sequence[Sequence[Fraction]], mu: Measure, nu: Measure
+def brute_force_transport(
+    supply: Sequence[int],
+    demand: Sequence[int],
+    cost: Sequence[Sequence[Fraction]],
 ) -> Fraction:
-    denom = 1
-    for w in mu.weights + nu.weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    rows = [int(w * denom) for w in mu.weights]
-    cols = [int(w * denom) for w in nu.weights]
-    best: Optional[Fraction] = None
-    for table in _tables(rows, cols):
-        cost = sum(
+    """Least cost over every integer transport plan with these margins."""
+    return min(
+        sum(
             (
-                Fraction(table[i][j]) * metric[i][j]
-                for i in range(len(rows))
-                for j in range(len(cols))
+                Fraction(table[i][j]) * cost[i][j]
+                for i in range(len(supply))
+                for j in range(len(demand))
                 if table[i][j]
             ),
             Fraction(0),
         )
-        if best is None or cost < best:
-            best = cost
-    assert best is not None
-    return best / denom
+        for table in _tables(list(supply), list(demand))
+    )
+
+
+def brute_force_w1(
+    metric: Sequence[Sequence[Fraction]], mu: Measure, nu: Measure
+) -> Fraction:
+    denom = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
+    rows = [int(w * denom) for w in mu.weights]
+    cols = [int(w * denom) for w in nu.weights]
+    return brute_force_transport(rows, cols, metric) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -508,3 +508,8 @@ class TestDemoSL:
     def test_bad_cubes_exit_1(self, capsys):
         assert main(["demo-sl", "--cubes", "2,1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_bad_grid_exit_1(self, grid, capsys):
+        assert main(["demo-sl", "--grid", grid]) == 1
+        assert "error: --grid:" in capsys.readouterr().err
