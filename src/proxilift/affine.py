@@ -15,7 +15,7 @@ the narrow surjectivity hypothesis while all machinery still applies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,9 +32,9 @@ from .errors import (
     UnsupportedKind,
     ValidationError,
 )
-from .lift import CheckReport, lift_system
+from .lift import CheckReport, LiftedSystem, _outcome, lift_system
 from .linalg import rank, solve_affine
-from .proximality import Budget, Status, Verdict, is_proximal, strongly_proximal
+from .proximality import Budget, Verdict, is_proximal, strongly_proximal
 from .spaces import ZERO, FiniteSpace, Measure, random_measure
 
 
@@ -208,19 +208,18 @@ def f_equivariance_check(
 
 @dataclass(frozen=True)
 class CorollaryReport:
-    """Proximal vs strongly proximal verdicts for the hull action."""
+    """Proximal vs strongly proximal verdicts for the hull action; ``lifted``
+    is the lift both were decided on, kept for replay and left out of equality
+    and repr."""
 
     extended: bool
     proximal: Verdict
     strong: Verdict
+    lifted: LiftedSystem = field(compare=False, repr=False)
 
     @property
     def outcome(self) -> str:
-        if Status.UNKNOWN in (self.proximal.status, self.strong.status):
-            return "INCONCLUSIVE"
-        if self.proximal.status is self.strong.status:
-            return "PASS"
-        return "FAIL"
+        return _outcome([(self.proximal, self.strong)])
 
 
 def corollary_harness(
@@ -246,4 +245,5 @@ def corollary_harness(
         extended=not all(m.is_surjective() for m in maps),
         proximal=is_proximal(lifted.system, b),
         strong=strongly_proximal(lifted.system, b),
+        lifted=lifted,
     )

@@ -34,6 +34,7 @@ from .actions import (
     SemigroupTable,
     StochasticMatrix,
     Transformation,
+    Word,
     dobrushin,
 )
 from .affine import (
@@ -41,7 +42,6 @@ from .affine import (
     SimplexModel,
     corollary_harness,
     f_equivariance_check,
-    vertex_system,
 )
 from .errors import ProxiliftError, SpecError
 from .lift import (
@@ -76,6 +76,9 @@ from .spaces import (
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 Replay = tuple[str, Callable[[], bool]]
+
+# Exit code of a harness outcome, shared by modes prop1, thm and affine.
+_OUTCOME_CODE = {"PASS": 0, "INCONCLUSIVE": 2, "FAIL": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +333,32 @@ def harness_json(rep: HarnessReport) -> dict:
     }
 
 
-def _constant_replay(sysm: ActionSystem, word: tuple) -> Callable[[], bool]:
-    def run() -> bool:
-        return sysm.word_transformation(word).is_constant()
-
-    return run
-
-
-def _contraction_replay(
-    sysm: ActionSystem, word: tuple
-) -> Callable[[], bool]:
-    def run() -> bool:
-        return dobrushin(sysm.word_matrix(word)) < 1
-
-    return run
+def _witness_replay(
+    desc: str, v: Verdict, check: Callable[[Word], bool]
+) -> list[Replay]:
+    """The replay of a YES verdict's witness word under check, or nothing."""
+    if v.status is not Status.YES or v.witness is None:
+        return []
+    word = v.witness
+    return [(desc, lambda: check(word))]
 
 
-def _vertex_crowd_replay(
-    sysm: ActionSystem, word: tuple, epsilon: Fraction
-) -> Callable[[], bool]:
-    def run() -> bool:
-        mat = sysm.word_matrix(word)
-        crowd = max(min(col) for col in zip(*mat.rows))
+def _is_constant(sysm: ActionSystem) -> Callable[[Word], bool]:
+    return lambda word: sysm.word_transformation(word).is_constant()
+
+
+def _contracts(sysm: ActionSystem) -> Callable[[Word], bool]:
+    return lambda word: dobrushin(sysm.word_matrix(word)) < 1
+
+
+def _crowds_vertex(
+    sysm: ActionSystem, epsilon: Fraction
+) -> Callable[[Word], bool]:
+    def check(word: Word) -> bool:
+        crowd = max(min(col) for col in zip(*sysm.word_matrix(word).rows))
         return 1 - crowd < epsilon
 
-    return run
+    return check
 
 
 def _extreme_meta_replay(
@@ -404,25 +408,21 @@ def _mode_base(
         results["reset_word"] = verdict_json(reset)
         verdicts += [strong, reset]
         for name, v in (("reset_word", reset), ("strongly_proximal", strong)):
-            if v.status is Status.YES and v.witness is not None:
-                replays.append(
-                    (f"{name} witness is constant", _constant_replay(system, v.witness))
-                )
+            replays += _witness_replay(
+                f"{name} witness is constant", v, _is_constant(system)
+            )
     else:
         strong = strongly_proximal(system, b)
         results["strongly_proximal"] = verdict_json(strong)
         verdicts.append(strong)
-        if prox.status is Status.YES and prox.witness is not None:
-            replays.append(
-                ("is_proximal witness contracts", _contraction_replay(system, prox.witness))
-            )
-        if strong.status is Status.YES and strong.witness is not None:
-            replays.append(
-                (
-                    "strongly_proximal witness crowds a vertex",
-                    _vertex_crowd_replay(system, strong.witness, b.epsilon),
-                )
-            )
+        replays += _witness_replay(
+            "is_proximal witness contracts", prox, _contracts(system)
+        )
+        replays += _witness_replay(
+            "strongly_proximal witness crowds a vertex",
+            strong,
+            _crowds_vertex(system, b.epsilon),
+        )
     code = 0 if all(v.status is not Status.UNKNOWN for v in verdicts) else 2
     return results, code, replays
 
@@ -433,23 +433,15 @@ def _mode_harness(
     rep = equivalence_harness(system, q, b, mode)
     replays: list[Replay] = []
     for row in rep.rows:
-        if row.base.status is Status.YES and row.base.witness is not None:
-            replays.append(
-                (
-                    f"q={row.q} base witness is constant",
-                    _constant_replay(system, row.base.witness),
-                )
-            )
-        if row.lift.status is Status.YES and row.lift.witness is not None:
-            lifted = lift_system(system, row.q)
-            replays.append(
-                (
-                    f"q={row.q} lift witness is constant",
-                    _constant_replay(lifted.system, row.lift.witness),
-                )
-            )
-    code = {"PASS": 0, "INCONCLUSIVE": 2, "FAIL": 1}[rep.outcome]
-    return {"harness": harness_json(rep)}, code, replays
+        replays += _witness_replay(
+            f"q={row.q} base witness is constant", row.base, _is_constant(system)
+        )
+        replays += _witness_replay(
+            f"q={row.q} lift witness is constant",
+            row.lift,
+            _is_constant(row.lifted.system),
+        )
+    return {"harness": harness_json(rep)}, _OUTCOME_CODE[rep.outcome], replays
 
 
 def _mode_psi(
@@ -469,8 +461,8 @@ def _mode_psi(
 def _mode_invariant(
     system: ActionSystem, q: int
 ) -> tuple[dict, int, list[Replay]]:
-    metas = invariant_metas(system, q)
     lifted = lift_system(system, q)
+    metas = invariant_metas(lifted)
     grid = lifted.grid
     rows = []
     for meta in metas:
@@ -512,21 +504,12 @@ def _mode_affine(
             "outcome": cor.outcome,
         },
     }
-    replays: list[Replay] = []
-    lifted = lift_system(vertex_system(spec.simplex, spec.maps), q)
-    if cor.strong.status is Status.YES and cor.strong.witness is not None:
-        replays.append(
-            (
-                "corollary strong witness is constant",
-                _constant_replay(lifted.system, cor.strong.witness),
-            )
-        )
-    if cor.outcome == "FAIL" or not equiv.ok:
-        code = 1
-    elif cor.outcome == "INCONCLUSIVE":
-        code = 2
-    else:
-        code = 0
+    replays = _witness_replay(
+        "corollary strong witness is constant",
+        cor.strong,
+        _is_constant(cor.lifted.system),
+    )
+    code = _OUTCOME_CODE[cor.outcome] if equiv.ok else 1
     return results, code, replays
 
 
@@ -658,6 +641,10 @@ def _cube_mass(n: int, c: Fraction) -> Fraction:
 def demo_sl(args: argparse.Namespace) -> int:
     radius = args.radius
     cubes = args.cubes
+    if not (math.isfinite(radius) and radius > 0):
+        raise SpecError("--radius", "ball radius must be a finite number > 0")
+    if any(c <= 0 for c in cubes):
+        raise SpecError("--cubes", "cube half-widths must be positive")
     if sorted(cubes) != cubes or len(set(cubes)) != len(cubes):
         raise SpecError("--cubes", "cube half-widths must be strictly increasing")
     if args.grid < 1:

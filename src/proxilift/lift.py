@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .actions import (
     ActionSystem,
@@ -90,14 +90,14 @@ class LiftedSystem:
         return len(self.grid)
 
 
-@lru_cache(maxsize=256)
 def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
     """Lift a deterministic system to its resolution-q grid simplex.
 
     Atoms are the grid's integer compositions c of q (atom = c / q).  A
     generator g pushes c to the composition that adds c_x into g(x) for
     every point x, which is the numerator vector of the pushforward; its
-    atom index comes from ``grid.index``.
+    atom index comes from ``grid.index``.  Lifts are not memoized: each call
+    builds a new one, and callers keep the ``LiftedSystem`` they need again.
     """
     if sys.kind is not Kind.DETERMINISTIC:
         raise UnsupportedKind("only deterministic systems lift to the grid")
@@ -258,19 +258,31 @@ class HarnessMode(enum.Enum):
     LIFT_STRONG = "thm"
 
 
+def _outcome(pairs: Iterable[tuple[Verdict, Verdict]]) -> str:
+    """FAIL if some decided pair of verdicts disagrees, else INCONCLUSIVE if
+    some pair has an UNKNOWN side, else PASS."""
+    outcome = "PASS"
+    for a, b in pairs:
+        if Status.UNKNOWN in (a.status, b.status):
+            outcome = "INCONCLUSIVE"
+        elif a.status is not b.status:
+            return "FAIL"
+    return outcome
+
+
 @dataclass(frozen=True)
 class HarnessRow:
-    """Verdict pair at one grid resolution."""
+    """Verdict pair at one grid resolution; ``lifted`` is the lift the lift
+    verdict was decided on, kept for replay and left out of equality and repr."""
 
     q: int
     base: Verdict
     lift: Verdict
+    lifted: LiftedSystem = field(compare=False, repr=False)
 
     @property
     def agree(self) -> Optional[bool]:
-        if Status.UNKNOWN in (self.base.status, self.lift.status):
-            return None
-        return self.base.status is self.lift.status
+        return {"PASS": True, "FAIL": False}.get(_outcome([(self.base, self.lift)]))
 
 
 @dataclass(frozen=True)
@@ -280,12 +292,7 @@ class HarnessReport:
 
     @property
     def outcome(self) -> str:
-        flags = [row.agree for row in self.rows]
-        if any(f is False for f in flags):
-            return "FAIL"
-        if any(f is None for f in flags):
-            return "INCONCLUSIVE"
-        return "PASS"
+        return _outcome((row.base, row.lift) for row in self.rows)
 
     @property
     def consistent_across_q(self) -> bool:
@@ -306,7 +313,7 @@ def equivalence_harness(
     LIFT_STRONG asks whether it is strongly proximal.  Either way the two
     verdicts must agree; UNKNOWN on either side makes the row inconclusive
     rather than failed.  Resolutions 1, 2, 3 are always cross-checked
-    alongside the requested q as a stability probe.
+    alongside the requested q as a stability probe; each row keeps its lift.
     """
     base_verdict = strongly_proximal(sys, b)
     rows = []
@@ -316,12 +323,13 @@ def equivalence_harness(
             lift_verdict = is_proximal(lifted.system, b)
         else:
             lift_verdict = strongly_proximal(lifted.system, b)
-        rows.append(HarnessRow(qq, base_verdict, lift_verdict))
+        rows.append(HarnessRow(qq, base_verdict, lift_verdict, lifted))
     return HarnessReport(mode, tuple(rows))
 
 
-def invariant_metas(sys: ActionSystem, q: int) -> list[MetaMeasure]:
-    """Extreme points of the polytope of generator-invariant meta-measures.
+def invariant_metas(lifted: LiftedSystem) -> list[MetaMeasure]:
+    """Extreme points of the polytope of generator-invariant meta-measures
+    on a lift, such as ``lift_system(sys, q)`` for the resolution-q grid.
 
     Invariance under each generator (hence under the generated semigroup)
     means the pushforward along every lifted atom map reproduces the
@@ -340,7 +348,6 @@ def invariant_metas(sys: ActionSystem, q: int) -> list[MetaMeasure]:
     point mass at a vertex atom, and a non point-mass extreme certifies
     failure of strong proximality.
     """
-    lifted = lift_system(sys, q)
     maps = [t.image for t in lifted.generators]
     core = set(range(len(lifted)))
     while True:

@@ -266,7 +266,8 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     if not (0 <= x < m and 0 <= y < m):
         raise ValidationError(f"point indices must lie in 0..{m - 1}")
     lo, hi = min(x, y), max(x, y)
-    table = _merge_table(sys, lo * m + hi)
+    # x == y merges by the empty word, which reads no table
+    table = _merge_table(sys, lo * m + hi) if x != y else bytearray()
     blocked = _obstruction(table, m, (lo, hi)) if x != y else None
     if blocked is not None:
         return blocked

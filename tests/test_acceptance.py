@@ -131,14 +131,14 @@ def test_criterion_04_invariant_metas(corpus):
         failures.append("corpus contains no strongly proximal system")
     for sys in strongly:
         grid = lift_system(sys, 2).grid
-        for meta in invariant_metas(sys, 2):
+        for meta in invariant_metas(lift_system(sys, 2)):
             if not meta_is_vertex_point_mass(grid, meta):
                 failures.append(f"non-vertex invariant meta for {sys.generators}")
     from proxilift import ActionSystem
 
     space = FiniteSpace.discrete(("a", "b"))
     swap_sys = ActionSystem.deterministic(space, [(1, 0)])
-    metas = invariant_metas(swap_sys, 1)
+    metas = invariant_metas(lift_system(swap_sys, 1))
     if not any(not m.is_point_mass() for m in metas):
         failures.append("swap system is missing its non-point-mass invariant")
     _report(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from proxilift import Budget, Measure, SpecError, reset_word
-from proxilift import cli, proximality
+from proxilift import affine, cli, lift, proximality
 from proxilift.cli import (
     build_parser,
     load_spec,
@@ -196,6 +196,16 @@ class TestAnalyzeModes:
         assert cor["extended"] is True
         assert rep["results"]["f_equivariance"]["ok"] is True
 
+    def test_affine_failed_equivariance_exits_1(self, monkeypatch, capsys):
+        forced = lift.CheckReport("f_equivariance", 1, ("forced violation",))
+        monkeypatch.setattr(cli, "f_equivariance_check", lambda *args: forced)
+        code, rep = run_json(
+            ["analyze", str(SPECS / "affine_wedge.json"), "--mode", "affine"],
+            capsys,
+        )
+        assert code == 1
+        assert rep["results"]["corollary"]["outcome"] == "PASS"
+
     def test_stochastic_unknown_exits_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, LAZY_PAIR)
         code, rep = run_json(["analyze", path, "--mode", "base"], capsys)
@@ -214,11 +224,37 @@ class TestAnalyzeModes:
         assert rep["verify"]["checked"] >= 1
         assert rep["verify"]["failures"] == []
 
+    @pytest.mark.parametrize(
+        "spec, mode, grid, lifted_qs",
+        [
+            ("cerny4", "thm", 3, [1, 2, 3]),
+            ("cerny4", "prop1", 3, [1, 2, 3]),
+            ("swap2", "invariant", 3, [3]),
+            ("affine_wedge", "affine", 2, [2]),
+        ],
+    )
+    def test_each_resolution_lifted_once(
+        self, spec, mode, grid, lifted_qs, monkeypatch, capsys
+    ):
+        calls = []
+        real = lift.lift_system
+
+        def counting(sys, q):
+            calls.append(q)
+            return real(sys, q)
+
+        for module in (lift, cli, affine):
+            monkeypatch.setattr(module, "lift_system", counting)
+        argv = ["analyze", str(SPECS / f"{spec}.json"), "--mode", mode]
+        code, rep = run_json(argv + ["--grid", str(grid), "--verify"], capsys)
+        assert code == 0 and rep["verify"]["ok"] is True
+        assert calls == lifted_qs
+
     def test_verify_rejects_invariant_non_extreme(self, monkeypatch, capsys):
         # the swap's q=2 lift has orbits {(2,0), (0,2)} and {(1,1)}; the
         # uniform measure on their union is invariant but not extreme
         monkeypatch.setattr(
-            cli, "invariant_metas", lambda system, q: [Measure.uniform(3)]
+            cli, "invariant_metas", lambda lifted: [Measure.uniform(3)]
         )
         code, rep = run_json(
             [
@@ -506,8 +542,14 @@ class TestDemoSL:
         assert gap[64.0] == pytest.approx(gap[1.0] / 64.0)
 
     def test_bad_cubes_exit_1(self, capsys):
-        assert main(["demo-sl", "--cubes", "2,1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for cubes in ("2,1", "-1,1", "0,1"):
+            assert main(["demo-sl", f"--cubes={cubes}"]) == 1, cubes
+            assert "error: --cubes:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+    def test_bad_radius_exit_1(self, radius, capsys):
+        assert main(["demo-sl", f"--radius={radius}"]) == 1
+        assert "error: --radius:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_bad_grid_exit_1(self, grid, capsys):

@@ -9,15 +9,19 @@ import pytest
 from proxilift import (
     ActionSystem,
     Budget,
+    CorollaryReport,
     FiniteSpace,
     GridSimplex,
     HarnessMode,
+    HarnessReport,
+    HarnessRow,
     Measure,
     SemigroupTable,
     Status,
     StochasticMatrix,
     Transformation,
     UnsupportedKind,
+    Verdict,
     barycenter,
     equivalence_harness,
     invariant_metas,
@@ -233,18 +237,42 @@ class TestEquivalenceHarness:
                 assert rep.outcome == "PASS", (sys, mode, rep)
                 assert rep.consistent_across_q
 
+    def test_outcome_rule(self):
+        # one rule for rows, harness reports and the affine corollary: a
+        # decided disagreement outranks an UNKNOWN; the lift is not compared
+        yes = Verdict(Status.YES, ())
+        no = Verdict(Status.NO, None, "no")
+        unk = Verdict(Status.UNKNOWN, None, "budget")
+        lifted = lift_system(det_system((0, 0)), 1)
+
+        def outcome(*pairs):
+            rows = tuple(HarnessRow(1, a, b, lifted) for a, b in pairs)
+            return HarnessReport(HarnessMode.LIFT_STRONG, rows).outcome
+
+        pairs = [(yes, yes), (yes, no), (unk, no)]
+        rows = [HarnessRow(1, a, b, lifted) for a, b in pairs]
+        assert [row.agree for row in rows] == [True, False, None]
+        assert rows[0] == HarnessRow(1, yes, yes, lift_system(det_system((0, 0)), 2))
+        assert outcome((yes, yes), (no, no)) == "PASS"
+        assert outcome((yes, yes), (unk, yes)) == "INCONCLUSIVE"
+        assert outcome((unk, yes), (yes, no)) == "FAIL"
+        assert outcome((yes, no), (yes, unk)) == "FAIL"
+        cases = [(yes, yes, "PASS"), (no, yes, "FAIL"), (yes, unk, "INCONCLUSIVE")]
+        for a, b, want in cases:
+            assert CorollaryReport(False, a, b, lifted).outcome == want
+
 
 class TestInvariantMetas:
     def test_identity_system_full_simplex(self):
         sys = det_system((0, 1))
-        metas = invariant_metas(sys, 2)
+        metas = invariant_metas(lift_system(sys, 2))
         n = len(lift_system(sys, 2).grid.atoms)
         assert len(metas) == n
         assert all(m.is_point_mass() for m in metas)
 
     def test_constant_plus_identity_unique(self):
         sys = det_system((0, 0, 0), (0, 1, 2))
-        metas = invariant_metas(sys, 2)
+        metas = invariant_metas(lift_system(sys, 2))
         grid = lift_system(sys, 2).grid
         assert len(metas) == 1
         assert metas[0].is_point_mass()
@@ -252,7 +280,7 @@ class TestInvariantMetas:
 
     def test_swap_has_non_point_mass_invariant(self):
         sys = det_system((1, 0))
-        metas = invariant_metas(sys, 1)
+        metas = invariant_metas(lift_system(sys, 1))
         assert metas == [Measure.from_weights([F(1, 2), F(1, 2)])]
 
     def test_matches_polytope_oracle(self):
@@ -272,7 +300,7 @@ class TestInvariantMetas:
                 for _ in range(rng.randint(1, 3))
             ]
             sys = det_system(*gens)
-            metas = invariant_metas(sys, q)
+            metas = invariant_metas(lift_system(sys, q))
             assert metas == polytope_oracle(sys, q), (gens, q)
             covered = sum(len(meta.support()) for meta in metas)
             pruned += 0 < covered < len(lift_system(sys, q))
@@ -286,7 +314,7 @@ class TestInvariantMetas:
         fixed = sum(c[k:] + c[:k] == c for c in comps for k in range(n))
         assert fixed == extremes * n
         sys = det_system(tuple((i + 1) % n for i in range(n)))
-        metas = invariant_metas(sys, q)
+        metas = invariant_metas(lift_system(sys, q))
         assert len(metas) == extremes
         supports = [set(meta.support()) for meta in metas]
         assert sum(map(len, supports)) == len(comps)
@@ -300,7 +328,7 @@ class TestInvariantMetas:
         for _ in range(10):
             sys = rand_det_system(rng, rng.randint(2, 3))
             lifted = lift_system(sys, 2)
-            for meta in invariant_metas(sys, 2):
+            for meta in invariant_metas(lift_system(sys, 2)):
                 for gi in range(len(sys.generators)):
                     assert push_meta(lifted, (gi,), meta) == meta
 
@@ -315,7 +343,7 @@ class TestInvariantMetas:
                 continue
             found += 1
             grid = lift_system(sys, 2).grid
-            metas = invariant_metas(sys, 2)
+            metas = invariant_metas(lift_system(sys, 2))
             nonempty += bool(metas)
             for meta in metas:
                 assert meta_is_vertex_point_mass(grid, meta)

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from proxilift import proximality
 from proxilift import (
     ActionSystem,
     Budget,
@@ -127,6 +128,24 @@ class TestProximalPair:
     def test_same_point_trivially_proximal(self):
         v = proximal_pair(det_system((1, 0)), 1, 1, B)
         assert v.status is Status.YES and v.witness == ()
+
+    def test_same_point_builds_no_merge_table(self, monkeypatch):
+        calls = []
+        real = proximality._merge_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(proximality, "_merge_table", counting)
+        det = proximal_pair(cerny(7), 5, 5, B)
+        half = F(1, 2)
+        stoch = proximal_pair(
+            stoch_system([[half, half, 0], [0, half, half], [half, 0, half]]), 2, 2, B
+        )
+        assert calls == []
+        assert det == Verdict(Status.YES, (), "word merges 5 and 5 exactly")
+        assert stoch == Verdict(Status.YES, (), "tv already below epsilon for (2,2)")
 
     def test_witness_is_shortest(self):
         rng = random.Random(21)

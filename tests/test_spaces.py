@@ -107,7 +107,7 @@ class TestDiscreteSpace:
         assert path != FiniteSpace.discrete(self.labels(3))
         sys_a = ActionSystem.deterministic(a, [(1, 2, 3, 0)])
         sys_b = ActionSystem.deterministic(b, [(1, 2, 3, 0)])
-        assert lift_system(sys_a, 2) is lift_system(sys_b, 2)
+        assert lift_system(sys_a, 2) == lift_system(sys_b, 2)
 
     def test_duplicate_labels_raise(self):
         with pytest.raises(ValidationError):
