@@ -544,6 +544,8 @@ def _text_lines(obj: Any, indent: int = 0) -> list[str]:
 
 def analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.trials < 1:
+        raise SpecError("--trials", "randomized checks need at least 1 trial")
     spec = load_spec(args.spec)
     b = Budget(args.max_word_len, args.max_closure, args.epsilon)
     mode = args.mode

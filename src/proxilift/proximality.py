@@ -2,16 +2,19 @@
 
 On a finite discrete space, convergence of a sequence t_n x is eventual
 equality, so a pair of points is proximal exactly when some word merges it.
-One backward BFS from the diagonal of the pair graph (``_merge_table``)
-stores the first letter of every pair's shortest merge word.  A finite
-deterministic system is strongly proximal exactly when some word acts as a
-constant map, a reset word: applied to any measure it yields a point mass,
-and conversely a sequence pushing every measure toward point masses must
-eventually act constantly on a finite set.  A reset word exists exactly when
-every pair merges (Cerny), so each NO of either question names the smallest
-obstructed pair (``_obstruction``).  Subset BFS over bitmasks, mapped a byte
-at a time through nibble tables, finds a length-minimal reset word, and
-``_strong_from_reset`` turns that verdict into the strong proximality one.
+A finite deterministic system is strongly proximal exactly when some word
+acts as a constant map, a reset word: applied to any measure it yields a
+point mass, and conversely a sequence pushing every measure toward point
+masses must eventually act constantly on a finite set.  A reset word exists
+exactly when every pair merges (Cerny 1964).  One forward BFS over point
+pairs (``_merge_path``) finds a pair's shortest merge word, and greedy
+merging (Eppstein, SIAM J. Comput. 1990) chains such words into a reset
+word (``_greedy_reset``), or stops at a pair that never merges.  Only a NO
+builds the backward pair table (``_merge_table``), whose smallest
+obstructed pair names it (``_obstruction``).  Subset BFS over bitmasks,
+mapped a byte at a time through nibble tables, finds a length-minimal reset
+word, and ``_strong_from_reset`` turns that verdict into the strong
+proximality one.
 
 On stochastic systems the merge table reads the supports of the rows: an
 obstructed pair keeps two rows of every product disjoint, an exact NO for
@@ -21,7 +24,6 @@ certificate, NO verdicts a checkable obstruction, everything else is
 UNKNOWN.  The greedy searches keep each product exactly as integer rows over
 one integer denominator; only the scores they compare become ``Fraction``s.
 """
-
 from __future__ import annotations
 
 import enum
@@ -107,24 +109,75 @@ def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
     return ActionSystem(sys.space, Kind.DETERMINISTIC, gens)
 
 
-PairTable = bytearray | array  # array("L") past 255 generators
+def _merge_path(sys: ActionSystem, x: int, y: int) -> Optional[Word]:
+    """Shortest, then lexicographically least, word merging x and y.
+
+    Breadth-first search forward over unordered point pairs, generators in
+    index order, so pairs leave the queue in the order of their least
+    words; it stops at the first pair that some letter merges.  None when
+    the closed set of pairs reachable from (x, y) never meets the diagonal.
+    ``sys`` is deterministic.
+    """
+    if x == y:
+        return ()
+    m = len(sys.space)
+    images = [g.image for g in sys.generators]
+    start = x * m + y if x < y else y * m + x
+    parent = {start: (start, -1)}
+    queue = [start]
+    for pid in queue:
+        a, b = divmod(pid, m)
+        for letter, image in enumerate(images):
+            c, d = image[a], image[b]
+            if c == d:
+                word = [letter]
+                while pid != start:
+                    pid, letter = parent[pid]
+                    word.append(letter)
+                return tuple(reversed(word))
+            pair = c * m + d if c < d else d * m + c
+            if pair not in parent:
+                parent[pair] = (pid, letter)
+                queue.append(pair)
+    return None
 
 
-def _merge_table(sys: ActionSystem, until: Optional[int] = None) -> PairTable:
-    """First letters of the shortest merge words, one entry per point pair.
+def _greedy_reset(sys: ActionSystem) -> Optional[Word]:
+    """A reset word of the deterministic ``sys`` by greedy merging, or None.
 
-    Pair (i, j), i < j, has id i*m + j; its entry is 1 + the first letter of
-    the shortest, lexicographically least word merging i and j, or 0 if no
-    word does, and ``_merge_word`` follows the letters.  The BFS runs
-    backward from the diagonal, level by level (Eppstein, SIAM J. Comput.
-    1990): g sends the pairs of g^-1(a) x g^-1(b) onto {a, b}, and with the
-    generators in the outer loop a pair gets the least letter of its level.
-    For a stochastic matrix, g^-1(a) is the rows positive in column a, so a
-    pair merges when its two rows in some S_w share a column.
+    Merge the two smallest image points with ``_merge_path``'s word, apply
+    it, repeat: at most m - 1 pieces.  None at the first pair that never
+    merges, and then no reset word exists.
+    """
+    images = [g.image for g in sys.generators]
+    current = set(range(len(sys.space)))
+    word: list[int] = []
+    while len(current) > 1:
+        x, y = sorted(current)[:2]
+        piece = _merge_path(sys, x, y)
+        if piece is None:
+            return None
+        word += piece
+        maps = [images[a] for a in piece]
+        moved = set()
+        for p in current:
+            for image in maps:
+                p = image[p]
+            moved.add(p)
+        current = moved
+    return tuple(word)
 
-    With ``until``, a pair id, the search stops after the level that sets
-    that pair's entry.  Every pair on its merge path is set by then, at a
-    lower level; if the entry is never set, the search is complete.
+
+def _merge_table(sys: ActionSystem) -> bytearray:
+    """The point pairs that some word merges, for a NO and its certificate.
+
+    Pair (i, j), i < j, has id i*m + j; its entry is 1 if some word merges
+    i and j, else 0.  The search runs backward from the diagonal over
+    preimages: g sends the pairs of g^-1(a) x g^-1(b) onto {a, b}.  For a
+    stochastic matrix, g^-1(a) is the rows positive in column a, so a pair
+    merges when its two rows in some S_w share a column.  Deterministic
+    systems build it only once a NO is known, to name the obstruction;
+    stochastic ones read it before their searches.
     """
     m, gens = len(sys.space), sys.generators
     preimages = []
@@ -139,38 +192,22 @@ def _merge_table(sys: ActionSystem, until: Optional[int] = None) -> PairTable:
                     if p:
                         pre[a].append(x)
         preimages.append(pre)
-    table = bytearray(m * m) if len(gens) < 256 else array("L", [0]) * (m * m)
-    frontier = array("q", (a * m + a for a in range(m)))
-    while frontier:
-        reached = array("q")
-        for letter, pre in enumerate(preimages, 1):
-            for pid in frontier:
-                a, b = divmod(pid, m)
-                for x in pre[a]:
-                    for y in pre[b]:
-                        pair = x * m + y if x < y else y * m + x
-                        if x != y and not table[pair]:
-                            table[pair] = letter
-                            reached.append(pair)
-        frontier = reached
-        if until is not None and table[until]:
-            break
+    table = bytearray(m * m)
+    stack = array("q", (a * m + a for a in range(m)))
+    while stack:
+        a, b = divmod(stack.pop(), m)
+        for pre in preimages:
+            for x in pre[a]:
+                for y in pre[b]:
+                    pair = x * m + y if x < y else y * m + x
+                    if x != y and not table[pair]:
+                        table[pair] = 1
+                        stack.append(pair)
     return table
 
 
-def _merge_word(sys: ActionSystem, table: PairTable, x: int, y: int) -> Word:
-    """The word merging x and y that the table spells; the pair must merge."""
-    m, gens = len(sys.space), sys.generators
-    word = []
-    while x != y:
-        letter = table[x * m + y if x < y else y * m + x] - 1
-        word.append(letter)
-        x, y = gens[letter](x), gens[letter](y)
-    return tuple(word)
-
-
 def _obstruction(
-    table: PairTable, m: int, pair: Optional[tuple[int, int]] = None
+    table: bytearray, m: int, pair: Optional[tuple[int, int]] = None
 ) -> Optional[Verdict]:
     """NO naming ``pair`` (i < j) if it is obstructed, or without ``pair``
     the smallest obstructed pair; None if there is none to name.
@@ -257,23 +294,23 @@ def _greedy_products(
 def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     """Does some word send x and y to a common point (or epsilon-close masses)?
 
-    NO when the merge table never merges the pair.  Otherwise deterministic
-    systems get the table's merge word; stochastic systems search greedily
-    for a word driving tv(delta_x S_w, delta_y S_w) below epsilon, with the
-    Dobrushin product as an alternative certificate.
+    Deterministic systems get ``_merge_path``'s word.  NO when the merge
+    table never merges the pair.  Otherwise stochastic systems search
+    greedily for a word driving tv(delta_x S_w, delta_y S_w) below epsilon,
+    with the Dobrushin product as an alternative certificate.
     """
     m = len(sys.space)
     if not (0 <= x < m and 0 <= y < m):
         raise ValidationError(f"point indices must lie in 0..{m - 1}")
-    lo, hi = min(x, y), max(x, y)
-    # x == y merges by the empty word, which reads no table
-    table = _merge_table(sys, lo * m + hi) if x != y else bytearray()
-    blocked = _obstruction(table, m, (lo, hi)) if x != y else None
-    if blocked is not None:
-        return blocked
     det = _deterministic_view(sys)
-    if det is not None:
-        return yes(_merge_word(det, table, x, y), f"word merges {x} and {y} exactly")
+    word = _merge_path(det, x, y) if det is not None else None
+    if word is not None:
+        return yes(word, f"word merges {x} and {y} exactly")
+    # x == y merges by the empty word, which reads no table
+    if x != y:
+        blocked = _obstruction(_merge_table(sys), m, (min(x, y), max(x, y)))
+        if blocked is not None:
+            return blocked
     return _stochastic_pair_search(
         sys,
         Measure.point_mass(m, x),
@@ -317,21 +354,23 @@ def _stochastic_pair_search(
 def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     """Is every pair of points proximal?
 
-    NO when the merge table has an obstructed pair.  Otherwise deterministic
-    systems are YES; stochastic ones are YES once some word has Dobrushin
-    coefficient strictly below 1 (its powers contract every pair), else
-    UNKNOWN.
+    Deterministic systems are YES when greedy merging finds a constant
+    word, since every pair then merges.  NO when the merge table has an
+    obstructed pair; a deterministic system builds the table only then.
+    Stochastic systems are YES once some word has Dobrushin coefficient
+    strictly below 1 (its powers contract every pair), else UNKNOWN.
     """
     m = len(sys.space)
-    blocked = _obstruction(_merge_table(sys), m)
-    if blocked is not None:
-        return blocked
-    if _deterministic_view(sys) is not None:
+    det = _deterministic_view(sys)
+    if det is not None and _greedy_reset(det) is not None:
         if m == 1:
             return yes(certificate="single point, trivially proximal")
         return yes(
             certificate=f"all {m * (m - 1) // 2} point pairs reach the diagonal"
         )
+    blocked = _obstruction(_merge_table(sys), m)
+    if blocked is not None:
+        return blocked
     for word, (coeff, _), _ in _greedy_products(sys, b, _by_dobrushin):
         if coeff < 1:
             return yes(
@@ -369,21 +408,27 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     States are images of the full point set, as bitmasks; each generator
     maps a mask byte by byte through two 16-entry tables, one per nibble.
     The first singleton found ends the length-minimal, lexicographically
-    least reset word.  If the subsets or the closure budget run out first,
-    the merge table decides: NO is ``is_proximal``'s obstruction, and
-    otherwise the greedy fallback chains merge words into a valid, possibly
-    non-minimal, reset word.  ``strongly_proximal`` on a deterministic
-    system is this verdict passed through ``_strong_from_reset``.
+    least reset word.  Greedy merging runs first: when it finds no constant
+    word, the NO is ``is_proximal``'s obstruction and the subset BFS never
+    runs; when the closure budget stops the BFS, the greedy word is the
+    valid, possibly non-minimal, answer.  ``strongly_proximal`` on a
+    deterministic system is this verdict passed through
+    ``_strong_from_reset``.
     """
     det = _deterministic_view(sys)
     if det is None:
         raise UnsupportedKind("reset_word is defined for deterministic systems")
     m = len(sys.space)
+    if m == 1:
+        return yes((), "single point, identity already constant")
+    greedy = _greedy_reset(det)
+    if greedy is None:
+        blocked = _obstruction(_merge_table(det), m)
+        assert blocked is not None, "a pair that never merges is obstructed"
+        return blocked
     tables = [_nibble_tables(g.image, m) for g in det.generators]
     width = (m + 7) // 8
     full = (1 << m) - 1
-    if m == 1:
-        return yes((), "single point, identity already constant")
     parent: dict[int, tuple[int, int]] = {}
     seen = {full}
     queue: deque[int] = deque([full])
@@ -414,26 +459,10 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     tuple(reversed(letters)),
                     f"word is constant to point {nxt.bit_length() - 1}",
                 )
-    table = _merge_table(det)
-    return _obstruction(table, m) or _greedy_reset(det, table)
-
-
-def _greedy_reset(sys: ActionSystem, table: PairTable) -> Verdict:
-    """Merge the two smallest image points with the table's word, repeat;
-    every pair must merge, and at most m - 1 pieces are needed."""
-    gens = sys.generators
-    current = set(range(len(sys.space)))
-    word: Word = ()
-    while len(current) > 1:
-        x, y = sorted(current)[:2]
-        piece = _merge_word(sys, table, x, y)
-        word += piece
-        for a in piece:
-            current = {gens[a](p) for p in current}
     return yes(
-        word,
-        f"greedy pair merging, constant to point {current.pop()} "
-        "(witness may be non-minimal)",
+        greedy,
+        "greedy pair merging, constant to point "
+        f"{det.word_transformation(greedy)(0)} (witness may be non-minimal)",
     )
 
 

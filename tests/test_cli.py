@@ -176,6 +176,15 @@ class TestAnalyzeModes:
         assert rep["results"]["psi_laws"]["ok"] is True
         assert rep["results"]["psi_homomorphism"]["ok"] is True
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trials_exit_1(self, trials, capsys):
+        spec = str(SPECS / "z2_translation.json")
+        argv = ["analyze", spec, "--mode", "psi", "--trials", trials]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --trials:" in captured.err
+
     def test_invariant_swap(self, capsys):
         code, rep = run_json(
             ["analyze", str(SPECS / "swap2.json"), "--mode", "invariant"], capsys

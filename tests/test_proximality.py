@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxilift import proximality
 from proxilift import (
@@ -76,6 +77,28 @@ def cerny4():
     return cerny(4)
 
 
+def two_sink(n):
+    """Points 0 and 1 fixed by every letter beside Cerny's C_(n-2) on the
+    rest: the pairs (0, 1), (0, x) and (1, x) never merge."""
+    return det_system(
+        *((0, 1, *(2 + x for x in g.image)) for g in cerny(n - 2).generators)
+    )
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The systems that ``_merge_table`` is built for, in call order."""
+    calls = []
+    real = proximality._merge_table
+
+    def counting(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(proximality, "_merge_table", counting)
+    return calls
+
+
 def obstructed_pairs(sys, merged):
     """The pairs x < y of the system's points missing from ``merged``."""
     return sorted(set(combinations(range(len(sys.space)), 2)) - merged)
@@ -89,6 +112,22 @@ def pair_no(obstructed, m, pair=None):
         f"pair {pair or obstructed[0]} cannot reach the diagonal "
         f"({len(obstructed)} of {m * (m - 1) // 2} pairs obstructed)",
     )
+
+
+def want_reset(sys, b):
+    """The reset_word verdict the oracles give: the pair NO, the subset
+    BFS's word, or the greedy word once the BFS meets the closure budget."""
+    m = len(sys.space)
+    obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
+    if obstructed:
+        return pair_no(obstructed, m)
+    if m == 1:
+        return Verdict(Status.YES, (), "single point, identity already constant")
+    status, witness, _ = subset_bfs_oracle(sys, b.max_closure)
+    if status == "BUDGET":
+        return greedy_reset_oracle(sys)
+    point = sys.word_transformation(witness)(0)
+    return Verdict(Status.YES, witness, f"word is constant to point {point}")
 
 
 def stoch_system(*rows_list):
@@ -129,23 +168,24 @@ class TestProximalPair:
         v = proximal_pair(det_system((1, 0)), 1, 1, B)
         assert v.status is Status.YES and v.witness == ()
 
-    def test_same_point_builds_no_merge_table(self, monkeypatch):
-        calls = []
-        real = proximality._merge_table
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(proximality, "_merge_table", counting)
+    def test_same_point_builds_no_merge_table(self, table_calls):
         det = proximal_pair(cerny(7), 5, 5, B)
         half = F(1, 2)
         stoch = proximal_pair(
             stoch_system([[half, half, 0], [0, half, half], [half, 0, half]]), 2, 2, B
         )
-        assert calls == []
+        assert table_calls == []
         assert det == Verdict(Status.YES, (), "word merges 5 and 5 exactly")
         assert stoch == Verdict(Status.YES, (), "tv already below epsilon for (2,2)")
+
+    def test_lifted_pair_witness_builds_no_table(self, table_calls):
+        lifted = lift_system(cerny(7), 6).system
+        assert len(lifted.space) == 924
+        word = merge_word_oracle(lifted, 3, 900)
+        assert proximal_pair(lifted, 3, 900, B) == Verdict(
+            Status.YES, word, "word merges 3 and 900 exactly"
+        )
+        assert table_calls == []
 
     def test_witness_is_shortest(self):
         rng = random.Random(21)
@@ -225,6 +265,26 @@ class TestIsProximal:
             assert (is_proximal(sys, B).status is Status.YES) == (
                 reset_word(sys, B).status is Status.YES
             )
+
+    def test_deterministic_yes_builds_no_table(self, table_calls):
+        for sys in (cerny(7), lift_system(cerny(7), 4).system):
+            m = len(sys.space)
+            assert is_proximal(sys, B) == Verdict(
+                Status.YES,
+                None,
+                f"all {m * (m - 1) // 2} point pairs reach the diagonal",
+            )
+        assert table_calls == []
+
+    def test_no_builds_one_table(self, table_calls):
+        sys = two_sink(8)
+        want = Verdict(
+            Status.NO,
+            None,
+            "pair (0, 1) cannot reach the diagonal (13 of 28 pairs obstructed)",
+        )
+        assert is_proximal(sys, B) == want
+        assert table_calls == [sys]
 
     def test_matches_forward_fixed_point_oracle(self):
         rng = random.Random(31)
@@ -322,6 +382,21 @@ class TestResetWord:
             "pair (0, 2) cannot reach the diagonal (5 of 6 pairs obstructed)",
         )
 
+    def test_no_skips_the_subset_search(self, table_calls, monkeypatch):
+        # The NO text is the pair table's at any closure budget, and the
+        # subset BFS, which starts by building nibble tables, never runs.
+        nibbles = []
+        monkeypatch.setattr(
+            proximality, "_nibble_tables", lambda *args: nibbles.append(args)
+        )
+        sys = two_sink(8)
+        assert reset_word(sys, Budget(max_closure=1)) == Verdict(
+            Status.NO,
+            None,
+            "pair (0, 1) cannot reach the diagonal (13 of 28 pairs obstructed)",
+        )
+        assert table_calls == [sys] and nibbles == []
+
     def test_greedy_fallback_needs_no_word_budget(self):
         sys = cerny(8)
         tight = Budget(max_word_len=1, max_closure=2)
@@ -341,23 +416,8 @@ class TestResetWord:
         outcomes = Counter()
         for sys in systems:
             for b in (B, Budget(max_closure=50)):
-                status, witness, _ = subset_bfs_oracle(sys, b.max_closure)
-                outcomes[status] += 1
-                obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
-                if status != "YES" and obstructed:
-                    want = pair_no(obstructed, len(sys.space))
-                elif status == "BUDGET":
-                    want = greedy_reset_oracle(sys)
-                elif len(sys.space) == 1:
-                    want = Verdict(
-                        Status.YES, (), "single point, identity already constant"
-                    )
-                else:
-                    point = sys.word_transformation(witness)(0)
-                    want = Verdict(
-                        Status.YES, witness, f"word is constant to point {point}"
-                    )
-                assert reset_word(sys, b) == want
+                outcomes[subset_bfs_oracle(sys, b.max_closure)[0]] += 1
+                assert reset_word(sys, b) == want_reset(sys, b)
         assert min(outcomes.values()) >= 30
 
     def test_stochastic_rejected(self):
@@ -547,3 +607,46 @@ class TestBudget:
             Budget(max_word_len=0)
         with pytest.raises(ValidationError):
             Budget(epsilon=F(3, 2))
+
+
+@st.composite
+def det_systems(draw):
+    """A deterministic system on 1-7 points with 1-3 generators, or its
+    lift to the grid of resolution 1-3."""
+    m = draw(st.integers(1, 7))
+    point = st.integers(0, m - 1)
+    gens = draw(st.lists(st.tuples(*[point] * m), min_size=1, max_size=3))
+    sys = det_system(*gens)
+    q = draw(st.integers(0, 3))
+    return lift_system(sys, q).system if q else sys
+
+
+class TestDifferential:
+    """The fast paths against the brute-force oracles in ``helpers``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(det_systems(), st.data())
+    def test_deterministic_procedures_match_oracles(self, sys, data):
+        m = len(sys.space)
+        obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
+        if obstructed:
+            prox = pair_no(obstructed, m)
+        elif m == 1:
+            prox = Verdict(Status.YES, None, "single point, trivially proximal")
+        else:
+            prox = Verdict(
+                Status.YES,
+                None,
+                f"all {m * (m - 1) // 2} point pairs reach the diagonal",
+            )
+        assert is_proximal(sys, B) == prox
+        for b in (Budget(max_closure=500), Budget(max_closure=2)):
+            assert reset_word(sys, b) == want_reset(sys, b)
+        x = data.draw(st.integers(0, m - 1))
+        y = data.draw(st.integers(0, m - 1))
+        word = merge_word_oracle(sys, x, y)
+        if word is None:
+            pair = pair_no(obstructed, m, (min(x, y), max(x, y)))
+        else:
+            pair = Verdict(Status.YES, word, f"word merges {x} and {y} exactly")
+        assert proximal_pair(sys, x, y, B) == pair
