@@ -1,4 +1,4 @@
-"""Semigroup actions on finite spaces: words, closure, pushforward, convolution.
+"""Semigroup actions on finite spaces: words, pushforward, convolution.
 
 Generators are either deterministic transformations (total selfmaps of the
 point set) or row-stochastic rational matrices acting affinely on measures.
@@ -10,7 +10,6 @@ That convention is fixed here and used everywhere witnesses are reported.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -195,53 +194,6 @@ class ActionSystem:
                 g = StochasticMatrix.from_transformation(g)
             out = out.then(g)
         return out
-
-
-@dataclass(frozen=True)
-class MonoidClosure:
-    """All word-reachable transformations with shortest witness words."""
-
-    elements: tuple[Transformation, ...]
-    witnesses: tuple[Word, ...]
-    truncated: bool
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def closure(sys: ActionSystem, cap: int = 100_000) -> MonoidClosure:
-    """Breadth-first composition closure of the generators, identity included.
-
-    Elements are deduplicated by image vector.  Witness words are
-    length-minimal with ties broken lexicographically by generator index,
-    which FIFO order over generators in index order delivers.
-    """
-    if sys.kind is not Kind.DETERMINISTIC:
-        raise UnsupportedKind("closure is defined for deterministic systems only")
-    if cap < 1:
-        raise ValidationError("closure cap must be positive")
-    ident = Transformation.identity(len(sys.space))
-    seen: dict[Transformation, Word] = {ident: ()}
-    order = [ident]
-    queue: deque[Transformation] = deque([ident])
-    truncated = False
-    while queue:
-        t = queue.popleft()
-        base = seen[t]
-        for gi, g in enumerate(sys.generators):
-            u = t.then(g)
-            if u in seen:
-                continue
-            if len(seen) >= cap:
-                truncated = True
-                queue.clear()
-                break
-            seen[u] = base + (gi,)
-            order.append(u)
-            queue.append(u)
-    return MonoidClosure(
-        tuple(order), tuple(seen[t] for t in order), truncated
-    )
 
 
 def _push_one_deterministic(t: Transformation, mu: Measure) -> Measure:

@@ -62,10 +62,11 @@ from .proximality import (
     Budget,
     Status,
     Verdict,
+    _proximal_from_reset,
     _strong_from_reset,
+    _strongly_proximal,
     is_proximal,
     reset_word,
-    strongly_proximal,
 )
 from .spaces import (
     FiniteSpace,
@@ -343,6 +344,39 @@ def _witness_replay(
     return [(desc, lambda: check(word))]
 
 
+def _pair_replay(desc: str, v: Verdict, sysm: ActionSystem) -> list[Replay]:
+    """The replay of a NO naming a pair that never merges, or nothing.
+
+    A plain search rebuilds the ordered pairs reachable from the named one:
+    a letter sends (a, b) to every (c, d) with c in the support of row a
+    and d in that of row b (the images, on a deterministic system).  It
+    holds when none is diagonal and the certificate counts them right, as
+    unordered pairs.
+    """
+    if v.status is not Status.NO or v.pair is None:
+        return []
+    pair, certificate = v.pair, v.certificate or ""
+
+    def run() -> bool:
+        moves = [
+            [(p,) for p in g.image]
+            if isinstance(g, Transformation)
+            else [[j for j, p in enumerate(row) if p] for row in g.rows]
+            for g in sysm.generators
+        ]
+        seen, todo = {pair}, [pair]
+        while todo:
+            a, b = todo.pop()
+            new = {(c, d) for g in moves for c in g[a] for d in g[b]} - seen
+            seen |= new
+            todo += new
+        reached = len({(min(a, b), max(a, b)) for a, b in seen})
+        claim = f"pair {pair} never merges: the {reached} pairs reachable"
+        return all(a != b for a, b in seen) and claim in certificate
+
+    return [(desc, run)]
+
+
 def _is_constant(sysm: ActionSystem) -> Callable[[Word], bool]:
     return lambda word: sysm.word_transformation(word).is_constant()
 
@@ -397,24 +431,25 @@ def _mode_base(
 ) -> tuple[dict, int, list[Replay]]:
     results: dict[str, Any] = {}
     replays: list[Replay] = []
-    prox = is_proximal(system, b)
-    results["is_proximal"] = verdict_json(prox)
-    verdicts = [prox]
     if system.kind is Kind.DETERMINISTIC:
-        # A pair obstruction is the reset verdict too; else one BFS answers both.
-        reset = prox if prox.status is Status.NO else reset_word(system, b)
+        # One greedy merge and one subset BFS answer all three questions.
+        reset = reset_word(system, b)
+        prox = _proximal_from_reset(reset, len(system.space))
         strong = _strong_from_reset(reset)
-        results["strongly_proximal"] = verdict_json(strong)
-        results["reset_word"] = verdict_json(reset)
-        verdicts += [strong, reset]
+        named = [
+            ("is_proximal", prox),
+            ("strongly_proximal", strong),
+            ("reset_word", reset),
+        ]
         for name, v in (("reset_word", reset), ("strongly_proximal", strong)):
             replays += _witness_replay(
                 f"{name} witness is constant", v, _is_constant(system)
             )
     else:
-        strong = strongly_proximal(system, b)
-        results["strongly_proximal"] = verdict_json(strong)
-        verdicts.append(strong)
+        # The pair NO of strong proximality is the one is_proximal found.
+        prox = is_proximal(system, b)
+        strong = _strongly_proximal(system, b, prox)
+        named = [("is_proximal", prox), ("strongly_proximal", strong)]
         replays += _witness_replay(
             "is_proximal witness contracts", prox, _contracts(system)
         )
@@ -423,7 +458,10 @@ def _mode_base(
             strong,
             _crowds_vertex(system, b.epsilon),
         )
-    code = 0 if all(v.status is not Status.UNKNOWN for v in verdicts) else 2
+    for name, v in named:
+        results[name] = verdict_json(v)
+        replays += _pair_replay(f"{name} pair never merges", v, system)
+    code = 0 if all(v.status is not Status.UNKNOWN for _, v in named) else 2
     return results, code, replays
 
 
@@ -433,14 +471,15 @@ def _mode_harness(
     rep = equivalence_harness(system, q, b, mode)
     replays: list[Replay] = []
     for row in rep.rows:
+        lifted = row.lifted.system
         replays += _witness_replay(
             f"q={row.q} base witness is constant", row.base, _is_constant(system)
         )
         replays += _witness_replay(
-            f"q={row.q} lift witness is constant",
-            row.lift,
-            _is_constant(row.lifted.system),
+            f"q={row.q} lift witness is constant", row.lift, _is_constant(lifted)
         )
+        replays += _pair_replay(f"q={row.q} base pair never merges", row.base, system)
+        replays += _pair_replay(f"q={row.q} lift pair never merges", row.lift, lifted)
     return {"harness": harness_json(rep)}, _OUTCOME_CODE[rep.outcome], replays
 
 
@@ -504,11 +543,12 @@ def _mode_affine(
             "outcome": cor.outcome,
         },
     }
+    hull = cor.lifted.system
     replays = _witness_replay(
-        "corollary strong witness is constant",
-        cor.strong,
-        _is_constant(cor.lifted.system),
+        "corollary strong witness is constant", cor.strong, _is_constant(hull)
     )
+    replays += _pair_replay("corollary proximal pair never merges", cor.proximal, hull)
+    replays += _pair_replay("corollary strong pair never merges", cor.strong, hull)
     code = _OUTCOME_CODE[cor.outcome] if equiv.ok else 1
     return results, code, replays
 
@@ -787,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument(
         "--verify",
         action="store_true",
-        help="replay every YES witness and record the outcome",
+        help="replay every YES witness and every pair NO, and record the outcome",
     )
     an.set_defaults(func=analyze)
 

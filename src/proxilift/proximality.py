@@ -6,29 +6,27 @@ A finite deterministic system is strongly proximal exactly when some word
 acts as a constant map, a reset word: applied to any measure it yields a
 point mass, and conversely a sequence pushing every measure toward point
 masses must eventually act constantly on a finite set.  A reset word exists
-exactly when every pair merges (Cerny 1964).  One forward BFS over point
-pairs (``_merge_path``) finds a pair's shortest merge word, and greedy
-merging (Eppstein, SIAM J. Comput. 1990) chains such words into a reset
-word (``_greedy_reset``), or stops at a pair that never merges.  Only a NO
-builds the backward pair table (``_merge_table``), whose smallest
-obstructed pair names it (``_obstruction``).  Subset BFS over bitmasks,
-mapped a byte at a time through nibble tables, finds a length-minimal reset
-word, and ``_strong_from_reset`` turns that verdict into the strong
-proximality one.
+exactly when every pair merges (Cerny 1964).  Every pair question is one
+forward BFS over point pairs (``_merge_path``): it finds a merge word, or
+a set of pairs closed under the generators that avoids the diagonal, the
+certificate of a NO.  Greedy merging (Eppstein, SIAM J. Comput. 1990)
+chains merge words into a reset word or stops at a pair that never merges.
+Subset BFS over bitmasks, mapped a byte at a time through nibble tables,
+finds a length-minimal reset word.
 
-On stochastic systems the merge table reads the supports of the rows: an
-obstructed pair keeps two rows of every product disjoint, an exact NO for
-both questions.  Beyond that the searches are semi-decisions under an
-explicit budget: YES verdicts carry a replayable word plus a contraction
-certificate, NO verdicts a checkable obstruction, everything else is
-UNKNOWN.  The greedy searches keep each product exactly as integer rows over
-one integer denominator; only the scores they compare become ``Fraction``s.
+On stochastic systems the pair search reads the supports of the rows.
+Greedy row merging either builds a scrambling word, whose Dobrushin
+coefficient is below 1 (Paz 1971), or stops at a pair that never merges,
+an exact NO for both questions.  Beyond that the searches are
+semi-decisions under an explicit budget: YES verdicts carry a replayable
+word plus a contraction certificate, everything else is UNKNOWN.  The
+greedy searches keep each product exactly as integer rows over one integer
+denominator; only the scores they compare become ``Fraction``s.
 """
 from __future__ import annotations
 
 import enum
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,11 +55,16 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a decision procedure, always with evidence attached."""
+    """Outcome of a decision procedure, always with evidence attached.
+
+    A NO whose certificate is a pair that never merges names it in ``pair``
+    as well, for replay.
+    """
 
     status: Status
     witness: Optional[Word] = None
     certificate: Optional[str] = None
+    pair: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.status is Status.YES:
@@ -75,8 +78,8 @@ def yes(witness: Optional[Word] = None, certificate: Optional[str] = None) -> Ve
     return Verdict(Status.YES, witness, certificate)
 
 
-def no(certificate: str) -> Verdict:
-    return Verdict(Status.NO, None, certificate)
+def no(certificate: str, pair: Optional[tuple[int, int]] = None) -> Verdict:
+    return Verdict(Status.NO, None, certificate, pair)
 
 
 def unknown(certificate: str) -> Verdict:
@@ -109,129 +112,135 @@ def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
     return ActionSystem(sys.space, Kind.DETERMINISTIC, gens)
 
 
-def _merge_path(sys: ActionSystem, x: int, y: int) -> Optional[Word]:
-    """Shortest, then lexicographically least, word merging x and y.
+def _successors(sys: ActionSystem) -> list[tuple[tuple[int, ...], ...]]:
+    """Per letter, the successors of each point: its image under a
+    transformation, the support of its row under a stochastic matrix."""
+    return [
+        tuple((p,) for p in g.image)
+        if isinstance(g, Transformation)
+        else tuple(tuple(j for j, p in enumerate(row) if p) for row in g.rows)
+        for g in sys.generators
+    ]
 
-    Breadth-first search forward over unordered point pairs, generators in
-    index order, so pairs leave the queue in the order of their least
-    words; it stops at the first pair that some letter merges.  None when
-    the closed set of pairs reachable from (x, y) never meets the diagonal.
-    ``sys`` is deterministic.
+
+def _merge_path(
+    succ: list, m: int, starts: list[tuple[int, int]]
+) -> tuple[Optional[Word], int]:
+    """Shortest, then lexicographically least, word merging a start pair.
+
+    Breadth-first search forward over unordered pairs of distinct points: a
+    letter sends (a, b) to each (c, d) with c a successor of a and d one of
+    b, and merges it when some c is d.  A level lists groups in the order of
+    their words, each holding the new pairs one word reaches, and a letter
+    runs over a whole group before the next, so the first merge ends the
+    least word.  Returns it, or None when the pairs reachable from the
+    starts avoid the diagonal, with the number of pairs reached.
     """
-    if x == y:
-        return ()
-    m = len(sys.space)
-    images = [g.image for g in sys.generators]
-    start = x * m + y if x < y else y * m + x
-    parent = {start: (start, -1)}
-    queue = [start]
-    for pid in queue:
-        a, b = divmod(pid, m)
-        for letter, image in enumerate(images):
-            c, d = image[a], image[b]
-            if c == d:
-                word = [letter]
-                while pid != start:
-                    pid, letter = parent[pid]
-                    word.append(letter)
-                return tuple(reversed(word))
-            pair = c * m + d if c < d else d * m + c
-            if pair not in parent:
-                parent[pair] = (pid, letter)
-                queue.append(pair)
-    return None
+    seen: dict[int, None] = {}
+    for x, y in starts:
+        seen[x * m + y if x < y else y * m + x] = None
+    links = [(0, -1)]  # per group: its parent group and the last letter
+    level = [(0, list(seen))]
+    while level:
+        nxt = []
+        for gid, group in level:
+            ends = [divmod(pid, m) for pid in group]
+            for letter, step in enumerate(succ):
+                new = []
+                for a, b in ends:
+                    for c in step[a]:
+                        for d in step[b]:
+                            if c == d:
+                                word = [letter]
+                                while gid:
+                                    gid, letter = links[gid]
+                                    word.append(letter)
+                                return tuple(reversed(word)), len(seen)
+                            pair = c * m + d if c < d else d * m + c
+                            if pair not in seen:
+                                seen[pair] = None
+                                new.append(pair)
+                if new:
+                    links.append((gid, letter))
+                    nxt.append((len(links) - 1, new))
+        level = nxt
+    return None, len(seen)
 
 
-def _greedy_reset(sys: ActionSystem) -> Optional[Word]:
-    """A reset word of the deterministic ``sys`` by greedy merging, or None.
+def _never_merges(pair: tuple[int, int], reached: int) -> Verdict:
+    """The NO naming a pair whose ``reached`` successor pairs avoid the
+    diagonal."""
+    return no(
+        f"pair {pair} never merges: the {reached} pairs reachable from it "
+        "avoid the diagonal",
+        pair,
+    )
+
+
+def _image(points: set[int], succ: list, word: Word) -> set[int]:
+    """The successors of a set of points under a word."""
+    for letter in word:
+        step = succ[letter]
+        points = {c for a in points for c in step[a]}
+    return points
+
+
+def _greedy_reset(sys: ActionSystem) -> Verdict:
+    """A reset word of the deterministic ``sys`` by greedy merging.
 
     Merge the two smallest image points with ``_merge_path``'s word, apply
-    it, repeat: at most m - 1 pieces.  None at the first pair that never
-    merges, and then no reset word exists.
+    it, repeat: at most m - 1 pieces.  YES with the word, or the NO naming
+    the first pair that never merges, and then no reset word exists.
     """
-    images = [g.image for g in sys.generators]
-    current = set(range(len(sys.space)))
+    m = len(sys.space)
+    succ = _successors(sys)
+    current = set(range(m))
     word: list[int] = []
     while len(current) > 1:
-        x, y = sorted(current)[:2]
-        piece = _merge_path(sys, x, y)
+        pair = tuple(sorted(current)[:2])
+        piece, reached = _merge_path(succ, m, [pair])
         if piece is None:
-            return None
+            return _never_merges(pair, reached)
         word += piece
-        maps = [images[a] for a in piece]
-        moved = set()
-        for p in current:
-            for image in maps:
-                p = image[p]
-            moved.add(p)
-        current = moved
-    return tuple(word)
-
-
-def _merge_table(sys: ActionSystem) -> bytearray:
-    """The point pairs that some word merges, for a NO and its certificate.
-
-    Pair (i, j), i < j, has id i*m + j; its entry is 1 if some word merges
-    i and j, else 0.  The search runs backward from the diagonal over
-    preimages: g sends the pairs of g^-1(a) x g^-1(b) onto {a, b}.  For a
-    stochastic matrix, g^-1(a) is the rows positive in column a, so a pair
-    merges when its two rows in some S_w share a column.  Deterministic
-    systems build it only once a NO is known, to name the obstruction;
-    stochastic ones read it before their searches.
-    """
-    m, gens = len(sys.space), sys.generators
-    preimages = []
-    for g in gens:
-        pre: list[list[int]] = [[] for _ in range(m)]
-        if isinstance(g, Transformation):
-            for x, a in enumerate(g.image):
-                pre[a].append(x)
-        else:
-            for x, row in enumerate(g.rows):
-                for a, p in enumerate(row):
-                    if p:
-                        pre[a].append(x)
-        preimages.append(pre)
-    table = bytearray(m * m)
-    stack = array("q", (a * m + a for a in range(m)))
-    while stack:
-        a, b = divmod(stack.pop(), m)
-        for pre in preimages:
-            for x in pre[a]:
-                for y in pre[b]:
-                    pair = x * m + y if x < y else y * m + x
-                    if x != y and not table[pair]:
-                        table[pair] = 1
-                        stack.append(pair)
-    return table
-
-
-def _obstruction(
-    table: bytearray, m: int, pair: Optional[tuple[int, int]] = None
-) -> Optional[Verdict]:
-    """NO naming ``pair`` (i < j) if it is obstructed, or without ``pair``
-    the smallest obstructed pair; None if there is none to name.
-
-    The obstructed pairs are closed under the generators and never reach the
-    diagonal: no word merges them, so no word is constant, and their two
-    rows in every stochastic S_w have disjoint supports.
-    """
-    total = m * (m - 1) // 2
-    # Zero entries: the m diagonal ids, the ids below it, and the obstructed.
-    obstructed = table.count(0) - m - total
-    if pair is None and obstructed:
-        # Ids grow with (i, j): the first zero above the diagonal is least.
-        pair = next(
-            (i, i + 1 + row.index(0))
-            for i in range(m)
-            if 0 in (row := table[i * m + i + 1 : (i + 1) * m])
-        )
-    if pair is None or table[pair[0] * m + pair[1]]:
-        return None
-    return no(
-        f"pair {pair} cannot reach the diagonal "
-        f"({obstructed} of {total} pairs obstructed)"
+        current = _image(current, succ, piece)
+    return yes(
+        tuple(word),
+        f"greedy pair merging, constant to point {current.pop()} "
+        "(witness may be non-minimal)",
     )
+
+
+def _greedy_scrambling(sys: ActionSystem) -> Verdict:
+    """A scrambling word of a stochastic ``sys`` by greedy row merging.
+
+    Take the least pair of rows of S_w with disjoint supports A and B,
+    search forward from every pair of A x B, append the word found, repeat.
+    Rows that share a column share one under every extension of the word,
+    so this ends at a word whose rows pairwise share a column, hence with
+    Dobrushin coefficient below 1.  Or no pair of A x B ever merges: every
+    scrambling word would merge one, and the NO names the least of them.
+    Only the supports of the rows are tracked.
+    """
+    m = len(sys.space)
+    succ = _successors(sys)
+    rows = [{i} for i in range(m)]
+    word: list[int] = []
+    while True:
+        for i, j in combinations(range(m), 2):
+            if rows[i].isdisjoint(rows[j]):
+                break
+        else:
+            return yes(
+                tuple(word),
+                "every two rows of S_w share a column, so dobrushin(S_w) < 1 "
+                "and powers of the word contract every pair of measures",
+            )
+        starts = sorted({(min(a, b), max(a, b)) for a in rows[i] for b in rows[j]})
+        piece, _ = _merge_path(succ, m, starts)
+        if piece is None:
+            return _never_merges(starts[0], _merge_path(succ, m, starts[:1])[1])
+        word += piece
+        rows = [_image(row, succ, piece) for row in rows]
 
 
 IntRows = list[list[int]]
@@ -294,23 +303,23 @@ def _greedy_products(
 def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     """Does some word send x and y to a common point (or epsilon-close masses)?
 
-    Deterministic systems get ``_merge_path``'s word.  NO when the merge
-    table never merges the pair.  Otherwise stochastic systems search
+    A forward pair search from (x, y), on the points or on the supports of
+    the rows, answers NO when the pair never merges.  Otherwise
+    deterministic systems get its word, and stochastic systems search
     greedily for a word driving tv(delta_x S_w, delta_y S_w) below epsilon,
     with the Dobrushin product as an alternative certificate.
     """
     m = len(sys.space)
     if not (0 <= x < m and 0 <= y < m):
         raise ValidationError(f"point indices must lie in 0..{m - 1}")
-    det = _deterministic_view(sys)
-    word = _merge_path(det, x, y) if det is not None else None
-    if word is not None:
-        return yes(word, f"word merges {x} and {y} exactly")
-    # x == y merges by the empty word, which reads no table
+    word: Optional[Word] = ()
     if x != y:
-        blocked = _obstruction(_merge_table(sys), m, (min(x, y), max(x, y)))
-        if blocked is not None:
-            return blocked
+        pair = (min(x, y), max(x, y))
+        word, reached = _merge_path(_successors(sys), m, [pair])
+        if word is None:
+            return _never_merges(pair, reached)
+    if _deterministic_view(sys) is not None:
+        return yes(word, f"word merges {x} and {y} exactly")
     return _stochastic_pair_search(
         sys,
         Measure.point_mass(m, x),
@@ -355,33 +364,25 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     """Is every pair of points proximal?
 
     Deterministic systems are YES when greedy merging finds a constant
-    word, since every pair then merges.  NO when the merge table has an
-    obstructed pair; a deterministic system builds the table only then.
-    Stochastic systems are YES once some word has Dobrushin coefficient
-    strictly below 1 (its powers contract every pair), else UNKNOWN.
+    word, since every pair then merges, and otherwise NO at the pair where
+    it stops.  Stochastic systems are YES with the scrambling word of greedy
+    row merging (its powers contract every pair), and otherwise NO at the
+    pair of points where it stops.  Neither answers UNKNOWN.
     """
-    m = len(sys.space)
     det = _deterministic_view(sys)
-    if det is not None and _greedy_reset(det) is not None:
-        if m == 1:
-            return yes(certificate="single point, trivially proximal")
-        return yes(
-            certificate=f"all {m * (m - 1) // 2} point pairs reach the diagonal"
-        )
-    blocked = _obstruction(_merge_table(sys), m)
-    if blocked is not None:
-        return blocked
-    for word, (coeff, _), _ in _greedy_products(sys, b, _by_dobrushin):
-        if coeff < 1:
-            return yes(
-                word,
-                f"dobrushin(S_w) = {coeff} < 1, so powers of the word "
-                "contract every pair of measures",
-            )
-    return unknown(
-        f"budget exhausted (max_word_len={b.max_word_len}); "
-        "no word with contraction coefficient below 1 found"
-    )
+    if det is None:
+        return _greedy_scrambling(sys)
+    return _proximal_from_reset(_greedy_reset(det), len(sys.space))
+
+
+def _proximal_from_reset(v: Verdict, m: int) -> Verdict:
+    """The is_proximal verdict that a reset verdict of a deterministic
+    system on m points decides: greedy merging's or ``reset_word``'s."""
+    if v.status is Status.NO:
+        return v
+    if m == 1:
+        return yes(certificate="single point, trivially proximal")
+    return yes(certificate=f"all {m * (m - 1) // 2} point pairs reach the diagonal")
 
 
 def _nibble_tables(image: tuple[int, ...], m: int) -> list[list[int]]:
@@ -409,11 +410,12 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     maps a mask byte by byte through two 16-entry tables, one per nibble.
     The first singleton found ends the length-minimal, lexicographically
     least reset word.  Greedy merging runs first: when it finds no constant
-    word, the NO is ``is_proximal``'s obstruction and the subset BFS never
-    runs; when the closure budget stops the BFS, the greedy word is the
-    valid, possibly non-minimal, answer.  ``strongly_proximal`` on a
+    word, its NO, the pair where it stops, is the answer and the subset BFS
+    never runs; when the closure budget stops the BFS, the greedy word is
+    the valid, possibly non-minimal, answer.  ``strongly_proximal`` on a
     deterministic system is this verdict passed through
-    ``_strong_from_reset``.
+    ``_strong_from_reset``, and ``is_proximal`` through
+    ``_proximal_from_reset``.
     """
     det = _deterministic_view(sys)
     if det is None:
@@ -422,10 +424,8 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     if m == 1:
         return yes((), "single point, identity already constant")
     greedy = _greedy_reset(det)
-    if greedy is None:
-        blocked = _obstruction(_merge_table(det), m)
-        assert blocked is not None, "a pair that never merges is obstructed"
-        return blocked
+    if greedy.status is Status.NO:
+        return greedy
     tables = [_nibble_tables(g.image, m) for g in det.generators]
     width = (m + 7) // 8
     full = (1 << m) - 1
@@ -459,11 +459,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     tuple(reversed(letters)),
                     f"word is constant to point {nxt.bit_length() - 1}",
                 )
-    return yes(
-        greedy,
-        "greedy pair merging, constant to point "
-        f"{det.word_transformation(greedy)(0)} (witness may be non-minimal)",
-    )
+    return greedy
 
 
 def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
@@ -472,18 +468,30 @@ def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     Deterministic systems reduce exactly to reset_word: a constant word
     collapses every measure to a point mass, and on a finite space no weaker
     behaviour achieves convergence to point masses for all measures.
-    Stochastic systems: NO when the merge table has an obstructed pair (no
-    vertex is near both of its disjoint rows); NO for a single generator
+    Stochastic systems: NO at the pair that greedy row merging cannot merge
+    (no vertex is near both of its disjoint rows); NO for a single generator
     with a unique full-support stationary distribution plus strict
     contraction (all orbits then converge to an interior point); YES when
     some word takes every row within epsilon of one vertex; else UNKNOWN.
     """
+    return _strongly_proximal(sys, b, None)
+
+
+def _strongly_proximal(
+    sys: ActionSystem, b: Budget, prox: Optional[Verdict]
+) -> Verdict:
+    """``strongly_proximal``, reading a stochastic system's pair NO from
+    ``prox``, its ``is_proximal`` verdict, when one is at hand."""
     det = _deterministic_view(sys)
     if det is not None:
         return _strong_from_reset(reset_word(det, b))
-    blocked = _obstruction(_merge_table(sys), len(sys.space))
-    if blocked is not None:
-        return no(f"no word crowds all rows near one vertex ({blocked.certificate})")
+    if prox is None:
+        prox = _greedy_scrambling(sys)
+    if prox.status is Status.NO:
+        return no(
+            f"no word crowds all rows near one vertex ({prox.certificate})",
+            prox.pair,
+        )
     if len(sys.generators) == 1:
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
@@ -495,7 +503,7 @@ def _strong_from_reset(v: Verdict) -> Verdict:
     """The strong proximality verdict that a reset_word verdict decides."""
     if v.status is Status.YES:
         return yes(v.witness, "reset word collapses every measure to a point mass")
-    return no(f"no constant word exists ({v.certificate})")
+    return no(f"no constant word exists ({v.certificate})", v.pair)
 
 
 def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verdict]:

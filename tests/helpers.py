@@ -26,6 +26,7 @@ from proxilift import (
     Measure,
     Status,
     StochasticMatrix,
+    Transformation,
     Verdict,
     dobrushin,
     lift_system,
@@ -319,7 +320,8 @@ def merge_word_oracle(
 def greedy_reset_oracle(sys: ActionSystem) -> Verdict:
     """The greedy reset fallback: merge the two smallest image points, repeat.
 
-    Every pair of points must merge; each piece is ``merge_word_oracle``.
+    Each piece is ``merge_word_oracle``; the first pair without one gives
+    the NO that names it.
     """
     gens = [g.image for g in sys.generators]
     m = len(sys.space)
@@ -328,7 +330,8 @@ def greedy_reset_oracle(sys: ActionSystem) -> Verdict:
     while len(set(current)) > 1:
         x, y = sorted(set(current))[:2]
         piece = merge_word_oracle(sys, x, y)
-        assert piece is not None, f"pair ({x},{y}) never merges"
+        if piece is None:
+            return never_merges_no(sys, (x, y))
         word += piece
         current = [_word_images(gens, piece)[p] for p in current]
     return Verdict(
@@ -337,6 +340,59 @@ def greedy_reset_oracle(sys: ActionSystem) -> Verdict:
         f"greedy pair merging, constant to point {current[0]} "
         "(witness may be non-minimal)",
     )
+
+
+def _supports(sys: ActionSystem) -> list[list[set[int]]]:
+    """Per generator, the points each point can move to: its image, or the
+    columns where its row is positive."""
+    return [
+        [{a} for a in g.image]
+        if isinstance(g, Transformation)
+        else [{a for a, p in enumerate(row) if p > 0} for row in g.rows]
+        for g in sys.generators
+    ]
+
+
+def pair_closure_oracle(
+    sys: ActionSystem, pair: tuple[int, int]
+) -> Optional[int]:
+    """Number of unordered pairs reachable from ``pair``, or None when a
+    word merges it.
+
+    The set of pairs, as two-point frozensets, grows by the images of all
+    of its members under every generator until it stops growing; an image
+    with one point is a merge.
+    """
+    supports = _supports(sys)
+    reached = {frozenset(pair)}
+    while True:
+        images = {
+            frozenset((c, d))
+            for members in reached
+            for x, y in [tuple(members)]
+            for supp in supports
+            for c in supp[x]
+            for d in supp[y]
+        }
+        if any(len(img) == 1 for img in images):
+            return None
+        if images <= reached:
+            return len(reached)
+        reached |= images
+
+
+def never_merges_no(
+    sys: ActionSystem, pair: tuple[int, int], wrap: str = "{}"
+) -> Verdict:
+    """The NO naming ``pair``, whose closure ``pair_closure_oracle`` counts;
+    ``wrap`` places that certificate inside a longer one."""
+    reached = pair_closure_oracle(sys, pair)
+    assert reached is not None, f"pair {pair} merges"
+    text = (
+        f"pair {pair} never merges: the {reached} pairs reachable from it "
+        "avoid the diagonal"
+    )
+    return Verdict(Status.NO, None, wrap.format(text), pair)
 
 
 def mergeable_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
@@ -546,28 +602,13 @@ def fraction_pair_search(
     )
 
 
-def fraction_is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
-    """Greedy Dobrushin descent of is_proximal on a stochastic system."""
-    word: tuple[int, ...] = ()
-    matrix = sys.word_matrix(())
-    for _ in range(b.max_word_len):
-        best = None
-        for gi, g in enumerate(sys.generators):
-            nxt = matrix.then(g)
-            key = (dobrushin(nxt), gi)
-            if best is None or key < best[0]:
-                best = (key, gi, nxt)
-        (coeff, _), gi, matrix = best
-        word = word + (gi,)
-        if coeff < 1:
-            return _yes(
-                word,
-                f"dobrushin(S_w) = {coeff} < 1, so powers of the word "
-                "contract every pair of measures",
-            )
-    return _unknown(
-        f"budget exhausted (max_word_len={b.max_word_len}); "
-        "no word with contraction coefficient below 1 found"
+def is_scrambling(sys: ActionSystem, word: tuple[int, ...]) -> bool:
+    """Do every two rows of S_w share a positive column?  S_w is the exact
+    ``Fraction`` product of the word's matrices."""
+    rows = sys.word_matrix(word).rows
+    return all(
+        any(p > 0 and r > 0 for p, r in zip(rows[i], rows[j]))
+        for i, j in combinations(range(len(rows)), 2)
     )
 
 

@@ -1,4 +1,4 @@
-"""Actions: pushforward, closure, convolution, contraction coefficients."""
+"""Actions: pushforward, convolution, contraction coefficients."""
 
 import random
 from fractions import Fraction
@@ -13,9 +13,7 @@ from proxilift import (
     SemigroupTable,
     StochasticMatrix,
     Transformation,
-    UnsupportedKind,
     ValidationError,
-    closure,
     convolution,
     dobrushin,
     pushforward,
@@ -126,50 +124,6 @@ class TestPushforward:
         for atom in atoms:
             for gi in range(len(sys.generators)):
                 assert pushforward(sys, (gi,), atom) in atoms
-
-
-class TestClosure:
-    def test_identity_only(self):
-        assert len(closure(det_system((0, 1, 2)))) == 1
-
-    def test_single_constant(self):
-        c = closure(det_system((0, 0)))
-        assert len(c) == 2 and not c.truncated
-
-    def test_witnesses_replay(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            sys = rand_det_system(rng, rng.randint(2, 4))
-            c = closure(sys)
-            for elem, word in zip(c.elements, c.witnesses):
-                assert sys.word_transformation(word) == elem
-
-    def test_witnesses_are_shortest(self):
-        sys = det_system((1, 2, 3, 0), (1, 1, 2, 3))
-        c = closure(sys)
-        constants = [
-            len(w) for e, w in zip(c.elements, c.witnesses) if e.is_constant()
-        ]
-        assert constants and min(constants) == 9
-
-    def test_permutation_generators_give_bijections(self):
-        sys = det_system((1, 2, 0), (0, 2, 1))
-        c = closure(sys)
-        assert all(e.is_permutation() for e in c.elements)
-        assert len(c) == 6
-
-    def test_truncation_flag(self):
-        sys = det_system((1, 2, 3, 0), (1, 1, 2, 3))
-        c = closure(sys, cap=5)
-        assert c.truncated and len(c) == 5
-
-    def test_stochastic_unsupported(self):
-        sp = FiniteSpace.discrete(("a", "b"))
-        s = ActionSystem.stochastic(
-            sp, [StochasticMatrix.from_rows([[F(1, 2), F(1, 2)], [0, 1]])]
-        )
-        with pytest.raises(UnsupportedKind):
-            closure(s)
 
 
 class TestConvolution:

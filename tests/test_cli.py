@@ -122,21 +122,44 @@ class TestAnalyzeModes:
 
     @pytest.mark.parametrize("name", ["cerny4", "swap2"])
     def test_base_runs_one_subset_search(self, name, monkeypatch, capsys):
-        searched = []
-        real = proximality.reset_word
+        greedy, tables = [], []
+        real_greedy = proximality._greedy_reset
+        real_tables = proximality._nibble_tables
 
-        def counting(system, b):
-            searched.append(system)
-            return real(system, b)
+        def counting_greedy(system):
+            greedy.append(system)
+            return real_greedy(system)
 
-        monkeypatch.setattr(proximality, "reset_word", counting)
-        monkeypatch.setattr(cli, "reset_word", counting)
+        def counting_tables(*args):
+            tables.append(args)
+            return real_tables(*args)
+
+        monkeypatch.setattr(proximality, "_greedy_reset", counting_greedy)
+        monkeypatch.setattr(proximality, "_nibble_tables", counting_tables)
         code, _ = run_json(
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"], capsys
         )
         assert code == 0
-        # swap2 is not proximal, and that NO is the reset_word verdict.
-        assert len(searched) == {"cerny4": 1, "swap2": 0}[name]
+        # One greedy merge answers all three questions.  The subset BFS
+        # builds one nibble table list per letter; swap2 is not proximal,
+        # so its NO is greedy merging's and the BFS never runs.
+        assert len(greedy) == 1
+        assert len(tables) == {"cerny4": 2, "swap2": 0}[name]
+
+    def test_stochastic_base_runs_one_row_merge(self, monkeypatch, capsys):
+        merges = []
+        real = proximality._greedy_scrambling
+
+        def counting(system):
+            merges.append(system)
+            return real(system)
+
+        monkeypatch.setattr(proximality, "_greedy_scrambling", counting)
+        _, rep = run_json(
+            ["analyze", str(SPECS / "lazy_chain.json"), "--mode", "base"], capsys
+        )
+        assert rep["results"]["is_proximal"]["status"] == "YES"
+        assert len(merges) == 1
 
     @pytest.mark.parametrize("name", ["swap2", "two_sink10"])
     def test_base_reset_verdict_is_reset_word(self, name, tmp_path, capsys):
@@ -258,6 +281,70 @@ class TestAnalyzeModes:
         code, rep = run_json(argv + ["--grid", str(grid), "--verify"], capsys)
         assert code == 0 and rep["verify"]["ok"] is True
         assert calls == lifted_qs
+
+    @pytest.mark.parametrize(
+        "name, checked", [("swap2", 3), ("two_sink10", 3), ("block4x2", 2)]
+    )
+    def test_verify_replays_pair_nos(self, name, checked, tmp_path, capsys):
+        # Every verdict is a NO naming a pair, and each one is replayed.
+        if name in GENERATED_SPECS:
+            path = write_spec(tmp_path, GENERATED_SPECS[name])
+        else:
+            path = str(SPECS / f"{name}.json")
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 0
+        assert {v["status"] for v in rep["results"].values()} == {"NO"}
+        assert rep["verify"] == {"checked": checked, "ok": True, "failures": []}
+
+    @pytest.mark.parametrize(
+        "name, pair, reached",
+        [
+            ("cerny4", (0, 1), 1),  # merges
+            ("swap2", (0, 1), 2),  # never merges, but its closure has 1 pair
+        ],
+        ids=["merging-pair", "wrong-count"],
+    )
+    def test_verify_rejects_false_pair_no(
+        self, name, pair, reached, monkeypatch, capsys
+    ):
+        forged = proximality.Verdict(
+            proximality.Status.NO,
+            None,
+            f"pair {pair} never merges: the {reached} pairs reachable from "
+            "it avoid the diagonal",
+            pair,
+        )
+        monkeypatch.setattr(cli, "reset_word", lambda system, b: forged)
+        code, rep = run_json(
+            ["analyze", str(SPECS / f"{name}.json"), "--mode", "base", "--verify"],
+            capsys,
+        )
+        assert code == 1
+        assert rep["verify"]["failures"] == [
+            "is_proximal pair never merges",
+            "strongly_proximal pair never merges",
+            "reset_word pair never merges",
+        ]
+
+    def test_verify_rejects_false_stochastic_pair_no(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # Every row of dense4x2 is positive, so the pair merges at once.
+        forged = proximality.Verdict(
+            proximality.Status.NO,
+            None,
+            "pair (0, 1) never merges: the 1 pairs reachable from it avoid "
+            "the diagonal",
+            (0, 1),
+        )
+        monkeypatch.setattr(cli, "is_proximal", lambda system, b: forged)
+        path = write_spec(tmp_path, GENERATED_SPECS["dense4x2"])
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 1
+        assert rep["verify"]["failures"] == [
+            "is_proximal pair never merges",
+            "strongly_proximal pair never merges",
+        ]
 
     def test_verify_rejects_invariant_non_extreme(self, monkeypatch, capsys):
         # the swap's q=2 lift has orbits {(2,0), (0,2)} and {(1,1)}; the
@@ -470,17 +557,17 @@ class TestGoldenDigests:
             ("collapse3", "prop1", "864b628153c2a180778cee9ab44b37d575f66e9f094c99a073649943eae1494b"),
             ("collapse3", "thm", "f597dc30e2c021f19f276a819cd3e431ffba3171d796419cf0c39adef0ec3db6"),
             ("collapse3", "invariant", "c6cb8a878faa9478ec1167781a1d389e2f43d46d012e6d756601903e84511346"),
-            ("swap2", "base", "f47fae2f8708c74b7e7dd48362854a1babc4b79d87eca0bdf0e0f0a98581dd7a"),
-            ("swap2", "prop1", "02ea06251ebadd0d7a9d6201eb87a3efc6cf5581f194954d7081c4e56295e9fd"),
-            ("swap2", "thm", "c431fc27c366b43d93abc4d37d583bd1970732b50a6b07056ff81a5b6edca8c6"),
+            ("swap2", "base", "4f8e4b4afdb0421c0f776fc517e83565cb8b0df05a4cc5677a638d371316a11b"),
+            ("swap2", "prop1", "61aa4ec13bcc2cd88b344932da5ea97bae2e8b3beae5f948e1a1044ec8a6802f"),
+            ("swap2", "thm", "deba110525106aba29e627dfcefe0c7e6c1e6401d927d517c1908c6d7596e54b"),
             ("swap2", "invariant", "c399a425fd167c9b9f11bce29c4d31eee34dc055c6f4cc2b7bafd48daf2d4afb"),
-            ("z2_translation", "base", "544bb60115232104fcaec7538e651dc0a9ce9fc1b67db11c92da9fd0536a1c46"),
-            ("z2_translation", "prop1", "d7b01c60ecfbdce489d36f915c5f95349a1c29f31825e0d4d3e0dfd55e8e93d5"),
-            ("z2_translation", "thm", "79367bdcc4c8ee4af5b72244ec74828e18bcde3269fdfca3e945358b29c0af25"),
+            ("z2_translation", "base", "7fb8af92d5236992bef89fa8d7ac0f8d97c2ae19ea0e07e4ae9377ab1e06d335"),
+            ("z2_translation", "prop1", "caf3293410e6406e36c700fa5115ad6e0240f2c7c3da435228f78bdca638391c"),
+            ("z2_translation", "thm", "3e2c82c3626fddb7664e5fd404e55096672d2199ab518145bc034ed8ac3392cb"),
             ("z2_translation", "invariant", "91085260788984b2a9f7414297ff15641a7bd04f0987a6d0ccfd926d4b123969"),
             ("z2_translation", "psi", "cc0ad39643f82720ea5be5ed26f121d0d0f92d3c61c6326c3b234bc3d1e2f946"),
             ("cerny4", "psi", "0aca029f1c96fd8d3eeb5c849efc73de1e5fbc3cea833a9b65ead556b7b59f54"),
-            ("lazy_chain", "base", "220c771582f6ee1aefffda4977fa20d23abe3a3cee28db548df2742474977f08"),
+            ("lazy_chain", "base", "2c016a74ca50dfd9f8eee17707585f0b252d4d47007394df3f63c0faa0744211"),
             ("affine_wedge", "affine", "c762184106fbb2c4a38f3d3eccf0499698f610897bc9c27d8e84baf5cf8af6b4"),
         ],
     )
@@ -501,10 +588,10 @@ class TestGoldenDigests:
         [
             ("cerny9", "e9bcb49321f0674733c6dc6d226659db30a69c43afe073d5ad8a6988b7a95d7d"),
             ("circular11_step2", "85baade3dfc379114efb3e87337fb78bbe9c75c9ecb146a8bb9034a2b8103f66"),
-            ("two_sink10", "fc117f9be56ff4e7a7681d169e74d427a5d4c4850f33be433a7370872948216c"),
-            ("dense4x2", "66479940117ad69acc610b877cf2623cdd61d7458fb1408b1863ae5ab69fbd0b"),
-            ("sparse5x3", "2d12d412e53c49f5b3fb903af30571b43c1d2aa4c7af60471681ea4d528b43ff"),
-            ("block4x2", "e75a6b2010ade3a0dbe1c78d23c0d52222c8adee3d58b5ff7d38a6f9fd259bf2"),
+            ("two_sink10", "9260144038774a77dc10208a3bc0a2b3a014db2441a9224ae71a80d9372d7088"),
+            ("dense4x2", "bfc3826287883a934d5f167d520948fbeabf09641a78639bc5ac1ff712da0638"),
+            ("sparse5x3", "15d32f263fffd70cb62cb6d3de712c39d78ba1feb36ddf47f4abe572f9eb31c6"),
+            ("block4x2", "3cc7e340b3658abe62a8d6ed6216f4b7f9242963d36bbd1d1cc8d4db313ddf54"),
         ],
     )
     def test_generated_digest(self, name, digest, tmp_path, monkeypatch, capsys):

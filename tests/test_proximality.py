@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from proxilift import proximality
 from proxilift import (
@@ -31,16 +31,18 @@ from proxilift import (
 from helpers import (
     brute_merge_length,
     brute_reset_length,
-    fraction_is_proximal,
     fraction_pair_search,
     fraction_strongly_proximal,
     greedy_reset_oracle,
+    is_scrambling,
     merge_word_oracle,
     mergeable_pairs_oracle,
+    never_merges_no,
     rand_block_stochastic_system,
     rand_det_system,
     rand_measure,
     rand_sparse_stochastic_system,
+    rand_stochastic,
     subset_bfs_oracle,
     support_pairs_oracle,
 )
@@ -86,16 +88,17 @@ def two_sink(n):
 
 
 @pytest.fixture
-def table_calls(monkeypatch):
-    """The systems that ``_merge_table`` is built for, in call order."""
+def searches(monkeypatch):
+    """The start pairs of every ``_merge_path`` search, in call order."""
     calls = []
-    real = proximality._merge_table
+    real = proximality._merge_path
 
-    def counting(sys):
-        calls.append(sys)
-        return real(sys)
+    def counting(succ, m, starts):
+        starts = list(starts)
+        calls.append(starts)
+        return real(succ, m, starts)
 
-    monkeypatch.setattr(proximality, "_merge_table", counting)
+    monkeypatch.setattr(proximality, "_merge_path", counting)
     return calls
 
 
@@ -104,28 +107,18 @@ def obstructed_pairs(sys, merged):
     return sorted(set(combinations(range(len(sys.space)), 2)) - merged)
 
 
-def pair_no(obstructed, m, pair=None):
-    """The NO naming ``pair``, by default the smallest obstructed pair."""
-    return Verdict(
-        Status.NO,
-        None,
-        f"pair {pair or obstructed[0]} cannot reach the diagonal "
-        f"({len(obstructed)} of {m * (m - 1) // 2} pairs obstructed)",
-    )
-
-
 def want_reset(sys, b):
-    """The reset_word verdict the oracles give: the pair NO, the subset
-    BFS's word, or the greedy word once the BFS meets the closure budget."""
-    m = len(sys.space)
-    obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
-    if obstructed:
-        return pair_no(obstructed, m)
-    if m == 1:
+    """The reset_word verdict the oracles give: greedy merging's NO, the
+    subset BFS's word, or the greedy word once the BFS meets the closure
+    budget."""
+    if len(sys.space) == 1:
         return Verdict(Status.YES, (), "single point, identity already constant")
+    greedy = greedy_reset_oracle(sys)
+    if greedy.status is Status.NO:
+        return greedy
     status, witness, _ = subset_bfs_oracle(sys, b.max_closure)
     if status == "BUDGET":
-        return greedy_reset_oracle(sys)
+        return greedy
     point = sys.word_transformation(witness)(0)
     return Verdict(Status.YES, witness, f"word is constant to point {point}")
 
@@ -168,24 +161,25 @@ class TestProximalPair:
         v = proximal_pair(det_system((1, 0)), 1, 1, B)
         assert v.status is Status.YES and v.witness == ()
 
-    def test_same_point_builds_no_merge_table(self, table_calls):
+    def test_same_point_builds_no_merge_table(self, searches):
         det = proximal_pair(cerny(7), 5, 5, B)
         half = F(1, 2)
         stoch = proximal_pair(
             stoch_system([[half, half, 0], [0, half, half], [half, 0, half]]), 2, 2, B
         )
-        assert table_calls == []
+        assert searches == []
         assert det == Verdict(Status.YES, (), "word merges 5 and 5 exactly")
         assert stoch == Verdict(Status.YES, (), "tv already below epsilon for (2,2)")
 
-    def test_lifted_pair_witness_builds_no_table(self, table_calls):
+    def test_lifted_pair_witness_builds_no_table(self, searches):
+        # One forward search from the pair, nothing over all pairs.
         lifted = lift_system(cerny(7), 6).system
         assert len(lifted.space) == 924
         word = merge_word_oracle(lifted, 3, 900)
-        assert proximal_pair(lifted, 3, 900, B) == Verdict(
-            Status.YES, word, "word merges 3 and 900 exactly"
+        assert proximal_pair(lifted, 900, 3, B) == Verdict(
+            Status.YES, word, "word merges 900 and 3 exactly"
         )
-        assert table_calls == []
+        assert searches == [[(3, 900)]]
 
     def test_witness_is_shortest(self):
         rng = random.Random(21)
@@ -208,12 +202,11 @@ class TestProximalPair:
         outcomes = Counter()
         for sys in systems:
             m = len(sys.space)
-            obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
             for x in range(m):
                 for y in range(m):
                     word = merge_word_oracle(sys, x, y)
                     if word is None:
-                        want = pair_no(obstructed, m, (min(x, y), max(x, y)))
+                        want = never_merges_no(sys, (min(x, y), max(x, y)))
                     else:
                         want = Verdict(
                             Status.YES, word, f"word merges {x} and {y} exactly"
@@ -266,25 +259,33 @@ class TestIsProximal:
                 reset_word(sys, B).status is Status.YES
             )
 
-    def test_deterministic_yes_builds_no_table(self, table_calls):
+    def test_deterministic_yes_builds_no_table(self, searches):
+        # Greedy merging: at most m - 1 searches, each from one pair.
         for sys in (cerny(7), lift_system(cerny(7), 4).system):
             m = len(sys.space)
+            searches.clear()
             assert is_proximal(sys, B) == Verdict(
                 Status.YES,
                 None,
                 f"all {m * (m - 1) // 2} point pairs reach the diagonal",
             )
-        assert table_calls == []
+            assert 1 <= len(searches) <= m - 1
+            assert all(len(starts) == 1 for starts in searches)
 
-    def test_no_builds_one_table(self, table_calls):
+    def test_no_builds_one_table(self, searches):
+        # The NO names the pair where greedy merging stops, after one
+        # search from it; the sinks 0 and 1 are fixed, so the closure of
+        # (0, 1) is that pair alone.
         sys = two_sink(8)
         want = Verdict(
             Status.NO,
             None,
-            "pair (0, 1) cannot reach the diagonal (13 of 28 pairs obstructed)",
+            "pair (0, 1) never merges: the 1 pairs reachable from it avoid "
+            "the diagonal",
+            (0, 1),
         )
-        assert is_proximal(sys, B) == want
-        assert table_calls == [sys]
+        assert is_proximal(sys, B) == want == greedy_reset_oracle(sys)
+        assert searches == [[(0, 1)]]
 
     def test_matches_forward_fixed_point_oracle(self):
         rng = random.Random(31)
@@ -294,24 +295,28 @@ class TestIsProximal:
         lifted = [lift_system(sys, 2).system for sys in systems[:30]]
         verdicts = {"YES": 0, "NO": 0}
         for sys in systems + lifted:
-            m = len(sys.space)
             obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
             v = is_proximal(sys, B)
             verdicts[v.status.value] += 1
             if not obstructed:
                 assert v.status is Status.YES
                 continue
-            assert v == pair_no(obstructed, m)
+            assert v.pair in obstructed
+            assert v == greedy_reset_oracle(sys)
         assert min(verdicts.values()) >= 50
 
     def test_stochastic_contraction_yes(self):
         sys = stoch_system([[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]])
-        v = is_proximal(sys, B)
-        assert v.status is Status.YES and v.witness is not None
+        assert is_proximal(sys, B) == Verdict(
+            Status.YES,
+            (0,),
+            "every two rows of S_w share a column, so dobrushin(S_w) < 1 and "
+            "powers of the word contract every pair of measures",
+        )
 
     def test_stochastic_block_system_unknown(self):
-        """Two closed classes: the greedy search alone stays UNKNOWN, the
-        row supports decide NO."""
+        """Two closed classes: no word is scrambling, and the row supports
+        decide NO."""
         half = F(1, 2)
         sys = stoch_system(
             [
@@ -324,7 +329,9 @@ class TestIsProximal:
         assert is_proximal(sys, B) == Verdict(
             Status.NO,
             None,
-            "pair (0, 2) cannot reach the diagonal (4 of 6 pairs obstructed)",
+            "pair (0, 2) never merges: the 4 pairs reachable from it avoid "
+            "the diagonal",
+            (0, 2),
         )
 
     def test_doubly_deterministic_delegates(self):
@@ -373,29 +380,28 @@ class TestResetWord:
 
     def test_fallback_obstruction_is_exact(self):
         # 0 and 1 merge, but 2 and 3 stay fixed forever; the subset budget
-        # of 2 stops the subset BFS, and the pair table still decides.
+        # of 2 would stop the subset BFS, and greedy merging decides first:
+        # from (0, 2) it reaches (1, 2) and no other pair.
         sys = det_system((0, 0, 2, 3), (1, 1, 2, 3))
         tight = Budget(max_word_len=64, max_closure=2)
         assert reset_word(sys, tight) == reset_word(sys, B) == Verdict(
             Status.NO,
             None,
-            "pair (0, 2) cannot reach the diagonal (5 of 6 pairs obstructed)",
+            "pair (0, 2) never merges: the 2 pairs reachable from it avoid "
+            "the diagonal",
+            (0, 2),
         )
 
-    def test_no_skips_the_subset_search(self, table_calls, monkeypatch):
-        # The NO text is the pair table's at any closure budget, and the
-        # subset BFS, which starts by building nibble tables, never runs.
+    def test_no_skips_the_subset_search(self, searches, monkeypatch):
+        # The NO is greedy merging's at any closure budget, and the subset
+        # BFS, which starts by building nibble tables, never runs.
         nibbles = []
         monkeypatch.setattr(
             proximality, "_nibble_tables", lambda *args: nibbles.append(args)
         )
         sys = two_sink(8)
-        assert reset_word(sys, Budget(max_closure=1)) == Verdict(
-            Status.NO,
-            None,
-            "pair (0, 1) cannot reach the diagonal (13 of 28 pairs obstructed)",
-        )
-        assert table_calls == [sys] and nibbles == []
+        assert reset_word(sys, Budget(max_closure=1)) == greedy_reset_oracle(sys)
+        assert searches == [[(0, 1)]] and nibbles == []
 
     def test_greedy_fallback_needs_no_word_budget(self):
         sys = cerny(8)
@@ -466,8 +472,8 @@ class TestStronglyProximal:
         assert "stationary" in v.certificate
 
     def test_block_system_unknown(self):
-        """Two closed classes: the greedy search alone stays UNKNOWN, the
-        row supports decide NO."""
+        """Two closed classes: no word crowds a vertex, and the row supports
+        decide NO."""
         half = F(1, 2)
         sys = stoch_system(
             [
@@ -480,8 +486,9 @@ class TestStronglyProximal:
         assert strongly_proximal(sys, B) == Verdict(
             Status.NO,
             None,
-            "no word crowds all rows near one vertex (pair (0, 2) cannot "
-            "reach the diagonal (4 of 6 pairs obstructed))",
+            "no word crowds all rows near one vertex (pair (0, 2) never "
+            "merges: the 4 pairs reachable from it avoid the diagonal)",
+            (0, 2),
         )
 
     def test_doubly_deterministic_delegates(self):
@@ -491,10 +498,12 @@ class TestStronglyProximal:
 
 class TestStochasticSearches:
     def test_match_fraction_oracle(self):
-        # An obstructed pair of row supports decides NO.  Every other verdict
-        # is the greedy search's, which the oracle runs on Fraction matrices,
-        # so the long budget and the general measure pair run on a quarter of
-        # the systems each.  A third of the systems keep two classes closed.
+        # A pair of row supports that never merges decides NO; is_proximal
+        # names one and otherwise answers with a scrambling word.  Every
+        # other verdict is a greedy search's, which the oracle runs on
+        # Fraction matrices, so the long budget and the general measure pair
+        # run on a quarter of the systems each.  A third of the systems keep
+        # two classes closed.
         rng = random.Random(43)
         outcomes = Counter()
         for i in range(200):
@@ -508,19 +517,21 @@ class TestStochasticSearches:
             x, y = rng.sample(range(m), 2)
             mu, nu = rand_measure(rng, m, 6), rand_measure(rng, m, 6)
             obstructed = obstructed_pairs(sys, support_pairs_oracle(sys))
+            prox = is_proximal(sys, b)
             if obstructed:
-                prox = pair_no(obstructed, m)
-                strong = Verdict(
-                    Status.NO,
-                    None,
-                    f"no word crowds all rows near one vertex ({prox.certificate})",
+                assert prox.pair in obstructed
+                want = never_merges_no(sys, prox.pair)
+                strong = never_merges_no(
+                    sys, prox.pair, "no word crowds all rows near one vertex ({})"
                 )
             else:
-                prox = fraction_is_proximal(sys, b)
+                assert prox.status is Status.YES
+                assert is_scrambling(sys, prox.witness)
+                want = prox
                 strong = fraction_strongly_proximal(sys, b)
             pair = (min(x, y), max(x, y))
             if pair in obstructed:
-                pair_want = pair_no(obstructed, m, pair)
+                pair_want = never_merges_no(sys, pair)
             else:
                 pair_want = fraction_pair_search(
                     sys,
@@ -530,7 +541,7 @@ class TestStochasticSearches:
                     f"({x},{y})",
                 )
             pairs = [
-                (is_proximal(sys, b), prox),
+                (prox, want),
                 (strongly_proximal(sys, b), strong),
                 (proximal_pair(sys, x, y, b), pair_want),
             ]
@@ -621,6 +632,24 @@ def det_systems(draw):
     return lift_system(sys, q).system if q else sys
 
 
+@st.composite
+def stochastic_systems(draw):
+    """A stochastic system on 2-5 points with 1-3 generators, from the
+    dense, sparse or block builder of ``helpers``, with some entry strictly
+    between 0 and 1."""
+    kind = draw(st.sampled_from(["dense", "sparse", "block"]))
+    m = draw(st.integers(3 if kind == "block" else 2, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        return rand_sparse_stochastic_system(rng, m)
+    if kind == "block":
+        return rand_block_stochastic_system(rng, m)
+    gens = [rand_stochastic(rng, m, 4) for _ in range(draw(st.integers(1, 3)))]
+    assume(not all(g.is_deterministic() for g in gens))
+    space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+    return ActionSystem.stochastic(space, gens)
+
+
 class TestDifferential:
     """The fast paths against the brute-force oracles in ``helpers``."""
 
@@ -630,7 +659,8 @@ class TestDifferential:
         m = len(sys.space)
         obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
         if obstructed:
-            prox = pair_no(obstructed, m)
+            prox = greedy_reset_oracle(sys)
+            assert prox.pair in obstructed
         elif m == 1:
             prox = Verdict(Status.YES, None, "single point, trivially proximal")
         else:
@@ -646,7 +676,31 @@ class TestDifferential:
         y = data.draw(st.integers(0, m - 1))
         word = merge_word_oracle(sys, x, y)
         if word is None:
-            pair = pair_no(obstructed, m, (min(x, y), max(x, y)))
+            pair = never_merges_no(sys, (min(x, y), max(x, y)))
         else:
             pair = Verdict(Status.YES, word, f"word merges {x} and {y} exactly")
         assert proximal_pair(sys, x, y, B) == pair
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stochastic_systems())
+    def test_stochastic_pair_verdicts_match_support_oracle(self, sys):
+        # Pair NOs do not depend on the budget; a short one keeps the tv
+        # searches of the mergeable pairs cheap.
+        b = Budget(max_word_len=8)
+        unmergeable = obstructed_pairs(sys, support_pairs_oracle(sys))
+        prox = is_proximal(sys, b)
+        if unmergeable:
+            assert prox.pair in unmergeable
+            assert prox == never_merges_no(sys, prox.pair)
+            assert strongly_proximal(sys, b) == never_merges_no(
+                sys, prox.pair, "no word crowds all rows near one vertex ({})"
+            )
+        else:
+            assert prox.status is Status.YES
+            assert is_scrambling(sys, prox.witness)
+        for x, y in combinations(range(len(sys.space)), 2):
+            v = proximal_pair(sys, x, y, b)
+            if (x, y) in unmergeable:
+                assert v == never_merges_no(sys, (x, y))
+            else:
+                assert v.status is not Status.NO
