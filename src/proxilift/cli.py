@@ -62,6 +62,7 @@ from .proximality import (
     Budget,
     Status,
     Verdict,
+    _deterministic_view,
     _proximal_from_reset,
     _strong_from_reset,
     _strongly_proximal,
@@ -431,25 +432,24 @@ def _mode_base(
 ) -> tuple[dict, int, list[Replay]]:
     results: dict[str, Any] = {}
     replays: list[Replay] = []
-    if system.kind is Kind.DETERMINISTIC:
-        # One greedy merge and one subset BFS answer all three questions.
+    if _deterministic_view(system) is not None:
+        # One greedy merge and one subset search answer every question, on
+        # 0/1 stochastic matrices too.
         reset = reset_word(system, b)
         prox = _proximal_from_reset(reset, len(system.space))
         strong = _strong_from_reset(reset)
-        named = [
-            ("is_proximal", prox),
-            ("strongly_proximal", strong),
-            ("reset_word", reset),
-        ]
+    else:
+        # The pair NO of strong proximality is the one is_proximal found.
+        prox = is_proximal(system, b)
+        strong = _strongly_proximal(system, b, prox)
+    named = [("is_proximal", prox), ("strongly_proximal", strong)]
+    if system.kind is Kind.DETERMINISTIC:
+        named.append(("reset_word", reset))
         for name, v in (("reset_word", reset), ("strongly_proximal", strong)):
             replays += _witness_replay(
                 f"{name} witness is constant", v, _is_constant(system)
             )
     else:
-        # The pair NO of strong proximality is the one is_proximal found.
-        prox = is_proximal(system, b)
-        strong = _strongly_proximal(system, b, prox)
-        named = [("is_proximal", prox), ("strongly_proximal", strong)]
         replays += _witness_replay(
             "is_proximal witness contracts", prox, _contracts(system)
         )
@@ -806,16 +806,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-word-len",
         type=int,
         default=env("PROXILIFT_MAX_WORD_LEN", "64"),
+        help="longest word the greedy stochastic searches build, one letter "
+        "per step",
     )
     an.add_argument(
         "--max-closure",
         type=int,
         default=env("PROXILIFT_MAX_CLOSURE", "100000"),
+        help="most sets the reset-word search stores, forward and backward "
+        "together, before the greedy word stands; also the most image pairs "
+        "of a measure-pair orbit",
     )
     an.add_argument(
         "--epsilon",
         type=_rational_flag,
         default=env("PROXILIFT_EPSILON", "1/1000"),
+        help="closeness threshold of the stochastic searches, strictly "
+        "between 0 and 1: total variation below it counts as reached",
     )
     an.add_argument(
         "--format",

@@ -11,8 +11,10 @@ forward BFS over point pairs (``_merge_path``): it finds a merge word, or
 a set of pairs closed under the generators that avoids the diagonal, the
 certificate of a NO.  Greedy merging (Eppstein, SIAM J. Comput. 1990)
 chains merge words into a reset word or stops at a pair that never merges.
-Subset BFS over bitmasks, mapped a byte at a time through nibble tables,
-finds a length-minimal reset word.
+A bidirectional subset search (Kisielewicz, Kowalski and Szykula, J. Comb.
+Optim. 2015) then finds the length-minimal reset word: images of the full
+set forward, preimages of the singletons backward, as bitmasks mapped a
+byte at a time through nibble tables.
 
 On stochastic systems the pair search reads the supports of the rows.
 Greedy row merging either builds a scrambling word, whose Dobrushin
@@ -385,12 +387,13 @@ def _proximal_from_reset(v: Verdict, m: int) -> Verdict:
     return yes(certificate=f"all {m * (m - 1) // 2} point pairs reach the diagonal")
 
 
-def _nibble_tables(image: tuple[int, ...], m: int) -> list[list[int]]:
-    """Images of subsets under a map, two 16-entry tables per mask byte.
+def _nibble_tables(masks: list[int], m: int) -> list[tuple[list[int], list[int]]]:
+    """Per mask byte, two 16-entry tables for its low and high nibble.
 
-    Tables 2k and 2k + 1 serve the low and the high nibble of byte k: entry
-    n of table j is the mask of the images of the points 4j + i for the set
-    bits i of n.
+    ``masks`` holds one mask per point; entry n of the table of the points
+    4j..4j + 3 is the OR of the masks of the points 4j + i for the set bits
+    i of n.  With the masks 1 << g(x) the tables map a set to its image
+    under g, and with the masks of the preimages g^-1(x) to its preimage.
     """
     tables = []
     for first in range(0, m + (-m) % 8, 4):
@@ -398,24 +401,88 @@ def _nibble_tables(image: tuple[int, ...], m: int) -> list[list[int]]:
         for n in range(1, 16):
             low = n & -n
             point = first + low.bit_length() - 1
-            table[n] = table[n ^ low] | (1 << image[point] if point < m else 0)
+            table[n] = table[n ^ low] | (masks[point] if point < m else 0)
         tables.append(table)
-    return tables
+    return list(zip(tables[::2], tables[1::2]))
+
+
+def _map_set(tables: list[tuple[list[int], list[int]]], data: bytes) -> int:
+    """The mask that ``_nibble_tables`` tables send the set with these
+    little-endian mask bytes to."""
+    out = 0
+    for (low, high), byte in zip(tables, data):
+        out |= low[byte & 15] | high[byte >> 4]
+    return out
+
+
+def _level(sets: list[int], m: int) -> tuple[list[int], Optional[list[int]]]:
+    """A backward level for ``_inside``: its sets and, past 32 of them, a
+    point index, per point the mask of the positions of the sets that hold
+    it.  Testing set by set costs the product of two level sizes, which
+    large levels make prohibitive; small ones answer faster that way.  The
+    bit matrix is transposed as text, 256 sets (256 m characters) at a
+    time."""
+    if len(sets) <= 32:
+        return sets, None
+    index = [0] * m
+    for start in range(0, len(sets), 256):
+        chunk = reversed(sets[start : start + 256])
+        rows = "".join(format(s, f"0{m}b") for s in chunk)
+        for x in range(m):
+            index[x] |= int(rows[m - 1 - x :: m], 2) << start
+    return sets, index
+
+
+def _inside(mask: int, level: Optional[tuple]) -> bool:
+    """Does the set lie inside some set of a ``_level``?  None stands for
+    the level of the singletons.  With a point index, the entries of the
+    set's points must share a bit."""
+    if level is None:
+        return mask & (mask - 1) == 0
+    sets, index = level
+    if index is None:
+        for s in sets:
+            if not mask & ~s:
+                return True
+        return False
+    common = -1
+    while mask and common:
+        low = mask & -mask
+        common &= index[low.bit_length() - 1]
+        mask ^= low
+    return common != 0
 
 
 def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
-    """Length-minimal word acting as a constant map, by subset BFS.
+    """Length-minimal, lexicographically least word acting as a constant map.
 
-    States are images of the full point set, as bitmasks; each generator
-    maps a mask byte by byte through two 16-entry tables, one per nibble.
-    The first singleton found ends the length-minimal, lexicographically
-    least reset word.  Greedy merging runs first: when it finds no constant
-    word, its NO, the pair where it stops, is the answer and the subset BFS
-    never runs; when the closure budget stops the BFS, the greedy word is
-    the valid, possibly non-minimal, answer.  ``strongly_proximal`` on a
-    deterministic system is this verdict passed through
-    ``_strong_from_reset``, and ``is_proximal`` through
-    ``_proximal_from_reset``.
+    One bidirectional subset search (Kisielewicz, Kowalski and Szykula,
+    Computing the shortest reset words of synchronizing automata, J. Comb.
+    Optim. 2015).  Sets of points are bitmasks, mapped a byte at a time
+    through nibble tables.  Forward levels hold the images of the full set;
+    backward levels the preimages of the singletons, which form depth 0,
+    empty preimages dropped.  A word of length k sends a set to a point
+    exactly when the set lies inside a preimage of a singleton under it, so
+    a forward set at depth d1 inside a backward set at depth d2 closes a
+    reset word of length d1 + d2.  Each round expands a whole level of the
+    side with the smaller frontier and tests it against the last level of
+    the other side; no other pair of levels can meet first.  The first meet
+    fixes the minimal length L.  The witness is the BFS word of the first
+    meeting forward set in BFS order, the least of its length, then a walk:
+    at each step the least letter whose image lies inside a backward set of
+    the depth still to go.  That word is the least of length L.
+
+    Greedy merging runs first: when it finds no constant word, its NO, the
+    pair where it stops, is the answer and the subset search never runs.
+    Otherwise a singleton is an image of the full set and the full set a
+    preimage of a singleton, so neither side runs dry before they meet.
+    ``max_closure`` bounds the sets stored on both sides, the singletons
+    aside; when it runs out, the greedy word is the valid, possibly
+    non-minimal, answer.  The preimage tables are built when the backward
+    side first expands, which a search that the forward side ends alone
+    never does.  ``strongly_proximal`` on a deterministic system is this
+    verdict passed through ``_strong_from_reset``, and ``is_proximal``
+    through ``_proximal_from_reset``.
     """
     det = _deterministic_view(sys)
     if det is None:
@@ -426,40 +493,70 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     greedy = _greedy_reset(det)
     if greedy.status is Status.NO:
         return greedy
-    tables = [_nibble_tables(g.image, m) for g in det.generators]
     width = (m + 7) // 8
     full = (1 << m) - 1
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {full}
-    queue: deque[int] = deque([full])
-    while queue:
-        mask = queue.popleft()
-        data = mask.to_bytes(width, "little")
-        for gi, table in enumerate(tables):
-            nxt = 0
-            i = 0
-            for byte in data:
-                nxt |= table[i][byte & 15] | table[i + 1][byte >> 4]
-                i += 2
-            if nxt in seen:
-                continue
-            if len(seen) >= b.max_closure:
-                queue.clear()
+    images = [_nibble_tables([1 << y for y in g.image], m) for g in det.generators]
+    preimages: Optional[list] = None
+    parent: dict[int, Optional[tuple[int, int]]] = {full: None}
+    stored: set[int] = set()  # backward sets beyond the singletons
+    forward = [full]
+    levels: list[Optional[tuple]] = [None]  # backward, by depth
+    meet = None
+    while meet is None:
+        backward = levels[-1]
+        if len(forward) <= (m if backward is None else len(backward[0])):
+            new = []
+            for mask in forward:
+                data = mask.to_bytes(width, "little")
+                for gi, tables in enumerate(images):
+                    nxt = _map_set(tables, data)
+                    if nxt in parent:
+                        continue
+                    if len(parent) + len(stored) >= b.max_closure:
+                        return greedy
+                    parent[nxt] = (mask, gi)
+                    new.append(nxt)
+                    if _inside(nxt, backward):
+                        meet = nxt
+                        break
+                if meet is not None:
+                    break
+            forward = new
+        else:
+            if preimages is None:
+                preimages = []
+                for g in det.generators:
+                    masks = [0] * m
+                    for x, y in enumerate(g.image):
+                        masks[y] |= 1 << x
+                    preimages.append(_nibble_tables(masks, m))
+            new = []
+            for mask in [1 << x for x in range(m)] if backward is None else backward[0]:
+                data = mask.to_bytes(width, "little")
+                for tables in preimages:
+                    pre = _map_set(tables, data)
+                    if pre & (pre - 1) == 0 or pre in stored:
+                        continue  # empty, a singleton, or seen
+                    if len(parent) + len(stored) >= b.max_closure:
+                        return greedy
+                    stored.add(pre)
+                    new.append(pre)
+            levels.append(_level(new, m))
+            meet = next((f for f in forward if _inside(f, levels[-1])), None)
+    word = []
+    node = meet
+    while parent[node] is not None:
+        node, g = parent[node]
+        word.append(g)
+    word.reverse()
+    for level in reversed(levels[:-1]):  # the walk, from the meeting set on
+        data = meet.to_bytes(width, "little")
+        for gi, tables in enumerate(images):
+            meet = _map_set(tables, data)
+            if _inside(meet, level):
                 break
-            seen.add(nxt)
-            parent[nxt] = (mask, gi)
-            queue.append(nxt)
-            if nxt & (nxt - 1) == 0:
-                letters = []
-                node = nxt
-                while node != full:
-                    node, g = parent[node]
-                    letters.append(g)
-                return yes(
-                    tuple(reversed(letters)),
-                    f"word is constant to point {nxt.bit_length() - 1}",
-                )
-    return greedy
+        word.append(gi)
+    return yes(tuple(word), f"word is constant to point {meet.bit_length() - 1}")
 
 
 def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:

@@ -140,9 +140,10 @@ class TestAnalyzeModes:
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"], capsys
         )
         assert code == 0
-        # One greedy merge answers all three questions.  The subset BFS
-        # builds one nibble table list per letter; swap2 is not proximal,
-        # so its NO is greedy merging's and the BFS never runs.
+        # One greedy merge answers all three questions.  The subset search
+        # builds one list of image tables per letter, and cerny4's forward
+        # side ends it alone; swap2 is not proximal, so its NO is greedy
+        # merging's and the search never runs.
         assert len(greedy) == 1
         assert len(tables) == {"cerny4": 2, "swap2": 0}[name]
 
@@ -160,6 +161,46 @@ class TestAnalyzeModes:
         )
         assert rep["results"]["is_proximal"]["status"] == "YES"
         assert len(merges) == 1
+
+    def test_zero_one_stochastic_base_runs_one_greedy_merge(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        greedy = []
+        real = proximality._greedy_reset
+
+        def counting(system):
+            greedy.append(system)
+            return real(system)
+
+        monkeypatch.setattr(proximality, "_greedy_reset", counting)
+        images = load_spec(str(SPECS / "cerny4.json")).system.generators
+        doc = _stoch_doc(
+            [[[12 * (j == y) for j in range(4)] for y in g.image] for g in images]
+        )
+        _, rep = run_json(
+            ["analyze", write_spec(tmp_path, doc), "--mode", "base"], capsys
+        )
+        assert len(greedy) == 1
+        _, det = run_json(
+            ["analyze", str(SPECS / "cerny4.json"), "--mode", "base"], capsys
+        )
+        for name in ("is_proximal", "strongly_proximal"):
+            assert rep["results"][name] == det["results"][name]
+
+    def test_base_verifies_cerny20(self, tmp_path, capsys):
+        # The forward BFS alone runs out of the default closure budget here.
+        doc = _det_doc(
+            [[(i + 1) % 20 for i in range(20)], [1] + list(range(1, 20))]
+        )
+        code, rep = run_json(
+            ["analyze", write_spec(tmp_path, doc), "--mode", "base", "--verify"],
+            capsys,
+        )
+        assert code == 0 and rep["verify"]["ok"]
+        reset = rep["results"]["reset_word"]
+        assert reset["certificate"].startswith("word is constant to point ")
+        for name in ("reset_word", "strongly_proximal"):
+            assert len(rep["results"][name]["witness"]) == 361
 
     @pytest.mark.parametrize("name", ["swap2", "two_sink10"])
     def test_base_reset_verdict_is_reset_word(self, name, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Proximality engines: pair decisions, reset words, strong proximality."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -107,20 +108,33 @@ def obstructed_pairs(sys, merged):
     return sorted(set(combinations(range(len(sys.space)), 2)) - merged)
 
 
-def want_reset(sys, b):
-    """The reset_word verdict the oracles give: greedy merging's NO, the
-    subset BFS's word, or the greedy word once the BFS meets the closure
-    budget."""
+def want_reset(sys):
+    """The reset_word verdict the oracles give with no closure budget:
+    greedy merging's NO, or the word of the forward subset BFS."""
     if len(sys.space) == 1:
         return Verdict(Status.YES, (), "single point, identity already constant")
     greedy = greedy_reset_oracle(sys)
     if greedy.status is Status.NO:
         return greedy
-    status, witness, _ = subset_bfs_oracle(sys, b.max_closure)
-    if status == "BUDGET":
-        return greedy
+    status, witness, _ = subset_bfs_oracle(sys, math.inf)
+    assert status == "YES"
     point = sys.word_transformation(witness)(0)
     return Verdict(Status.YES, witness, f"word is constant to point {point}")
+
+
+def assert_reset(sys, budgets):
+    """reset_word under each budget gives the oracles' verdict, or the
+    greedy word once the budget stops the search; exactly the oracles'
+    verdict under a budget of 2^(m + 1), room for every subset on both
+    sides."""
+    want = want_reset(sys)
+    greedy = greedy_reset_oracle(sys)
+    for b in budgets:
+        got = reset_word(sys, b)
+        if b.max_closure >= 2 ** (len(sys.space) + 1):
+            assert got == want
+        else:
+            assert got in (want, greedy)
 
 
 def stoch_system(*rows_list):
@@ -380,7 +394,7 @@ class TestResetWord:
 
     def test_fallback_obstruction_is_exact(self):
         # 0 and 1 merge, but 2 and 3 stay fixed forever; the subset budget
-        # of 2 would stop the subset BFS, and greedy merging decides first:
+        # of 2 would stop the subset search, and greedy merging decides first:
         # from (0, 2) it reaches (1, 2) and no other pair.
         sys = det_system((0, 0, 2, 3), (1, 1, 2, 3))
         tight = Budget(max_word_len=64, max_closure=2)
@@ -394,7 +408,7 @@ class TestResetWord:
 
     def test_no_skips_the_subset_search(self, searches, monkeypatch):
         # The NO is greedy merging's at any closure budget, and the subset
-        # BFS, which starts by building nibble tables, never runs.
+        # search, which starts by building nibble tables, never runs.
         nibbles = []
         monkeypatch.setattr(
             proximality, "_nibble_tables", lambda *args: nibbles.append(args)
@@ -402,6 +416,58 @@ class TestResetWord:
         sys = two_sink(8)
         assert reset_word(sys, Budget(max_closure=1)) == greedy_reset_oracle(sys)
         assert searches == [[(0, 1)]] and nibbles == []
+
+    def test_cerny_words_have_cerny_length(self):
+        # C_n's shortest reset word has (n - 1)^2 letters (Cerny 1964).
+        for n in range(2, 31):
+            sys = cerny(n)
+            v = reset_word(sys, B)
+            assert len(v.witness) == (n - 1) ** 2
+            assert v.certificate.startswith("word is constant to point ")
+            assert sys.word_transformation(v.witness).is_constant()
+
+    def test_both_sides_fit_a_small_budget(self):
+        # The forward BFS alone runs out of 2000 subsets on C_20 (and of
+        # 100000); the two sides meet well inside them.
+        sys = cerny(20)
+        tight = Budget(max_closure=2000)
+        assert subset_bfs_oracle(sys, tight.max_closure)[0] == "BUDGET"
+        v = reset_word(sys, tight)
+        assert len(v.witness) == 361 and v != greedy_reset_oracle(sys)
+        assert sys.word_transformation(v.witness).is_constant()
+
+    def test_large_levels_answer_like_plain_inclusion(self):
+        # Past 32 sets a backward level answers through its point index,
+        # transposed 256 sets at a time.
+        rng = random.Random(8)
+        answers = Counter()
+        for m, count in ((5, 40), (20, 600), (70, 300)):
+            sets = [rng.getrandbits(m) for _ in range(count)]
+            level = proximality._level(sets, m)
+            assert level[1] is not None
+            for _ in range(200):
+                mask = sum(1 << x for x in rng.sample(range(m), rng.randint(1, m)))
+                want = any(not mask & ~s for s in sets)
+                assert proximality._inside(mask, level) is want
+                answers[want] += 1
+        assert min(answers.values()) >= 100
+
+    def test_lift_builds_no_preimage_table(self, monkeypatch):
+        # The forward side finds the 924-atom lift's word alone, so only
+        # the image tables, one per letter, are built.
+        nibbles = []
+        real = proximality._nibble_tables
+
+        def counting(masks, m):
+            nibbles.append(masks)
+            return real(masks, m)
+
+        monkeypatch.setattr(proximality, "_nibble_tables", counting)
+        lifted = lift_system(cerny(7), 6).system
+        v = reset_word(lifted, B)
+        assert len(lifted.space) == 924
+        assert lifted.word_transformation(v.witness).is_constant()
+        assert nibbles == [[1 << y for y in g.image] for g in lifted.generators]
 
     def test_greedy_fallback_needs_no_word_budget(self):
         sys = cerny(8)
@@ -421,9 +487,10 @@ class TestResetWord:
         systems += [lift_system(sys, 3).system for sys in small[:30]]
         outcomes = Counter()
         for sys in systems:
-            for b in (B, Budget(max_closure=50)):
+            budgets = [B, Budget(max_closure=50)]
+            for b in budgets:
                 outcomes[subset_bfs_oracle(sys, b.max_closure)[0]] += 1
-                assert reset_word(sys, b) == want_reset(sys, b)
+            assert_reset(sys, budgets + [Budget(max_closure=2 ** (len(sys.space) + 1))])
         assert min(outcomes.values()) >= 30
 
     def test_stochastic_rejected(self):
@@ -670,8 +737,10 @@ class TestDifferential:
                 f"all {m * (m - 1) // 2} point pairs reach the diagonal",
             )
         assert is_proximal(sys, B) == prox
-        for b in (Budget(max_closure=500), Budget(max_closure=2)):
-            assert reset_word(sys, b) == want_reset(sys, b)
+        assert_reset(
+            sys,
+            [Budget(max_closure=c) for c in (500, 2, 2 ** (len(sys.space) + 1))],
+        )
         x = data.draw(st.integers(0, m - 1))
         y = data.draw(st.integers(0, m - 1))
         word = merge_word_oracle(sys, x, y)
