@@ -432,10 +432,11 @@ def _mode_base(
 ) -> tuple[dict, int, list[Replay]]:
     results: dict[str, Any] = {}
     replays: list[Replay] = []
-    if _deterministic_view(system) is not None:
+    det = _deterministic_view(system)
+    if det is not None:
         # One greedy merge and one subset search answer every question, on
-        # 0/1 stochastic matrices too.
-        reset = reset_word(system, b)
+        # 0/1 stochastic matrices too, unwrapped once here.
+        reset = reset_word(det, b)
         prox = _proximal_from_reset(reset, len(system.space))
         strong = _strong_from_reset(reset)
     else:

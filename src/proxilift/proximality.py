@@ -415,42 +415,15 @@ def _map_set(tables: list[tuple[list[int], list[int]]], data: bytes) -> int:
     return out
 
 
-def _level(sets: list[int], m: int) -> tuple[list[int], Optional[list[int]]]:
-    """A backward level for ``_inside``: its sets and, past 32 of them, a
-    point index, per point the mask of the positions of the sets that hold
-    it.  Testing set by set costs the product of two level sizes, which
-    large levels make prohibitive; small ones answer faster that way.  The
-    bit matrix is transposed as text, 256 sets (256 m characters) at a
-    time."""
-    if len(sets) <= 32:
-        return sets, None
-    index = [0] * m
-    for start in range(0, len(sets), 256):
-        chunk = reversed(sets[start : start + 256])
-        rows = "".join(format(s, f"0{m}b") for s in chunk)
-        for x in range(m):
-            index[x] |= int(rows[m - 1 - x :: m], 2) << start
-    return sets, index
-
-
-def _inside(mask: int, level: Optional[tuple]) -> bool:
-    """Does the set lie inside some set of a ``_level``?  None stands for
-    the level of the singletons.  With a point index, the entries of the
-    set's points must share a bit."""
+def _inside(mask: int, level: Optional[list[int]]) -> bool:
+    """Does the set lie inside some set of a backward level?  None stands
+    for the level of the singletons."""
     if level is None:
         return mask & (mask - 1) == 0
-    sets, index = level
-    if index is None:
-        for s in sets:
-            if not mask & ~s:
-                return True
-        return False
-    common = -1
-    while mask and common:
-        low = mask & -mask
-        common &= index[low.bit_length() - 1]
-        mask ^= low
-    return common != 0
+    for s in level:
+        if not mask & ~s:
+            return True
+    return False
 
 
 def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
@@ -465,8 +438,9 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     exactly when the set lies inside a preimage of a singleton under it, so
     a forward set at depth d1 inside a backward set at depth d2 closes a
     reset word of length d1 + d2.  Each round expands a whole level of the
-    side with the smaller frontier and tests it against the last level of
-    the other side; no other pair of levels can meet first.  The first meet
+    side with the smaller frontier and tests it, set by set, against the
+    last level of the other side; no other pair of levels can meet first,
+    but the tests cost the product of the two level sizes.  The first meet
     fixes the minimal length L.  The witness is the BFS word of the first
     meeting forward set in BFS order, the least of its length, then a walk:
     at each step the least letter whose image lies inside a backward set of
@@ -500,11 +474,11 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     parent: dict[int, Optional[tuple[int, int]]] = {full: None}
     stored: set[int] = set()  # backward sets beyond the singletons
     forward = [full]
-    levels: list[Optional[tuple]] = [None]  # backward, by depth
+    levels: list[Optional[list[int]]] = [None]  # backward, by depth
     meet = None
     while meet is None:
         backward = levels[-1]
-        if len(forward) <= (m if backward is None else len(backward[0])):
+        if len(forward) <= (m if backward is None else len(backward)):
             new = []
             for mask in forward:
                 data = mask.to_bytes(width, "little")
@@ -531,7 +505,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                         masks[y] |= 1 << x
                     preimages.append(_nibble_tables(masks, m))
             new = []
-            for mask in [1 << x for x in range(m)] if backward is None else backward[0]:
+            for mask in [1 << x for x in range(m)] if backward is None else backward:
                 data = mask.to_bytes(width, "little")
                 for tables in preimages:
                     pre = _map_set(tables, data)
@@ -541,7 +515,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                         return greedy
                     stored.add(pre)
                     new.append(pre)
-            levels.append(_level(new, m))
+            levels.append(new)
             meet = next((f for f in forward if _inside(f, levels[-1])), None)
     word = []
     node = meet

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from proxilift import Budget, Measure, SpecError, reset_word
+from proxilift import Budget, Measure, SpecError, StochasticMatrix, reset_word
 from proxilift import affine, cli, lift, proximality
 from proxilift.cli import (
     build_parser,
@@ -172,7 +172,15 @@ class TestAnalyzeModes:
             greedy.append(system)
             return real(system)
 
+        unwrapped = []
+        real_unwrap = StochasticMatrix.to_transformation
+
+        def counting_unwrap(matrix):
+            unwrapped.append(matrix)
+            return real_unwrap(matrix)
+
         monkeypatch.setattr(proximality, "_greedy_reset", counting)
+        monkeypatch.setattr(StochasticMatrix, "to_transformation", counting_unwrap)
         images = load_spec(str(SPECS / "cerny4.json")).system.generators
         doc = _stoch_doc(
             [[[12 * (j == y) for j in range(4)] for y in g.image] for g in images]
@@ -180,7 +188,8 @@ class TestAnalyzeModes:
         _, rep = run_json(
             ["analyze", write_spec(tmp_path, doc), "--mode", "base"], capsys
         )
-        assert len(greedy) == 1
+        # One greedy merge, on a view that unwraps each matrix once.
+        assert len(greedy) == 1 and len(unwrapped) == len(images)
         _, det = run_json(
             ["analyze", str(SPECS / "cerny4.json"), "--mode", "base"], capsys
         )
