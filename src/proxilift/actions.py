@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
-from .spaces import ZERO, FiniteSpace, Measure
+from .spaces import ZERO, FiniteSpace, Measure, _as_fraction
 
 Word = tuple[int, ...]
 
@@ -92,7 +92,7 @@ class StochasticMatrix:
     def from_rows(
         cls, rows: Sequence[Sequence[int | Fraction]]
     ) -> "StochasticMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
 
     @classmethod
     def from_transformation(cls, t: Transformation) -> "StochasticMatrix":

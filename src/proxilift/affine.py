@@ -34,8 +34,8 @@ from .errors import (
 )
 from .lift import CheckReport, LiftedSystem, _outcome, lift_system
 from .linalg import rank, solve_affine
-from .proximality import Budget, Verdict, is_proximal, strongly_proximal
-from .spaces import ZERO, FiniteSpace, Measure, random_measure
+from .proximality import Budget, Verdict, decide
+from .spaces import ZERO, FiniteSpace, Measure, _as_fraction, random_measure
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SimplexModel:
     def from_rows(
         cls, rows: Sequence[Sequence[int | Fraction]]
     ) -> "SimplexModel":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -241,9 +241,10 @@ def corollary_harness(
         )
     fsys = vertex_system(model, maps)
     lifted = lift_system(fsys, q)
+    proximal, strong, _ = decide(lifted.system, b)
     return CorollaryReport(
         extended=not all(m.is_surjective() for m in maps),
-        proximal=is_proximal(lifted.system, b),
-        strong=strongly_proximal(lifted.system, b),
+        proximal=proximal,
+        strong=strong,
         lifted=lifted,
     )

@@ -62,12 +62,7 @@ from .proximality import (
     Budget,
     Status,
     Verdict,
-    _deterministic_view,
-    _proximal_from_reset,
-    _strong_from_reset,
-    _strongly_proximal,
-    is_proximal,
-    reset_word,
+    decide,
 )
 from .spaces import (
     FiniteSpace,
@@ -432,17 +427,7 @@ def _mode_base(
 ) -> tuple[dict, int, list[Replay]]:
     results: dict[str, Any] = {}
     replays: list[Replay] = []
-    det = _deterministic_view(system)
-    if det is not None:
-        # One greedy merge and one subset search answer every question, on
-        # 0/1 stochastic matrices too, unwrapped once here.
-        reset = reset_word(det, b)
-        prox = _proximal_from_reset(reset, len(system.space))
-        strong = _strong_from_reset(reset)
-    else:
-        # The pair NO of strong proximality is the one is_proximal found.
-        prox = is_proximal(system, b)
-        strong = _strongly_proximal(system, b, prox)
+    prox, strong, reset = decide(system, b)
     named = [("is_proximal", prox), ("strongly_proximal", strong)]
     if system.kind is Kind.DETERMINISTIC:
         named.append(("reset_word", reset))

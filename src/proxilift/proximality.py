@@ -24,6 +24,8 @@ semi-decisions under an explicit budget: YES verdicts carry a replayable
 word plus a contraction certificate, everything else is UNKNOWN.  The
 greedy searches keep each product exactly as integer rows over one integer
 denominator; only the scores they compare become ``Fraction``s.
+``decide`` alone chooses between the reset path and row merging; its one
+greedy merge answers ``is_proximal`` and starts ``strongly_proximal``.
 """
 from __future__ import annotations
 
@@ -312,8 +314,8 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     with the Dobrushin product as an alternative certificate.
     """
     m = len(sys.space)
-    if not (0 <= x < m and 0 <= y < m):
-        raise ValidationError(f"point indices must lie in 0..{m - 1}")
+    if not all(isinstance(p, int) and 0 <= p < m for p in (x, y)):
+        raise ValidationError(f"point indices must be integers in 0..{m - 1}")
     word: Optional[Word] = ()
     if x != y:
         pair = (min(x, y), max(x, y))
@@ -454,9 +456,8 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     aside; when it runs out, the greedy word is the valid, possibly
     non-minimal, answer.  The preimage tables are built when the backward
     side first expands, which a search that the forward side ends alone
-    never does.  ``strongly_proximal`` on a deterministic system is this
-    verdict passed through ``_strong_from_reset``, and ``is_proximal``
-    through ``_proximal_from_reset``.
+    never does.  ``decide`` reads both other verdicts of a deterministic
+    system from this one.
     """
     det = _deterministic_view(sys)
     if det is None:
@@ -533,48 +534,51 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     return yes(tuple(word), f"word is constant to point {meet.bit_length() - 1}")
 
 
-def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
-    """Can every measure be pushed to (epsilon-close to) a point mass?
+def decide(
+    sys: ActionSystem, b: Budget
+) -> tuple[Verdict, Verdict, Optional[Verdict]]:
+    """The ``is_proximal``, ``strongly_proximal`` and ``reset_word``
+    verdicts of ``sys``; the last is None without a deterministic view.
 
-    Deterministic systems reduce exactly to reset_word: a constant word
-    collapses every measure to a point mass, and on a finite space no weaker
-    behaviour achieves convergence to point masses for all measures.
-    Stochastic systems: NO at the pair that greedy row merging cannot merge
-    (no vertex is near both of its disjoint rows); NO for a single generator
-    with a unique full-support stationary distribution plus strict
-    contraction (all orbits then converge to an interior point); YES when
-    some word takes every row within epsilon of one vertex; else UNKNOWN.
+    A deterministic view, 0/1 stochastic matrices unwrapped, gets one
+    ``reset_word``.  A constant word merges every pair and collapses every
+    measure to a point mass, and on a finite space no weaker behaviour
+    drives all measures to point masses; where greedy merging stops,
+    neither property holds.  Otherwise one greedy row merge answers
+    ``is_proximal``, and its NO, a pair of disjoint rows that never merge,
+    leaves no vertex near both rows.  Then strong proximality is NO for a
+    single generator with a unique full-support stationary distribution
+    plus strict contraction (all orbits converge to an interior point); YES
+    when some word takes every row within epsilon of one vertex; else
+    UNKNOWN.
     """
-    return _strongly_proximal(sys, b, None)
-
-
-def _strongly_proximal(
-    sys: ActionSystem, b: Budget, prox: Optional[Verdict]
-) -> Verdict:
-    """``strongly_proximal``, reading a stochastic system's pair NO from
-    ``prox``, its ``is_proximal`` verdict, when one is at hand."""
     det = _deterministic_view(sys)
     if det is not None:
-        return _strong_from_reset(reset_word(det, b))
-    if prox is None:
-        prox = _greedy_scrambling(sys)
+        reset = reset_word(det, b)
+        if reset.status is Status.YES:
+            strong = yes(
+                reset.witness, "reset word collapses every measure to a point mass"
+            )
+        else:
+            strong = no(f"no constant word exists ({reset.certificate})", reset.pair)
+        return _proximal_from_reset(reset, len(sys.space)), strong, reset
+    prox = _greedy_scrambling(sys)
     if prox.status is Status.NO:
-        return no(
-            f"no word crowds all rows near one vertex ({prox.certificate})",
-            prox.pair,
-        )
+        crowded = f"no word crowds all rows near one vertex ({prox.certificate})"
+        return prox, no(crowded, prox.pair), None
     if len(sys.generators) == 1:
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
-            return blocked
-    return _stochastic_vertex_search(sys, b)
+            return prox, blocked, None
+    return prox, _stochastic_vertex_search(sys, b), None
 
 
-def _strong_from_reset(v: Verdict) -> Verdict:
-    """The strong proximality verdict that a reset_word verdict decides."""
-    if v.status is Status.YES:
-        return yes(v.witness, "reset word collapses every measure to a point mass")
-    return no(f"no constant word exists ({v.certificate})", v.pair)
+def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
+    """Can every measure be pushed to (epsilon-close to) a point mass?
+
+    The second verdict of ``decide``, which explains how it is reached.
+    """
+    return decide(sys, b)[1]
 
 
 def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verdict]:

@@ -53,6 +53,11 @@ class TestStochasticMatrix:
         with pytest.raises(ValidationError):
             StochasticMatrix.from_rows([[F(1, 2), F(1, 3)], [0, 1]])
 
+    def test_float_entries_rejected(self):
+        # These floats are exact binary fractions whose rows sum to 1.
+        with pytest.raises(ValidationError, match="exact rational"):
+            StochasticMatrix.from_rows([[0.5, 0.5], [0.25, 0.75]])
+
     def test_deterministic_embedding_round_trip(self):
         t = Transformation((2, 0, 1))
         s = StochasticMatrix.from_transformation(t)

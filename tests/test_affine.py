@@ -1,10 +1,12 @@
 """Simplex model: embedding, extraction, equivariance, the affine harness."""
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from proxilift import proximality
 from proxilift import (
     AffineVertexMap,
     Budget,
@@ -19,10 +21,15 @@ from proxilift import (
     embed,
     extract,
     f_equivariance_check,
+    is_proximal,
+    strongly_proximal,
     tv_distance,
     vertex_system,
 )
+from proxilift.cli import load_spec
 from helpers import rand_measure
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 F = Fraction
 B = Budget()
@@ -50,6 +57,10 @@ class TestSimplexModel:
 
         with pytest.raises(DimensionMismatch):
             SimplexModel.from_rows([[1, 0], [0, 1, 0]])
+
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(ValidationError, match="exact rational"):
+            SimplexModel.from_rows([[0.5, 0], [0, 1]])
 
 
 class TestEmbedExtract:
@@ -192,3 +203,21 @@ class TestCorollaryHarness:
         amap = AffineVertexMap(((F(1, 2), F(1, 2)), (F(0), F(1))))
         with pytest.raises(UnsupportedKind):
             corollary_harness(wedge2(), [amap], 2, B)
+
+    def test_decides_the_lift_with_one_greedy_merge(self, monkeypatch):
+        spec = load_spec(str(SPECS / "affine_wedge.json"))
+        merged = []
+        real = proximality._greedy_reset
+
+        def counting(system):
+            merged.append(len(system.space))
+            return real(system)
+
+        monkeypatch.setattr(proximality, "_greedy_reset", counting)
+        rep = corollary_harness(spec.simplex, spec.maps, 3, B)
+        # One greedy merge of the 10-atom lift answers both questions.
+        assert merged == [10]
+        monkeypatch.undo()
+        lifted = rep.lifted.system
+        assert rep.proximal == is_proximal(lifted, B)
+        assert rep.strong == strongly_proximal(lifted, B)

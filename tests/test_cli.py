@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from proxilift import Budget, Measure, SpecError, StochasticMatrix, reset_word
+from proxilift import (
+    Budget,
+    Measure,
+    SpecError,
+    StochasticMatrix,
+    decide,
+    reset_word,
+)
 from proxilift import affine, cli, lift, proximality
 from proxilift.cli import (
     build_parser,
@@ -16,7 +23,6 @@ from proxilift.cli import (
     serialize_spec,
     verdict_json,
 )
-from proxilift.proximality import _strong_from_reset
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -218,11 +224,14 @@ class TestAnalyzeModes:
         else:
             path = str(SPECS / f"{name}.json")
         _, rep = run_json(["analyze", path, "--mode", "base"], capsys)
-        reset = reset_word(load_spec(path).system, Budget())
-        assert rep["results"]["reset_word"] == verdict_json(reset)
-        assert rep["results"]["strongly_proximal"] == verdict_json(
-            _strong_from_reset(reset)
-        )
+        system = load_spec(path).system
+        prox, strong, reset = decide(system, Budget())
+        assert reset == reset_word(system, Budget())
+        assert rep["results"] == {
+            "is_proximal": verdict_json(prox),
+            "strongly_proximal": verdict_json(strong),
+            "reset_word": verdict_json(reset),
+        }
 
     def test_prop1_and_thm_pass(self, capsys):
         for mode in ("prop1", "thm"):
@@ -364,7 +373,7 @@ class TestAnalyzeModes:
             "it avoid the diagonal",
             pair,
         )
-        monkeypatch.setattr(cli, "reset_word", lambda system, b: forged)
+        monkeypatch.setattr(proximality, "reset_word", lambda system, b: forged)
         code, rep = run_json(
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base", "--verify"],
             capsys,
@@ -387,7 +396,7 @@ class TestAnalyzeModes:
             "the diagonal",
             (0, 1),
         )
-        monkeypatch.setattr(cli, "is_proximal", lambda system, b: forged)
+        monkeypatch.setattr(proximality, "_greedy_scrambling", lambda system: forged)
         path = write_spec(tmp_path, GENERATED_SPECS["dense4x2"])
         code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
         assert code == 1

@@ -19,6 +19,7 @@ from proxilift import (
     UnsupportedKind,
     ValidationError,
     Verdict,
+    decide,
     is_proximal,
     lift_system,
     measure_pair_proximal,
@@ -252,6 +253,11 @@ class TestProximalPair:
     def test_invalid_points_rejected(self):
         with pytest.raises(ValidationError):
             proximal_pair(det_system((0, 1)), 0, 5, B)
+
+    @pytest.mark.parametrize("x, y", [(0, 1.0), (0.0, 1), (F(0), 1)])
+    def test_non_integer_points_rejected(self, x, y):
+        with pytest.raises(ValidationError, match="integers"):
+            proximal_pair(det_system((0, 1)), x, y, B)
 
     def test_stochastic_pair_contracts(self):
         sys = stoch_system([[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]])
@@ -707,8 +713,57 @@ def stochastic_systems(draw):
     return ActionSystem.stochastic(space, gens)
 
 
+@st.composite
+def base_systems(draw):
+    """A system of ``det_systems``, the same as 0/1 stochastic matrices, or
+    one of ``stochastic_systems``; with its deterministic view, or None."""
+    kind = draw(st.sampled_from(["det", "zero-one", "stochastic"]))
+    if kind == "stochastic":
+        return draw(stochastic_systems()), None
+    det = draw(det_systems())
+    if kind == "det":
+        return det, det
+    gens = [StochasticMatrix.from_transformation(g) for g in det.generators]
+    return ActionSystem.stochastic(det.space, gens), det
+
+
 class TestDifferential:
     """The fast paths against the brute-force oracles in ``helpers``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(base_systems())
+    def test_decide_matches_oracles(self, drawn):
+        # Room for every subset on both sides, so the reset word is the
+        # oracles'; a short word budget keeps the stochastic searches cheap.
+        sys, det = drawn
+        b = Budget(max_word_len=8, max_closure=2 ** (len(sys.space) + 1))
+        prox, strong, reset = decide(sys, b)
+        assert prox == is_proximal(sys, b)
+        if det is None:
+            assert reset is None
+            unmergeable = obstructed_pairs(sys, support_pairs_oracle(sys))
+            if unmergeable:
+                want = never_merges_no(
+                    sys, prox.pair, "no word crowds all rows near one vertex ({})"
+                )
+            else:
+                want = fraction_strongly_proximal(sys, b)
+        else:
+            assert reset == want_reset(det) == reset_word(sys, b)
+            if reset.status is Status.YES:
+                want = Verdict(
+                    Status.YES,
+                    reset.witness,
+                    "reset word collapses every measure to a point mass",
+                )
+            else:
+                want = Verdict(
+                    Status.NO,
+                    None,
+                    f"no constant word exists ({reset.certificate})",
+                    reset.pair,
+                )
+        assert strong == want == strongly_proximal(sys, b)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(det_systems(), st.data())
