@@ -196,11 +196,17 @@ class ActionSystem:
         return out
 
 
+def _push(image: Sequence[int], weights: Sequence[int | Fraction]) -> list:
+    """Deterministic pushforward of an exact weight vector: point i's weight
+    moves to image[i]; integer counts push to integer counts."""
+    out = [0] * len(weights)
+    for target, w in zip(image, weights):
+        out[target] += w
+    return out
+
+
 def _push_one_deterministic(t: Transformation, mu: Measure) -> Measure:
-    out = [ZERO] * len(mu)
-    for i, w in enumerate(mu.weights):
-        out[t(i)] += w
-    return Measure(tuple(out))
+    return Measure.from_weights(_push(t.image, mu.weights))
 
 
 def _push_one_stochastic(s: StochasticMatrix, mu: Measure) -> Measure:

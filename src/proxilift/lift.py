@@ -11,19 +11,23 @@ equivalences under study into executable checks:
 
 The barycenter map sends a measure on measures to its mean measure.  Its four
 laws (equivariance, the delta section, point-mass pullback, and the semigroup
-homomorphism law under convolution) are asserted as exact rational identities
-over randomized trials.
+homomorphism law under convolution) are asserted over randomized trials drawn
+with ``random_measure``'s RNG sequence.  Each trial keeps the integer masses
+of its draws, and both sides of a law are integer numerator vectors over one
+common denominator, so comparing them is the exact rational identity.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .actions import (
     ActionSystem,
@@ -32,10 +36,10 @@ from .actions import (
     Transformation,
     Word,
     _convolve,
-    convolution,
+    _push,
     pushforward,
 )
-from .errors import DimensionMismatch, UnsupportedKind
+from .errors import DimensionMismatch, UnsupportedKind, ValidationError
 from .proximality import (
     Budget,
     Status,
@@ -43,7 +47,14 @@ from .proximality import (
     is_proximal,
     strongly_proximal,
 )
-from .spaces import ZERO, FiniteSpace, GridSimplex, Measure, random_measure
+from .spaces import (
+    ZERO,
+    FiniteSpace,
+    GridSimplex,
+    Measure,
+    _as_int,
+    _random_counts,
+)
 from .transport import min_cost_transport
 
 # A meta-measure is a probability vector over grid atoms: same validation,
@@ -116,18 +127,32 @@ def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
     return LiftedSystem(grid, tuple(lifted))
 
 
+def _barycenter_numerators(
+    columns: Iterable[Sequence[int]], counts: Sequence[int]
+) -> list[int]:
+    """Base numerators of the barycenter of integer masses over grid atoms.
+
+    Atom k has composition c_k and mass counts[k]; ``columns`` is the
+    transpose of the c_k, so columns[j][k] = c_k[j].  Entry j is the sum of
+    counts[k] * c_k[j], and the barycenter is these over q * sum(counts).
+    The atoms may be the whole grid or any list of them, such as a support.
+    """
+    return [sum(map(mul, column, counts)) for column in columns]
+
+
 def barycenter(grid: GridSimplex, rho: MetaMeasure) -> Measure:
     """Mean measure of rho: sum over atoms c / q of rho(c / q) * c / q, exact."""
     if len(rho) != len(grid):
         raise DimensionMismatch("meta-measure size does not match grid", len(grid))
-    out = [ZERO] * len(grid.base)
-    for weight, c in zip(rho.weights, grid.compositions):
-        if weight == 0:
-            continue
-        for j, a in enumerate(c):
-            if a:
-                out[j] += weight * a
-    return Measure(tuple(w / grid.resolution for w in out))
+    den = math.lcm(*(w.denominator for w in rho.weights))
+    counts = [w.numerator * (den // w.denominator) for w in rho.weights]
+    total = den * grid.resolution
+    return Measure(
+        tuple(
+            Fraction(a, total)
+            for a in _barycenter_numerators(zip(*grid.compositions), counts)
+        )
+    )
 
 
 def push_meta(lifted: LiftedSystem, w: Word, rho: MetaMeasure) -> MetaMeasure:
@@ -160,6 +185,11 @@ def _random_word(rng: random.Random, gen_count: int, max_len: int = 6) -> Word:
     return tuple(rng.randrange(gen_count) for _ in range(rng.randint(0, max_len)))
 
 
+def _check_trials(trials: int) -> None:
+    if _as_int(trials, "trials") < 1:
+        raise ValidationError("a randomized law check needs at least 1 trial")
+
+
 def psi_checks(
     sys: ActionSystem, q: int, trials: int, seed: int
 ) -> CheckReport:
@@ -170,44 +200,61 @@ def psi_checks(
     (b) delta section: the barycenter of a point mass at an atom is the atom;
     (c) point-mass pullback: a meta-measure whose barycenter is a vertex
         point mass puts all its mass on that single vertex atom.
+
+    Trial t draws rho as ``random_measure`` would, from the same RNG calls,
+    and keeps its integer masses (total T).  Both sides of (a) and (c) are
+    then integer numerators over q * T, and the mixture of (c) has masses k
+    and 6 - k, so every identity is an exact integer identity over one
+    common denominator.
     """
+    _check_trials(trials)
     lifted = lift_system(sys, q)
     grid = lifted.grid
+    comps = grid.compositions
     n = len(grid)
     rng = random.Random(seed)
     violations: list[str] = []
 
-    for i, c in enumerate(grid.compositions):
-        got = barycenter(grid, Measure.point_mass(n, i))
-        if tuple(w * q for w in got.weights) != c:
+    for i, c in enumerate(comps):
+        # The point mass at atom i: its one atom c, with mass 1.
+        if tuple(_barycenter_numerators(zip(c), (1,))) != c:
             violations.append(f"delta section fails at atom {i}")
 
     m = len(grid.base)
-    vertex_atoms = {grid.vertex_index(x): x for x in range(m)}
+    vertices = [grid.vertex_index(x) for x in range(m)]
+    # Numerators over 6q of the vertex point mass at each vertex atom.
+    vertex_mass = {
+        v: [6 * q if j == x else 0 for j in range(m)]
+        for x, v in enumerate(vertices)
+    }
+    columns = list(zip(*comps))
+    lifted_maps = [t.image for t in lifted.generators]
+    base_maps = [t.image for t in sys.generators]
     for t in range(trials):
-        rho = random_measure(rng, n)
-        w = _random_word(rng, len(sys.generators))
-        lhs = barycenter(grid, push_meta(lifted, w, rho))
-        rhs = pushforward(sys, w, barycenter(grid, rho))
-        if lhs != rhs:
+        counts = _random_counts(rng, n)
+        w = _random_word(rng, len(base_maps))
+        pushed = counts
+        bc = _barycenter_numerators(columns, counts)
+        rhs = bc
+        for a in w:
+            pushed = _push(lifted_maps[a], pushed)
+            rhs = _push(base_maps[a], rhs)
+        if _barycenter_numerators(columns, pushed) != rhs:
             violations.append(f"equivariance fails on trial {t}, word {w}")
-        bc = barycenter(grid, rho)
-        if bc.is_point_mass():
-            x = bc.point_of_mass()
-            if not (
-                rho.is_point_mass()
-                and rho.point_of_mass() == grid.vertex_index(x)
-            ):
+        total = sum(counts)
+        if q * total in bc:
+            # The barycenter is the point mass at x, so all of rho's mass
+            # must sit on the vertex atom of x.
+            if counts[vertices[bc.index(q * total)]] != total:
                 violations.append(f"point-mass pullback fails on trial {t}")
         # Adversarial direction for (c): mass split between a vertex atom and
         # any other atom must never average back to the vertex.
-        vi = rng.choice(list(vertex_atoms))
+        vi = rng.choice(vertices)
         other = rng.randrange(n)
         if other != vi:
-            mix = Measure.point_mass(n, vi).mix(
-                Measure.point_mass(n, other), Fraction(rng.randint(1, 5), 6)
-            )
-            if barycenter(grid, mix) == Measure.point_mass(m, vertex_atoms[vi]):
+            k = rng.randint(1, 5)
+            mix = _barycenter_numerators(zip(comps[vi], comps[other]), (k, 6 - k))
+            if mix == vertex_mass[vi]:
                 violations.append(
                     f"point-mass pullback fails on mixture trial {t}"
                 )
@@ -225,28 +272,41 @@ def psi_homomorphism_check(
     barycenter(rho1) * barycenter(rho2) is asserted exactly.  Atoms a / q and
     b / q convolve to the q^2-grid atom whose composition is the integer
     convolution of a and b.
+
+    Trial t draws rho1 and rho2 as ``random_measure`` would, from the same
+    RNG calls, and keeps their integer masses (totals T1 and T2).  Both sides
+    are then integer numerators over T1 * T2 * q^2, so the identity is an
+    exact integer identity over one common denominator.
     """
+    _check_trials(trials)
     m = len(table)
     base = FiniteSpace.discrete(tuple(f"s{i}" for i in range(m)))
     grid = GridSimplex.build(base, q)
     fine = GridSimplex.build(base, q * q)
+    comps = grid.compositions
     n = len(grid)
+    columns = list(zip(*comps))
+    fine_columns = list(zip(*fine.compositions))
+    # The fine-grid atom that each pair of atoms convolves to.
+    product_atom = [
+        [fine.index[tuple(_convolve(table, a, b))] for b in comps] for a in comps
+    ]
     rng = random.Random(seed)
     violations: list[str] = []
     for t in range(trials):
-        rho1 = random_measure(rng, n)
-        rho2 = random_measure(rng, n)
-        fine_weights = [ZERO] * len(fine)
-        for wa, a in zip(rho1.weights, grid.compositions):
-            if wa == 0:
-                continue
-            for wb, b in zip(rho2.weights, grid.compositions):
-                if wb == 0:
-                    continue
-                fine_weights[fine.index[tuple(_convolve(table, a, b))]] += wa * wb
-        lhs = barycenter(fine, Measure(tuple(fine_weights)))
-        rhs = convolution(
-            table, barycenter(grid, rho1), barycenter(grid, rho2)
+        counts1 = _random_counts(rng, n)
+        counts2 = _random_counts(rng, n)
+        fine_counts = [0] * len(fine)
+        for k1, row in zip(counts1, product_atom):
+            if k1:
+                for k2, f in zip(counts2, row):
+                    if k2:
+                        fine_counts[f] += k1 * k2
+        lhs = _barycenter_numerators(fine_columns, fine_counts)
+        rhs = _convolve(
+            table,
+            _barycenter_numerators(columns, counts1),
+            _barycenter_numerators(columns, counts2),
         )
         if lhs != rhs:
             violations.append(f"homomorphism law fails on trial {t}")

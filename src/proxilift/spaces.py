@@ -38,6 +38,13 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _as_int(x: int, what: str) -> int:
+    """An integer index, count or resolution; floats are refused, not truncated."""
+    if isinstance(x, int):
+        return x
+    raise ValidationError(f"{what} must be an integer, got {type(x).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """Point labels plus a symmetric rational metric.
@@ -171,7 +178,7 @@ class Measure:
 
     @classmethod
     def point_mass(cls, m: int, i: int) -> "Measure":
-        if not 0 <= i < m:
+        if not 0 <= _as_int(i, "point index") < _as_int(m, "measure size"):
             raise ValidationError(f"point index {i} outside 0..{m - 1}")
         return cls(tuple(ONE if j == i else ZERO for j in range(m)))
 
@@ -278,7 +285,7 @@ class GridSimplex:
     resolution: int
 
     def __post_init__(self) -> None:
-        if self.resolution < 1:
+        if _as_int(self.resolution, "resolution") < 1:
             raise ValidationError("resolution must be positive")
 
     @classmethod
@@ -348,11 +355,18 @@ def tight_at(profile: Sequence[Fraction], epsilon: Fraction) -> bool:
     return any(p >= 1 - epsilon for p in profile)
 
 
-def random_measure(rng: random.Random, m: int, granularity: int = 12) -> Measure:
-    """A random exact-rational measure: integer masses up to granularity,
-    normalized by their sum."""
+def _random_counts(rng: random.Random, m: int, granularity: int = 12) -> list[int]:
+    """Integer masses up to granularity, not all zero: the numerators that
+    ``random_measure`` normalizes, drawn with the same RNG calls."""
     nums = [rng.randint(0, granularity) for _ in range(m)]
     if not any(nums):
         nums[rng.randrange(m)] = 1
+    return nums
+
+
+def random_measure(rng: random.Random, m: int, granularity: int = 12) -> Measure:
+    """A random exact-rational measure: integer masses up to granularity,
+    normalized by their sum."""
+    nums = _random_counts(rng, m, granularity)
     total = sum(nums)
     return Measure(tuple(Fraction(a, total) for a in nums))

@@ -5,8 +5,8 @@ solved by enumerating every integer coupling, synchronization by enumerating
 words level by level or by a subset BFS that applies maps point by point,
 mergeable pairs by forward fixed points over the points or the row supports,
 invariant meta-measures by enumerating the vertices of the invariance
-polytope, and the stochastic greedy searches by multiplying ``Fraction``
-matrices.  Expected values frozen into tests come from these or from hand
+polytope, the stochastic greedy searches by multiplying ``Fraction``
+matrices, and the barycenter laws on validated ``Fraction`` measures.  Expected values frozen into tests come from these or from hand
 evaluation, never from the code under test.
 """
 
@@ -22,8 +22,11 @@ from typing import Optional, Sequence
 from proxilift import (
     ActionSystem,
     Budget,
+    CheckReport,
     FiniteSpace,
+    GridSimplex,
     Measure,
+    SemigroupTable,
     Status,
     StochasticMatrix,
     Transformation,
@@ -31,6 +34,7 @@ from proxilift import (
     dobrushin,
     lift_system,
     pushforward,
+    random_measure,
     tv_distance,
 )
 from proxilift.linalg import solve_affine
@@ -683,3 +687,117 @@ def fraction_strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
         if blocked is not None:
             return blocked
     return _fraction_vertex_search(sys, b)
+
+
+# ---------------------------------------------------------------------------
+# Barycenter-law oracle: the psi checks on validated ``Fraction`` measures,
+# with their own barycenter, pushforward and convolution loops.  Trials are
+# drawn with the library's ``random_measure`` and the same RNG calls as
+# ``psi_checks`` and ``psi_homomorphism_check``, so the reports, violations
+# included, must be equal.
+
+def fraction_barycenter(grid: GridSimplex, rho: Measure) -> Measure:
+    """Sum over atoms c / q of rho(c / q) * c / q, one Fraction at a time."""
+    out = [Fraction(0)] * len(grid.base)
+    for weight, c in zip(rho.weights, grid.compositions):
+        for j, a in enumerate(c):
+            out[j] += weight * a
+    return Measure(tuple(w / grid.resolution for w in out))
+
+
+def _fraction_push(
+    images: Sequence[Sequence[int]], word: tuple[int, ...], mu: Measure
+) -> Measure:
+    for letter in word:
+        out = [Fraction(0)] * len(mu)
+        for i, w in enumerate(mu.weights):
+            out[images[letter][i]] += w
+        mu = Measure(tuple(out))
+    return mu
+
+
+def _convolve_weights(table: SemigroupTable, mu: Sequence, nu: Sequence) -> list:
+    """(mu * nu)(z) = sum over x.y = z of mu(x) nu(y), over every pair."""
+    out = [0] * len(table)
+    for x, y in product(range(len(table)), repeat=2):
+        out[table(x, y)] += mu[x] * nu[y]
+    return out
+
+
+def fraction_psi_checks(
+    sys: ActionSystem, q: int, trials: int, seed: int
+) -> CheckReport:
+    """Delta section, equivariance and point-mass pullback, as ``psi_checks``."""
+    lifted = lift_system(sys, q)
+    grid = lifted.grid
+    n = len(grid)
+    rng = random.Random(seed)
+    violations: list[str] = []
+    for i, c in enumerate(grid.compositions):
+        got = fraction_barycenter(grid, Measure.point_mass(n, i))
+        if tuple(w * q for w in got.weights) != c:
+            violations.append(f"delta section fails at atom {i}")
+    m = len(grid.base)
+    vertex_atoms = {grid.vertex_index(x): x for x in range(m)}
+    lifted_images = [g.image for g in lifted.generators]
+    base_images = [g.image for g in sys.generators]
+    for t in range(trials):
+        rho = random_measure(rng, n)
+        w = tuple(
+            rng.randrange(len(base_images)) for _ in range(rng.randint(0, 6))
+        )
+        bc = fraction_barycenter(grid, rho)
+        lhs = fraction_barycenter(grid, _fraction_push(lifted_images, w, rho))
+        if lhs != _fraction_push(base_images, w, bc):
+            violations.append(f"equivariance fails on trial {t}, word {w}")
+        if bc.is_point_mass():
+            x = bc.point_of_mass()
+            if not (
+                rho.is_point_mass()
+                and rho.point_of_mass() == grid.vertex_index(x)
+            ):
+                violations.append(f"point-mass pullback fails on trial {t}")
+        vi = rng.choice(list(vertex_atoms))
+        other = rng.randrange(n)
+        if other != vi:
+            mix = Measure.point_mass(n, vi).mix(
+                Measure.point_mass(n, other), Fraction(rng.randint(1, 5), 6)
+            )
+            if fraction_barycenter(grid, mix) == Measure.point_mass(
+                m, vertex_atoms[vi]
+            ):
+                violations.append(
+                    f"point-mass pullback fails on mixture trial {t}"
+                )
+    return CheckReport("psi_laws", trials, tuple(violations))
+
+
+def fraction_psi_homomorphism(
+    table: SemigroupTable, q: int, trials: int, seed: int
+) -> CheckReport:
+    """barycenter(rho1 conv rho2) = barycenter(rho1) * barycenter(rho2) on
+    the q^2 grid, as ``psi_homomorphism_check``."""
+    m = len(table)
+    base = FiniteSpace.discrete(tuple(f"s{i}" for i in range(m)))
+    grid = GridSimplex.build(base, q)
+    fine = GridSimplex.build(base, q * q)
+    n = len(grid)
+    rng = random.Random(seed)
+    violations: list[str] = []
+    for t in range(trials):
+        rho1 = random_measure(rng, n)
+        rho2 = random_measure(rng, n)
+        fine_weights = [Fraction(0)] * len(fine)
+        for wa, a in zip(rho1.weights, grid.compositions):
+            for wb, b in zip(rho2.weights, grid.compositions):
+                atom = fine.index[tuple(_convolve_weights(table, a, b))]
+                fine_weights[atom] += wa * wb
+        lhs = fraction_barycenter(fine, Measure(tuple(fine_weights)))
+        rhs = _convolve_weights(
+            table,
+            fraction_barycenter(grid, rho1).weights,
+            fraction_barycenter(grid, rho2).weights,
+        )
+        if lhs != Measure.from_weights(rhs):
+            violations.append(f"homomorphism law fails on trial {t}")
+    return CheckReport("psi_homomorphism", trials, tuple(violations))

@@ -5,7 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
+import proxilift.lift as lift_module
 from proxilift import (
     ActionSystem,
     Budget,
@@ -15,12 +18,14 @@ from proxilift import (
     HarnessMode,
     HarnessReport,
     HarnessRow,
+    LiftedSystem,
     Measure,
     SemigroupTable,
     Status,
     StochasticMatrix,
     Transformation,
     UnsupportedKind,
+    ValidationError,
     Verdict,
     barycenter,
     equivalence_harness,
@@ -36,6 +41,8 @@ from proxilift import (
     w1_distance,
 )
 from helpers import (
+    fraction_psi_checks,
+    fraction_psi_homomorphism,
     polytope_oracle,
     rand_det_system,
     rand_measure,
@@ -122,6 +129,10 @@ class TestLiftSystem:
         with pytest.raises(UnsupportedKind):
             lift_system(sys, 2)
 
+    def test_non_integer_resolution_rejected(self):
+        with pytest.raises(ValidationError, match="resolution"):
+            lift_system(cerny4(), 2.0)
+
 
 class TestBarycenter:
     def test_delta_section_every_atom(self):
@@ -179,6 +190,17 @@ class TestPsiChecks:
         rhs = pushforward(sys, (0,), barycenter(grid, rho))
         assert lhs == rhs == Measure.from_weights([F(1, 2), F(1, 2)])
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValidationError, match="at least 1 trial"):
+            psi_checks(cerny4(), 2, trials, seed=1)
+
+    def test_non_integer_arguments_rejected(self):
+        with pytest.raises(ValidationError, match="resolution"):
+            psi_checks(cerny4(), 2.0, 10, seed=1)
+        with pytest.raises(ValidationError, match="trials"):
+            psi_checks(cerny4(), 2, 10.0, seed=1)
+
 
 class TestPsiHomomorphism:
     def test_z2(self):
@@ -193,6 +215,18 @@ class TestPsiHomomorphism:
         rep = psi_homomorphism_check(SemigroupTable.left_zero(3), 2, 40, seed=6)
         assert rep.ok, rep.violations
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValidationError, match="at least 1 trial"):
+            psi_homomorphism_check(SemigroupTable.cyclic(2), 2, trials, seed=1)
+
+    def test_non_integer_arguments_rejected(self):
+        table = SemigroupTable.cyclic(2)
+        with pytest.raises(ValidationError, match="resolution"):
+            psi_homomorphism_check(table, 2.0, 10, seed=1)
+        with pytest.raises(ValidationError, match="trials"):
+            psi_homomorphism_check(table, 2, 10.0, seed=1)
+
     def test_unit_law_point_mass_at_identity(self):
         table = SemigroupTable.cyclic(3)
         base = FiniteSpace.discrete(("e", "g", "h"))
@@ -206,6 +240,72 @@ class TestPsiHomomorphism:
             mu = barycenter(grid, rho1)
             # convolving with the identity point mass changes nothing
             assert convolution(table, mu, Measure.point_mass(3, 0)) == mu
+
+
+@st.composite
+def small_det_systems(draw):
+    """A deterministic system on 1-4 points with 1-3 generators."""
+    m = draw(st.integers(1, 4))
+    point = st.integers(0, m - 1)
+    return det_system(
+        *draw(st.lists(st.tuples(*[point] * m), min_size=1, max_size=3))
+    )
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+TABLES = st.one_of(
+    st.builds(SemigroupTable.cyclic, st.integers(2, 4)),
+    st.builds(SemigroupTable.left_zero, st.integers(2, 3)),
+)
+
+
+class TestPsiOracle:
+    """The integer law checks against the Fraction oracle in ``helpers``."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(small_det_systems(), st.integers(1, 3), SEEDS)
+    def test_psi_checks_match_oracle(self, sys, q, seed):
+        assert psi_checks(sys, q, 12, seed) == fraction_psi_checks(sys, q, 12, seed)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(TABLES, st.integers(1, 3), SEEDS)
+    def test_homomorphism_matches_oracle(self, table, q, seed):
+        assert psi_homomorphism_check(
+            table, q, 6, seed
+        ) == fraction_psi_homomorphism(table, q, 6, seed)
+
+    def test_redirected_atom_image_breaks_equivariance(self, monkeypatch):
+        sys = cerny4()
+        good = lift_system(sys, 2)
+        image = list(good.generators[0].image)
+        image[0] = (image[0] + 1) % len(image)
+        bad = LiftedSystem(
+            good.grid, (Transformation(tuple(image)),) + good.generators[1:]
+        )
+        monkeypatch.setattr(lift_module, "lift_system", lambda s, q: bad)
+        monkeypatch.setattr(helpers, "lift_system", lambda s, q: bad)
+        rep = psi_checks(sys, 2, 40, seed=8)
+        assert rep == fraction_psi_checks(sys, 2, 40, seed=8)
+        failed = [v for v in rep.violations if v.startswith("equivariance fails")]
+        assert failed and len(failed) == len(rep.violations)
+
+    def test_corrupted_fine_index_breaks_homomorphism(self, monkeypatch):
+        # The q^2-grid atom of (2,2,0) = (2,0,0) conv (1,1,0) in Z_3 is
+        # redirected to the atom of (4,0,0).
+        table = SemigroupTable.cyclic(3)
+        build_index = GridSimplex.index.func
+
+        def index(grid):
+            out = build_index(grid)
+            if grid.resolution == 4:
+                out = dict(out)
+                out[(2, 2, 0)] = out[(4, 0, 0)]
+            return out
+
+        monkeypatch.setattr(GridSimplex, "index", property(index))
+        rep = psi_homomorphism_check(table, 2, 20, seed=9)
+        assert rep.violations
+        assert rep == fraction_psi_homomorphism(table, 2, 20, seed=9)
 
 
 class TestEquivalenceHarness:

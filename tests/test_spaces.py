@@ -148,6 +148,10 @@ class TestMeasure:
         a = Measure.point_mass(2, 0).mix(Measure.point_mass(2, 1), F(1, 3))
         assert a.weights == (F(1, 3), F(2, 3))
 
+    def test_point_mass_rejects_non_integer_index(self):
+        with pytest.raises(ValidationError, match="point index"):
+            Measure.point_mass(2, 1.0)
+
     def test_random_measure_valid(self):
         rng = random.Random(7)
         for _ in range(50):
