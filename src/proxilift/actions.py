@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
-from .spaces import ZERO, FiniteSpace, Measure, _as_fraction
+from .spaces import ZERO, FiniteSpace, Measure, _check_indices, _fraction_rows
 
 Word = tuple[int, ...]
 
@@ -35,8 +35,7 @@ class Transformation:
         m = len(self.image)
         if m == 0:
             raise ValidationError("transformation on an empty set")
-        if any(not 0 <= j < m for j in self.image):
-            raise ValidationError("transformation image out of range")
+        _check_indices(self.image, m, "transformation image")
 
     @classmethod
     def identity(cls, m: int) -> "Transformation":
@@ -75,24 +74,16 @@ class StochasticMatrix:
         m = len(self.rows)
         if m == 0:
             raise ValidationError("empty stochastic matrix")
-        for i, row in enumerate(self.rows):
+        for row in self.rows:
             if len(row) != m:
                 raise DimensionMismatch("stochastic matrix must be square", m)
-            total = ZERO
-            for p in row:
-                if not isinstance(p, Fraction):
-                    raise ValidationError("entries must be Fractions")
-                if p < 0 or p > 1:
-                    raise ValidationError(f"entry {p} outside [0,1]")
-                total += p
-            if total != 1:
-                raise ValidationError(f"row {i} sums to {total}, not 1")
+            Measure(row)  # each row is a probability vector
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[int | Fraction]]
     ) -> "StochasticMatrix":
-        return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
+        return cls(_fraction_rows(rows))
 
     @classmethod
     def from_transformation(cls, t: Transformation) -> "StochasticMatrix":
@@ -169,19 +160,19 @@ class ActionSystem:
         return cls(space, Kind.STOCHASTIC, tuple(matrices))
 
     def check_word(self, w: Word) -> None:
-        k = len(self.generators)
-        if any(not 0 <= a < k for a in w):
-            raise ValidationError(f"word letter outside 0..{k - 1}")
+        _check_indices(w, len(self.generators), "word letter")
 
     def word_transformation(self, w: Word) -> Transformation:
-        """The single transformation realized by a word, left-to-right."""
+        """The single transformation realized by a word, left-to-right; the
+        images compose as plain lists and only the result is wrapped."""
         if self.kind is not Kind.DETERMINISTIC:
             raise UnsupportedKind("word_transformation needs a deterministic system")
         self.check_word(w)
-        t = Transformation.identity(len(self.space))
+        image: Sequence[int] = range(len(self.space))
         for a in w:
-            t = t.then(self.generators[a])
-        return t
+            g = self.generators[a].image
+            image = [g[j] for j in image]
+        return Transformation(tuple(image))
 
     def word_matrix(self, w: Word) -> StochasticMatrix:
         """The product matrix realized by a word, left-to-right."""
@@ -246,8 +237,9 @@ class SemigroupTable:
         if m == 0:
             raise ValidationError("empty semigroup table")
         for row in self.table:
-            if len(row) != m or any(not 0 <= x < m for x in row):
+            if len(row) != m:
                 raise ValidationError("table is not a total operation")
+            _check_indices(row, m, "table entry")
         for x in range(m):
             for y in range(m):
                 xy = self.table[x][y]

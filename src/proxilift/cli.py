@@ -120,6 +120,14 @@ def _rows(
     )
 
 
+def _at(path: str, build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args), with a library error raised as a SpecError at path."""
+    try:
+        return build(*args)
+    except ProxiliftError as exc:
+        raise SpecError(path, str(exc)) from exc
+
+
 def parse_space(node: Any, path: str) -> FiniteSpace:
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with labels and metric")
@@ -127,10 +135,7 @@ def parse_space(node: Any, path: str) -> FiniteSpace:
     if not all(isinstance(x, str) for x in labels):
         raise SpecError(f"{path}.labels", "labels must be strings")
     rows = _rows(node.get("metric"), f"{path}.metric", parse_rational)
-    try:
-        return FiniteSpace(tuple(labels), rows)
-    except ProxiliftError as exc:
-        raise SpecError(path, str(exc)) from exc
+    return _at(path, FiniteSpace, tuple(labels), rows)
 
 
 def parse_action(node: Any, space: FiniteSpace, path: str) -> ActionSystem:
@@ -155,28 +160,15 @@ def parse_action(node: Any, space: FiniteSpace, path: str) -> ActionSystem:
             image = tuple(
                 _expect_int(x, f"{gpath}[{i}]") for i, x in enumerate(glist)
             )
-            try:
-                gens.append(Transformation(image))
-            except ProxiliftError as exc:
-                raise SpecError(gpath, str(exc)) from exc
+            gens.append(_at(gpath, Transformation, image))
         else:
             rows = _rows(glist, gpath, parse_rational)
-            try:
-                gens.append(StochasticMatrix(rows))
-            except ProxiliftError as exc:
-                raise SpecError(gpath, str(exc)) from exc
-    try:
-        return ActionSystem(space, kind, tuple(gens))
-    except ProxiliftError as exc:
-        raise SpecError(path, str(exc)) from exc
+            gens.append(_at(gpath, StochasticMatrix, rows))
+    return _at(path, ActionSystem, space, kind, tuple(gens))
 
 
 def parse_table(node: Any, path: str) -> SemigroupTable:
-    rows = _rows(node, path, _expect_int)
-    try:
-        return SemigroupTable(rows)
-    except ProxiliftError as exc:
-        raise SpecError(path, str(exc)) from exc
+    return _at(path, SemigroupTable, _rows(node, path, _expect_int))
 
 
 def parse_simplex(
@@ -185,10 +177,7 @@ def parse_simplex(
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with vertices and maps")
     vertices = _rows(node.get("vertices"), f"{path}.vertices", parse_rational)
-    try:
-        model = SimplexModel(vertices)
-    except ProxiliftError as exc:
-        raise SpecError(f"{path}.vertices", str(exc)) from exc
+    model = _at(f"{path}.vertices", SimplexModel, vertices)
     map_nodes = _expect_list(node.get("maps"), f"{path}.maps")
     if not map_nodes:
         raise SpecError(f"{path}.maps", "need at least one map")
@@ -196,17 +185,11 @@ def parse_simplex(
     for mi, mnode in enumerate(map_nodes):
         mpath = f"{path}.maps[{mi}]"
         mlist = _expect_list(mnode, mpath)
-        try:
-            if all(isinstance(x, int) and not isinstance(x, bool) for x in mlist):
-                maps.append(
-                    AffineVertexMap.from_vertex_images(mlist, model.n)
-                )
-            else:
-                maps.append(AffineVertexMap(_rows(mlist, mpath, parse_rational)))
-        except SpecError:
-            raise
-        except ProxiliftError as exc:
-            raise SpecError(mpath, str(exc)) from exc
+        if all(type(x) is int for x in mlist):
+            maps.append(_at(mpath, AffineVertexMap.from_vertex_images, mlist, model.n))
+        else:
+            rows = _rows(mlist, mpath, parse_rational)
+            maps.append(_at(mpath, AffineVertexMap, rows))
     return model, tuple(maps)
 
 

@@ -20,7 +20,6 @@ common denominator, so comparing them is the exact rational identity.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +39,7 @@ from .actions import (
     pushforward,
 )
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
+from .linalg import clear_denominators
 from .proximality import (
     Budget,
     Status,
@@ -144,8 +144,7 @@ def barycenter(grid: GridSimplex, rho: MetaMeasure) -> Measure:
     """Mean measure of rho: sum over atoms c / q of rho(c / q) * c / q, exact."""
     if len(rho) != len(grid):
         raise DimensionMismatch("meta-measure size does not match grid", len(grid))
-    den = math.lcm(*(w.denominator for w in rho.weights))
-    counts = [w.numerator * (den // w.denominator) for w in rho.weights]
+    (counts,), den = clear_denominators((rho.weights,))
     total = den * grid.resolution
     return Measure(
         tuple(

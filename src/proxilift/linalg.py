@@ -2,15 +2,26 @@
 
 Everything here works on lists of :class:`fractions.Fraction` and is exact; no
 floating point, no tolerances.  Matrices are small (desk scale), so plain
-Gaussian elimination is the right tool.
+Gaussian elimination is the right tool.  ``clear_denominators`` is the one
+place where rational rows become integer rows over a common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def clear_denominators(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], int]:
+    """The rows as integer rows over their least common denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def rank(rows: list[list[Fraction]]) -> int:

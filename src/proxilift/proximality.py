@@ -30,7 +30,6 @@ greedy merge answers ``is_proximal`` and starts ``strongly_proximal``.
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +46,8 @@ from .actions import (
     pushforward,
 )
 from .errors import UnsupportedKind, ValidationError
-from .linalg import solve_affine
-from .spaces import Measure, tv_distance
+from .linalg import clear_denominators, solve_affine
+from .spaces import Measure, _as_fraction, _as_int, _check_indices, tv_distance
 
 
 class Status(enum.Enum):
@@ -99,9 +98,10 @@ class Budget:
     epsilon: Fraction = Fraction(1, 1000)
 
     def __post_init__(self) -> None:
-        if self.max_word_len < 1 or self.max_closure < 1:
-            raise ValidationError("budget limits must be positive")
-        if not 0 < self.epsilon < 1:
+        for name in ("max_word_len", "max_closure"):
+            if _as_int(getattr(self, name), name) < 1:
+                raise ValidationError("budget limits must be positive")
+        if not 0 < _as_fraction(self.epsilon) < 1:
             raise ValidationError("epsilon must lie strictly between 0 and 1")
 
 
@@ -250,13 +250,6 @@ def _greedy_scrambling(sys: ActionSystem) -> Verdict:
 IntRows = list[list[int]]
 
 
-def _integer_rows(s: StochasticMatrix) -> tuple[IntRows, int]:
-    """Rows of s as integers over their least common denominator."""
-    den = math.lcm(*(p.denominator for row in s.rows for p in row))
-    rows = [[p.numerator * (den // p.denominator) for p in row] for row in s.rows]
-    return rows, den
-
-
 def _dobrushin(rows: IntRows, den: int) -> Fraction:
     """Dobrushin coefficient of the matrix with these rows over den."""
     gap = max(
@@ -284,7 +277,7 @@ def _greedy_products(
     steps = []
     for g in sys.generators:
         assert isinstance(g, StochasticMatrix)
-        g_rows, g_den = _integer_rows(g)
+        g_rows, g_den = clear_denominators(g.rows)
         steps.append((list(zip(*g_rows)), g_den))
     m = len(sys.space)
     rows = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -314,8 +307,7 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     with the Dobrushin product as an alternative certificate.
     """
     m = len(sys.space)
-    if not all(isinstance(p, int) and 0 <= p < m for p in (x, y)):
-        raise ValidationError(f"point indices must be integers in 0..{m - 1}")
+    _check_indices((x, y), m, "point index")
     word: Optional[Word] = ()
     if x != y:
         pair = (min(x, y), max(x, y))
@@ -344,8 +336,8 @@ def _stochastic_pair_search(
     """
     if tv_distance(mu, nu) < b.epsilon:
         return yes((), f"tv already below epsilon for {label}")
-    scale = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
-    diff = [int((p - r) * scale) for p, r in zip(mu.weights, nu.weights)]
+    (mu_n, nu_n), scale = clear_denominators((mu.weights, nu.weights))
+    diff = list(map(sub, mu_n, nu_n))
 
     def key(rows: IntRows, den: int) -> tuple[Fraction, Fraction]:
         gap = sum(abs(sum(map(mul, diff, col))) for col in zip(*rows))

@@ -15,34 +15,49 @@ by integer min-cost flow after clearing denominators.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
+from .linalg import clear_denominators
 from .transport import min_cost_transport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The exact-input gate.  Every index, count, resolution and rational that
+# enters the library passes one of these four: floats are refused, not
+# truncated, and so are booleans, which Python would take as 0 and 1.
 def _as_fraction(x: int | Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _fraction_rows(
+    rows: Iterable[Iterable[int | Fraction]],
+) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(map(_as_fraction, row)) for row in rows)
+
+
 def _as_int(x: int, what: str) -> int:
-    """An integer index, count or resolution; floats are refused, not truncated."""
-    if isinstance(x, int):
+    if type(x) is int:
         return x
     raise ValidationError(f"{what} must be an integer, got {type(x).__name__}")
+
+
+def _check_indices(xs: Collection[int], m: int, what: str) -> None:
+    """Every entry of xs is an integer in 0..m-1.  Types, min and max are
+    read over the whole collection at once, so hot constructors stay fast."""
+    if xs and (set(map(type, xs)) != {int} or min(xs) < 0 or max(xs) >= m):
+        raise ValidationError(f"{what} outside the integers 0..{m - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +81,15 @@ class FiniteSpace:
             raise ValidationError("point labels must be distinct")
         if self.matrix is None:
             return
-        if len(self.metric) != m or any(len(row) != m for row in self.metric):
+        rows = _fraction_rows(self.matrix)
+        if len(rows) != m or any(len(row) != m for row in rows):
             raise DimensionMismatch("metric matrix must be square of size", m)
         for i in range(m):
-            if self.metric[i][i] != 0:
+            if rows[i][i] != 0:
                 raise ValidationError(f"metric diagonal must be zero at {i}")
             for j in range(i + 1, m):
-                d = self.metric[i][j]
-                if d != self.metric[j][i]:
+                d = rows[i][j]
+                if d != rows[j][i]:
                     raise ValidationError(f"metric not symmetric at ({i},{j})")
                 if d <= 0:
                     raise ValidationError(
@@ -81,15 +97,13 @@ class FiniteSpace:
                     )
         # A metric with all off-diagonal entries equal satisfies the triangle
         # inequality outright (d <= d + d); skip the cubic sweep then.
-        off = {
-            self.metric[i][j] for i in range(m) for j in range(m) if i != j
-        }
+        off = {rows[i][j] for i in range(m) for j in range(m) if i != j}
         if len(off) > 1:
             for i in range(m):
-                row_i = self.metric[i]
+                row_i = rows[i]
                 for j in range(m):
                     d_ij = row_i[j]
-                    row_j = self.metric[j]
+                    row_j = rows[j]
                     for k in range(m):
                         if d_ij + row_j[k] < row_i[k]:
                             raise ValidationError(
@@ -110,10 +124,7 @@ class FiniteSpace:
     def from_rows(
         cls, labels: Sequence[str], rows: Sequence[Sequence[int | Fraction]]
     ) -> "FiniteSpace":
-        return cls(
-            tuple(labels),
-            tuple(tuple(_as_fraction(x) for x in row) for row in rows),
-        )
+        return cls(tuple(labels), _fraction_rows(rows))
 
     @cached_property
     def metric(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -178,8 +189,7 @@ class Measure:
 
     @classmethod
     def point_mass(cls, m: int, i: int) -> "Measure":
-        if not 0 <= _as_int(i, "point index") < _as_int(m, "measure size"):
-            raise ValidationError(f"point index {i} outside 0..{m - 1}")
+        _check_indices((i,), _as_int(m, "measure size"), "point index")
         return cls(tuple(ONE if j == i else ZERO for j in range(m)))
 
     @classmethod
@@ -237,9 +247,7 @@ def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
         raise DimensionMismatch("measure size does not match space", m)
     if mu == nu:
         return ZERO
-    denom = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
-    supply = [int(w * denom) for w in mu.weights]
-    demand = [int(w * denom) for w in nu.weights]
+    (supply, demand), denom = clear_denominators((mu.weights, nu.weights))
     return min_cost_transport(supply, demand, space.metric) / denom
 
 
@@ -263,7 +271,7 @@ def grid_atoms(m: int, q: int) -> list[Measure]:
     Lexicographic on the numerator vectors (a_0, ..., a_{m-1}); there are
     binomial(q+m-1, m-1) of them.
     """
-    if m < 1 or q < 1:
+    if _as_int(m, "measure size") < 1 or _as_int(q, "resolution") < 1:
         raise ValidationError("need m >= 1 and q >= 1")
     return [
         Measure(tuple(Fraction(a, q) for a in c)) for c in _compositions(m, q)
@@ -343,8 +351,7 @@ def tightness_profile(
         k = set(raw)
         if not prev <= k:
             raise ValidationError("sets must be nested increasing")
-        if any(not 0 <= i < m for i in k):
-            raise ValidationError("set contains an invalid point index")
+        _check_indices(k, m, "set point")
         profile.append(min(mu.mass_of(k) for mu in seq))
         prev = k
     return profile
@@ -367,6 +374,8 @@ def _random_counts(rng: random.Random, m: int, granularity: int = 12) -> list[in
 def random_measure(rng: random.Random, m: int, granularity: int = 12) -> Measure:
     """A random exact-rational measure: integer masses up to granularity,
     normalized by their sum."""
-    nums = _random_counts(rng, m, granularity)
+    nums = _random_counts(
+        rng, _as_int(m, "measure size"), _as_int(granularity, "granularity")
+    )
     total = sum(nums)
     return Measure(tuple(Fraction(a, total) for a in nums))

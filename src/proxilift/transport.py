@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .linalg import clear_denominators
+
 
 def min_cost_transport(
     supply: Sequence[int],
@@ -38,8 +40,7 @@ def min_cost_transport(
     c = [[cost[i][j] for j in cols] for i in rows]
     if any(x < 0 for row in c for x in row):
         raise ValueError("negative transport cost")
-    scale = math.lcm(*(x.denominator for row in c for x in row))
-    c = [[x.numerator * (scale // x.denominator) for x in row] for row in c]
+    c, scale = clear_denominators(c)
     left, need = [supply[i] for i in rows], [demand[j] for j in cols]
     m, n = len(rows), len(cols)
     flow = [[0] * n for _ in range(m)]

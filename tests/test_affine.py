@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from proxilift import proximality
+from proxilift import affine, proximality
 from proxilift import (
     AffineVertexMap,
     Budget,
@@ -168,9 +168,32 @@ class TestEquivariance:
         assert rep.ok, rep.violations
 
     def test_general_rows_unsupported(self):
+        # General rows push by the stochastic pushforward, which agrees
+        # exactly with the affine hull map.
         amap = AffineVertexMap(((F(1, 2), F(1, 2)), (F(0), F(1))))
-        with pytest.raises(UnsupportedKind):
-            f_equivariance_check(wedge2(), [amap], trials=5, seed=1)
+        rep = f_equivariance_check(wedge2(), [amap], trials=60, seed=1)
+        assert rep.ok, rep.violations
+
+    def test_general_rows_with_a_permutation(self):
+        model = SimplexModel.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+        maps = [
+            AffineVertexMap.from_rows(
+                [[F(1, 3), F(1, 3), F(1, 3)], [0, F(1, 2), F(1, 2)], [0, 0, 1]]
+            ),
+            AffineVertexMap.from_vertex_images([1, 2, 0], 3),
+        ]
+        rep = f_equivariance_check(model, maps, trials=60, seed=2)
+        assert rep.ok, rep.violations
+
+    def test_wrong_hull_map_is_caught(self, monkeypatch):
+        amap = AffineVertexMap(((F(1, 2), F(1, 2)), (F(0), F(1))))
+        swap = AffineVertexMap.from_vertex_images([1, 0], 2)
+        real = affine.apply_map
+        monkeypatch.setattr(
+            affine, "apply_map", lambda model, _, x: real(model, swap, x)
+        )
+        rep = f_equivariance_check(wedge2(), [amap], trials=30, seed=1)
+        assert rep.violations
 
 
 class TestCorollaryHarness:

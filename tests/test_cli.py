@@ -65,6 +65,60 @@ class TestParseRational:
             parse_rational(bad, "x")
 
 
+SPACE2 = {"labels": ["a", "b"], "metric": [[0, 1], [1, 0]]}
+
+# One malformed spec per place where a library error becomes a SpecError,
+# with the JSON path it must be reported at.
+MALFORMED = {
+    "asymmetric metric": (
+        {
+            "space": {"labels": ["a", "b"], "metric": [[0, 1], [2, 0]]},
+            "action": {"kind": "deterministic", "generators": [[1, 0]]},
+        },
+        "space",
+    ),
+    "image out of range": (
+        {
+            "space": SPACE2,
+            "action": {"kind": "deterministic", "generators": [[1, 0], [0, 2]]},
+        },
+        "action.generators[1]",
+    ),
+    "row not summing to 1": (
+        {
+            "space": SPACE2,
+            "action": {"kind": "stochastic", "generators": [[[1, 0], ["1/2", 0]]]},
+        },
+        "action.generators[0]",
+    ),
+    "generator of the wrong size": (
+        {
+            "space": SPACE2,
+            "action": {"kind": "deterministic", "generators": [[1, 0, 2]]},
+        },
+        "action",
+    ),
+    "table not associative": ({"table": [[1, 0], [0, 0]]}, "table"),
+    "dependent vertices": (
+        {"simplex": {"vertices": [[1, 0], [2, 0]], "maps": [[0, 0]]}},
+        "simplex.vertices",
+    ),
+    "bad vertex image": (
+        {"simplex": {"vertices": [[1, 0], [0, 1]], "maps": [[1, 0], [0, 2]]}},
+        "simplex.maps[1]",
+    ),
+}
+
+
+class TestSpecErrorPaths:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_library_error_reported_at_its_path(self, case, tmp_path):
+        doc, path = MALFORMED[case]
+        with pytest.raises(SpecError) as info:
+            load_spec(write_spec(tmp_path, doc))
+        assert info.value.path == path
+
+
 class TestLoadSpec:
     @pytest.mark.parametrize("name", [p.name for p in sorted(SPECS.glob("*.json"))])
     def test_shipped_specs_round_trip(self, name, tmp_path):

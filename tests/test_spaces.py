@@ -6,16 +6,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxilift import (
     ActionSystem,
+    AffineVertexMap,
+    Budget,
     DimensionMismatch,
     FiniteSpace,
     GridSimplex,
     Measure,
+    SemigroupTable,
+    SimplexModel,
+    StochasticMatrix,
+    Transformation,
     ValidationError,
     grid_atoms,
     lift_system,
+    proximal_pair,
+    psi_checks,
+    pushforward,
     random_measure,
     tight_at,
     tightness_profile,
@@ -23,6 +33,7 @@ from proxilift import (
     w1_distance,
 )
 from proxilift.cli import ParsedSpec, load_spec, serialize_spec
+from proxilift.linalg import clear_denominators
 from helpers import brute_force_w1, rand_grid_measure, rand_metric_space
 
 F = Fraction
@@ -286,3 +297,89 @@ class TestTightness:
         seq = [Measure.uniform(3)]
         with pytest.raises(ValidationError):
             tightness_profile(seq, [[0, 1], [1, 2]])
+
+
+def _gate_cases():
+    ab = FiniteSpace.discrete(("a", "b"))
+    sys2 = ActionSystem.deterministic(ab, [(0, 1), (1, 0)])
+    b = Budget()
+    # Each entry point with one exact slot x; every case is valid at x = 1
+    # (the epsilon case at x = 1/2), and a float or a bool there must raise.
+    return {
+        "Transformation": lambda x: Transformation((0, x)),
+        "ActionSystem.deterministic": lambda x: ActionSystem.deterministic(
+            ab, [(x, 0)]
+        ),
+        "pushforward word": lambda x: pushforward(
+            sys2, (0, x), Measure.point_mass(2, 0)
+        ),
+        "word_transformation": lambda x: sys2.word_transformation((x,)),
+        "SemigroupTable": lambda x: SemigroupTable(((0, x), (x, 0))),
+        "from_vertex_images": lambda x: AffineVertexMap.from_vertex_images(
+            [0, x], 2
+        ),
+        "proximal_pair": lambda x: proximal_pair(sys2, 0, x, b),
+        "point_mass": lambda x: Measure.point_mass(2, x),
+        "tightness_profile": lambda x: tightness_profile(
+            [Measure.uniform(2)], [[0, x]]
+        ),
+        "grid_atoms size": lambda x: grid_atoms(x, 2),
+        "grid_atoms resolution": lambda x: grid_atoms(2, x),
+        "GridSimplex": lambda x: GridSimplex.build(ab, x),
+        "lift_system": lambda x: lift_system(sys2, x),
+        "random_measure": lambda x: random_measure(random.Random(0), x),
+        "psi_checks trials": lambda x: psi_checks(sys2, 2, x, 0),
+        "Budget.max_word_len": lambda x: Budget(max_word_len=x),
+        "Budget.max_closure": lambda x: Budget(max_closure=x),
+        "Budget.epsilon": (lambda x: Budget(epsilon=x), F(1, 2)),
+        "FiniteSpace": lambda x: FiniteSpace(("a", "b"), ((0, x), (x, 0))),
+        "FiniteSpace.from_rows": lambda x: FiniteSpace.from_rows(
+            ("a", "b"), [[0, x], [x, 0]]
+        ),
+        "SimplexModel": lambda x: SimplexModel(((x, 0), (0, 1))),
+        "SimplexModel.from_rows": lambda x: SimplexModel.from_rows(
+            [[x, 0], [0, 1]]
+        ),
+        "StochasticMatrix.from_rows": lambda x: StochasticMatrix.from_rows(
+            [[x, 0], [0, x]]
+        ),
+        "Measure.from_weights": lambda x: Measure.from_weights([x, 0]),
+    }
+
+
+GATE_CASES = _gate_cases()
+
+
+class TestExactInputGate:
+    @staticmethod
+    def case(name):
+        build = GATE_CASES[name]
+        return build if isinstance(build, tuple) else (build, 1)
+
+    @pytest.mark.parametrize("name", list(GATE_CASES))
+    def test_exact_value_accepted(self, name):
+        build, good = self.case(name)
+        build(good)
+
+    @pytest.mark.parametrize("inexact", [float, bool], ids=["float", "bool"])
+    @pytest.mark.parametrize("name", list(GATE_CASES))
+    def test_float_and_bool_rejected(self, name, inexact):
+        build, good = self.case(name)
+        with pytest.raises(ValidationError):
+            build(inexact(good))
+
+
+class TestClearDenominators:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.lists(st.fractions(max_denominator=60), min_size=1, max_size=5),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_integers_over_lcm_give_back_every_entry(self, rows):
+        ints, den = clear_denominators(rows)
+        assert den == math.lcm(*(x.denominator for row in rows for x in row))
+        assert [[Fraction(a, den) for a in row] for row in ints] == rows
+        assert all(type(a) is int for row in ints for a in row)
