@@ -12,9 +12,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
+from .linalg import clear_denominators
 from .spaces import ZERO, FiniteSpace, Measure, _check_indices, _fraction_rows
 
 Word = tuple[int, ...]
@@ -175,16 +177,32 @@ class ActionSystem:
         return Transformation(tuple(image))
 
     def word_matrix(self, w: Word) -> StochasticMatrix:
-        """The product matrix realized by a word, left-to-right."""
+        """The product matrix realized by a word, left-to-right.
+
+        The product is kept as integer rows over one integer denominator: a
+        transformation moves each column to its image, a stochastic letter
+        multiplies by its own integer rows and denominator.  The
+        ``Fraction`` entries are built once, at the end.
+        """
         self.check_word(w)
         m = len(self.space)
-        out = StochasticMatrix.from_transformation(Transformation.identity(m))
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+        den = 1
+        letters: dict[int, tuple[list, int]] = {}
         for a in w:
             g = self.generators[a]
             if isinstance(g, Transformation):
-                g = StochasticMatrix.from_transformation(g)
-            out = out.then(g)
-        return out
+                rows = [_push(g.image, row) for row in rows]
+                continue
+            if a not in letters:
+                g_rows, g_den = clear_denominators(g.rows)
+                letters[a] = list(zip(*g_rows)), g_den
+            cols, g_den = letters[a]
+            rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            den *= g_den
+        return StochasticMatrix(
+            tuple(tuple(Fraction(p, den) for p in row) for row in rows)
+        )
 
 
 def _push(image: Sequence[int], weights: Sequence[int | Fraction]) -> list:

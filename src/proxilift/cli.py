@@ -356,6 +356,26 @@ def _pair_replay(desc: str, v: Verdict, sysm: ActionSystem) -> list[Replay]:
     return [(desc, run)]
 
 
+def _bound_replay(
+    desc: str, v: Verdict, sysm: ActionSystem, epsilon: Fraction
+) -> list[Replay]:
+    """The replay of a NO that bounds every generator entry, or nothing.
+
+    It recomputes the largest entry of the generators.  It holds when that
+    entry is at most 1 - epsilon and the certificate states exactly it.
+    """
+    claim = "every generator entry is at most "
+    certificate = v.certificate or ""
+    if v.status is not Status.NO or not certificate.startswith(claim):
+        return []
+
+    def run() -> bool:
+        top = max(p for g in sysm.generators for row in g.rows for p in row)
+        return top <= 1 - epsilon and certificate.startswith(f"{claim}{top} <= ")
+
+    return [(desc, run)]
+
+
 def _is_constant(sysm: ActionSystem) -> Callable[[Word], bool]:
     return lambda word: sysm.word_transformation(word).is_constant()
 
@@ -426,6 +446,12 @@ def _mode_base(
             "strongly_proximal witness crowds a vertex",
             strong,
             _crowds_vertex(system, b.epsilon),
+        )
+        replays += _bound_replay(
+            "strongly_proximal generator entries are at most 1 - epsilon",
+            strong,
+            system,
+            b.epsilon,
         )
     for name, v in named:
         results[name] = verdict_json(v)
@@ -803,7 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument(
         "--verify",
         action="store_true",
-        help="replay every YES witness and every pair NO, and record the outcome",
+        help="replay every YES witness, every pair NO and every entry-bound "
+        "NO, and record the outcome",
     )
     an.set_defaults(func=analyze)
 

@@ -19,11 +19,17 @@ byte at a time through nibble tables.
 On stochastic systems the pair search reads the supports of the rows.
 Greedy row merging either builds a scrambling word, whose Dobrushin
 coefficient is below 1 (Paz 1971), or stops at a pair that never merges,
-an exact NO for both questions.  Beyond that the searches are
-semi-decisions under an explicit budget: YES verdicts carry a replayable
-word plus a contraction certificate, everything else is UNKNOWN.  The
-greedy searches keep each product exactly as integer rows over one integer
-denominator; only the scores they compare become ``Fraction``s.
+an exact NO for both questions.  Strong proximality of a stochastic system
+is the value-1 problem of a probabilistic automaton, undecidable in general
+(Gimbert and Oualhadj, ICALP 2010).  It has two exact NOs: a single
+generator whose orbits converge to an interior stationary law, and
+generators with no entry above 1 - epsilon, since the entries of a product
+never exceed the largest entry of its last letter.  Beyond those the
+searches are semi-decisions under an explicit budget: YES verdicts carry a
+replayable word plus a contraction certificate, everything else is
+UNKNOWN.  The greedy searches keep each product exactly as integer rows
+over one integer denominator; only the scores they compare become
+``Fraction``s.
 ``decide`` alone chooses between the reset path and row merging; its one
 greedy merge answers ``is_proximal`` and starts ``strongly_proximal``.
 """
@@ -540,9 +546,12 @@ def decide(
     ``is_proximal``, and its NO, a pair of disjoint rows that never merge,
     leaves no vertex near both rows.  Then strong proximality is NO for a
     single generator with a unique full-support stationary distribution
-    plus strict contraction (all orbits converge to an interior point); YES
-    when some word takes every row within epsilon of one vertex; else
-    UNKNOWN.
+    plus strict contraction (all orbits converge to an interior point).  It
+    is NO when no generator entry exceeds 1 - epsilon: the entries of every
+    nonempty product stay at most the largest one, so no row of any word
+    comes near a vertex, in the limit too, and the identity's rows are m
+    distinct vertices.  Otherwise it is YES when some word takes every row
+    within epsilon of one vertex, and else UNKNOWN.
     """
     det = _deterministic_view(sys)
     if det is not None:
@@ -562,6 +571,14 @@ def decide(
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
             return prox, blocked, None
+    top = max(p for g in sys.generators for row in g.rows for p in row)
+    if top <= 1 - b.epsilon:
+        # An entry of S_ug is sum_z (S_u)_yz g_zx <= max_z g_zx <= top.
+        bounded = no(
+            f"every generator entry is at most {top} <= 1 - epsilon, so every "
+            f"row of every nonempty word stays tv >= {1 - top} from every vertex"
+        )
+        return prox, bounded, None
     return prox, _stochastic_vertex_search(sys, b), None
 
 

@@ -130,6 +130,32 @@ def rand_sparse_stochastic_system(rng: random.Random, m: int) -> ActionSystem:
     )
 
 
+def rand_spread_stochastic_system(rng: random.Random, m: int) -> ActionSystem:
+    """1-3 generators on m >= 2 points whose every row has two or more
+    positive entries, so no entry is 1.
+
+    Each row has a denominator from 2, 3, 4, 7, 12, a random support of at
+    least two points and at least one unit of it on each of them.
+    """
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        rows = []
+        for _ in range(m):
+            den = rng.choice((2, 3, 4, 7, 12))
+            support = rng.sample(range(m), rng.randint(2, min(m, den)))
+            nums = [0] * m
+            for j in support:
+                nums[j] = 1
+            for _ in range(den - len(support)):
+                nums[rng.choice(support)] += 1
+            rows.append([Fraction(a, den) for a in nums])
+        gens.append(rows)
+    space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+    return ActionSystem.stochastic(
+        space, [StochasticMatrix.from_rows(rows) for rows in gens]
+    )
+
+
 def rand_block_stochastic_system(rng: random.Random, m: int) -> ActionSystem:
     """1-3 generators that keep two classes of points closed.
 
@@ -566,6 +592,36 @@ def polytope_oracle(sys: ActionSystem, q: int) -> list[Measure]:
 # matrix products, one StochasticMatrix.then per candidate.  Verdicts come
 # with the same witnesses and certificate text as the library's searches.
 
+def fraction_word_matrix(sys: ActionSystem, word: tuple[int, ...]) -> StochasticMatrix:
+    """S_w as the left fold of ``StochasticMatrix.then`` from the identity,
+    transformations taken as their 0/1 matrices."""
+    out = StochasticMatrix.from_transformation(
+        Transformation.identity(len(sys.space))
+    )
+    for a in word:
+        g = sys.generators[a]
+        if isinstance(g, Transformation):
+            g = StochasticMatrix.from_transformation(g)
+        out = out.then(g)
+    return out
+
+
+def largest_entry(sys: ActionSystem) -> Fraction:
+    return max(p for g in sys.generators for row in g.rows for p in row)
+
+
+def products_within(sys: ActionSystem, top: Fraction, max_len: int) -> bool:
+    """Does every product of 1..max_len generators keep each entry at most
+    top?  Every word is multiplied out on its own."""
+    letters = range(len(sys.generators))
+    return all(
+        p <= top
+        for n in range(1, max_len + 1)
+        for word in product(letters, repeat=n)
+        for row in fraction_word_matrix(sys, word).rows
+        for p in row
+    )
+
 def _yes(word: tuple[int, ...], certificate: str) -> Verdict:
     return Verdict(Status.YES, word, certificate)
 
@@ -579,7 +635,7 @@ def fraction_pair_search(
 ) -> Verdict:
     """Greedy tv descent for proximal_pair and measure_pair_proximal."""
     word: tuple[int, ...] = ()
-    matrix = sys.word_matrix(())
+    matrix = fraction_word_matrix(sys, ())
     cur_mu, cur_nu = mu, nu
     if tv_distance(cur_mu, cur_nu) < b.epsilon:
         return _yes((), f"tv already below epsilon for {label}")
@@ -609,7 +665,7 @@ def fraction_pair_search(
 def is_scrambling(sys: ActionSystem, word: tuple[int, ...]) -> bool:
     """Do every two rows of S_w share a positive column?  S_w is the exact
     ``Fraction`` product of the word's matrices."""
-    rows = sys.word_matrix(word).rows
+    rows = fraction_word_matrix(sys, word).rows
     return all(
         any(p > 0 and r > 0 for p, r in zip(rows[i], rows[j]))
         for i, j in combinations(range(len(rows)), 2)
@@ -651,7 +707,7 @@ def _fraction_single_generator_obstruction(
 
 def _fraction_vertex_search(sys: ActionSystem, b: Budget) -> Verdict:
     word: tuple[int, ...] = ()
-    matrix = sys.word_matrix(())
+    matrix = fraction_word_matrix(sys, ())
 
     def score(mat: StochasticMatrix) -> Fraction:
         return max(min(col) for col in zip(*mat.rows))
@@ -680,13 +736,27 @@ def _fraction_vertex_search(sys: ActionSystem, b: Budget) -> Verdict:
     )
 
 
+def fraction_entry_bound(sys: ActionSystem, b: Budget) -> Optional[Verdict]:
+    """NO when no generator entry exceeds 1 - epsilon."""
+    top = largest_entry(sys)
+    if top > 1 - b.epsilon:
+        return None
+    return Verdict(
+        Status.NO,
+        None,
+        f"every generator entry is at most {top} <= 1 - epsilon, so every row "
+        f"of every nonempty word stays tv >= {1 - top} from every vertex",
+    )
+
+
 def fraction_strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
-    """strongly_proximal on a stochastic system: obstruction, then search."""
+    """strongly_proximal on a stochastic system: obstruction, entry bound,
+    then search."""
     if len(sys.generators) == 1:
         blocked = _fraction_single_generator_obstruction(sys, b)
         if blocked is not None:
             return blocked
-    return _fraction_vertex_search(sys, b)
+    return fraction_entry_bound(sys, b) or _fraction_vertex_search(sys, b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxilift import (
     ActionSystem,
@@ -19,7 +20,13 @@ from proxilift import (
     pushforward,
     tv_distance,
 )
-from helpers import rand_det_system, rand_measure, rand_stochastic
+from helpers import (
+    fraction_word_matrix,
+    rand_det_system,
+    rand_measure,
+    rand_sparse_stochastic_system,
+    rand_stochastic,
+)
 
 F = Fraction
 
@@ -199,6 +206,37 @@ class TestDobrushin:
         for _ in range(60):
             a, b = rand_stochastic(rng, 3), rand_stochastic(rng, 3)
             assert dobrushin(a.then(b)) <= dobrushin(a) * dobrushin(b)
+
+
+@st.composite
+def word_systems(draw):
+    """A deterministic system on 1-5 points, the same as 0/1 stochastic
+    matrices, or a general stochastic system on 2-5 points, sparse or
+    dense; with a word of 0-12 letters."""
+    kind = draw(st.sampled_from(["det", "zero-one", "sparse", "dense"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1 if kind in ("det", "zero-one") else 2, 5))
+    if kind == "sparse":
+        sys = rand_sparse_stochastic_system(rng, m)
+    elif kind == "dense":
+        space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+        gens = [rand_stochastic(rng, m) for _ in range(draw(st.integers(1, 3)))]
+        sys = ActionSystem.stochastic(space, gens)
+    else:
+        sys = rand_det_system(rng, m)
+        if kind == "zero-one":
+            gens = [StochasticMatrix.from_transformation(g) for g in sys.generators]
+            sys = ActionSystem.stochastic(sys.space, gens)
+    letter = st.integers(0, len(sys.generators) - 1)
+    return sys, tuple(draw(st.lists(letter, max_size=12)))
+
+
+class TestWordMatrix:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(word_systems())
+    def test_matches_fraction_fold(self, drawn):
+        sys, word = drawn
+        assert sys.word_matrix(word) == fraction_word_matrix(sys, word)
 
 
 class TestSystemValidation:

@@ -52,6 +52,17 @@ LAZY_PAIR = {
     },
 }
 
+# One generator whose stationary law is the point mass at a: it is not of
+# full support, its largest entry is 1, and 64 steps move only about 6.4e-4
+# of b's mass onto a, so the vertex search runs out of words.
+SLOW_LEAK = {
+    "space": {"labels": ["a", "b"], "metric": [[0, 1], [1, 0]]},
+    "action": {
+        "kind": "stochastic",
+        "generators": [[[1, 0], ["1/100000", "99999/100000"]]],
+    },
+}
+
 
 class TestParseRational:
     def test_accepts(self):
@@ -352,12 +363,54 @@ class TestAnalyzeModes:
         assert rep["results"]["corollary"]["outcome"] == "PASS"
 
     def test_stochastic_unknown_exits_2(self, tmp_path, capsys):
-        path = write_spec(tmp_path, LAZY_PAIR)
+        path = write_spec(tmp_path, SLOW_LEAK)
         code, rep = run_json(["analyze", path, "--mode", "base"], capsys)
         assert code == 2
         res = rep["results"]
         assert res["is_proximal"]["status"] == "YES"
         assert res["strongly_proximal"]["status"] == "UNKNOWN"
+
+    def test_entry_bound_no_is_replayed(self, tmp_path, capsys):
+        # No entry of LAZY_PAIR exceeds 3/4, so no row of any word comes
+        # within 1/4 of a vertex.
+        path = write_spec(tmp_path, LAZY_PAIR)
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 0
+        assert rep["results"]["strongly_proximal"] == {
+            "status": "NO",
+            "witness": None,
+            "certificate": "every generator entry is at most 3/4 <= 1 - epsilon, "
+            "so every row of every nonempty word stays tv >= 1/4 from every vertex",
+        }
+        assert rep["verify"] == {"checked": 2, "ok": True, "failures": []}
+
+    @pytest.mark.parametrize(
+        "doc, top, epsilon",
+        [
+            (SLOW_LEAK, "1", "1/1000"),  # an entry of 1
+            (LAZY_PAIR, "2/3", "1/1000"),  # not the largest entry
+            (LAZY_PAIR, "3/4", "1/2"),  # above 1 - epsilon
+        ],
+        ids=["entry-one", "wrong-value", "above-bound"],
+    )
+    def test_verify_rejects_false_entry_bound_no(
+        self, doc, top, epsilon, monkeypatch, tmp_path, capsys
+    ):
+        forged = proximality.no(
+            f"every generator entry is at most {top} <= 1 - epsilon, so every "
+            "row of every nonempty word stays tv >= 0 from every vertex"
+        )
+        real = cli.decide
+        monkeypatch.setattr(
+            cli, "decide", lambda system, b: (real(system, b)[0], forged, None)
+        )
+        path = write_spec(tmp_path, doc)
+        argv = ["analyze", path, "--mode", "base", "--epsilon", epsilon, "--verify"]
+        code, rep = run_json(argv, capsys)
+        assert code == 1
+        assert rep["verify"]["failures"] == [
+            "strongly_proximal generator entries are at most 1 - epsilon"
+        ]
 
     def test_verify_replays(self, capsys):
         code, rep = run_json(
@@ -681,6 +734,7 @@ class TestGoldenDigests:
             ("z2_translation", "psi", "cc0ad39643f82720ea5be5ed26f121d0d0f92d3c61c6326c3b234bc3d1e2f946"),
             ("cerny4", "psi", "0aca029f1c96fd8d3eeb5c849efc73de1e5fbc3cea833a9b65ead556b7b59f54"),
             ("lazy_chain", "base", "2c016a74ca50dfd9f8eee17707585f0b252d4d47007394df3f63c0faa0744211"),
+            ("lazy_pair", "base", "8749beb5eaf45627e4b5ba7445a4175f4ae5d87ebe50e70fcd9b99357eb55731"),
             ("affine_wedge", "affine", "c762184106fbb2c4a38f3d3eccf0499698f610897bc9c27d8e84baf5cf8af6b4"),
         ],
     )
@@ -702,8 +756,8 @@ class TestGoldenDigests:
             ("cerny9", "e9bcb49321f0674733c6dc6d226659db30a69c43afe073d5ad8a6988b7a95d7d"),
             ("circular11_step2", "85baade3dfc379114efb3e87337fb78bbe9c75c9ecb146a8bb9034a2b8103f66"),
             ("two_sink10", "9260144038774a77dc10208a3bc0a2b3a014db2441a9224ae71a80d9372d7088"),
-            ("dense4x2", "bfc3826287883a934d5f167d520948fbeabf09641a78639bc5ac1ff712da0638"),
-            ("sparse5x3", "15d32f263fffd70cb62cb6d3de712c39d78ba1feb36ddf47f4abe572f9eb31c6"),
+            ("dense4x2", "e92133e2d4de7f753ea8d589bb2a49fe8c97d83f168dc2606c97a74bdb6e2e1a"),
+            ("sparse5x3", "4da0f9b2554b87331b34a37f7e0c6c522ec3a5f49a4ac0f4aecb142d46f14221"),
             ("block4x2", "3cc7e340b3658abe62a8d6ed6216f4b7f9242963d36bbd1d1cc8d4db313ddf54"),
         ],
     )

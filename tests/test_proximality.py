@@ -30,19 +30,24 @@ from proxilift import (
     tv_distance,
 )
 from helpers import (
+    _fraction_vertex_search,
     brute_merge_length,
     brute_reset_length,
+    fraction_entry_bound,
     fraction_pair_search,
     fraction_strongly_proximal,
     greedy_reset_oracle,
     is_scrambling,
+    largest_entry,
     merge_word_oracle,
     mergeable_pairs_oracle,
     never_merges_no,
+    products_within,
     rand_block_stochastic_system,
     rand_det_system,
     rand_measure,
     rand_sparse_stochastic_system,
+    rand_spread_stochastic_system,
     rand_stochastic,
     subset_bfs_oracle,
     support_pairs_oracle,
@@ -534,6 +539,24 @@ class TestStronglyProximal:
         assert v.status is Status.NO
         assert "stationary" in v.certificate
 
+    @pytest.mark.parametrize(
+        "epsilon, status", [(F(1, 4), Status.NO), (F(1, 3), Status.UNKNOWN)]
+    )
+    def test_entry_bound_meets_epsilon(self, epsilon, status):
+        # The largest entry 3/4 is at most 1 - 1/4 but not 1 - 1/3; without
+        # the bound the vertex search runs out of words.
+        sys = stoch_system(
+            [[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]],
+            [[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]],
+        )
+        v = strongly_proximal(sys, Budget(epsilon=epsilon))
+        assert v.status is status
+        if status is Status.NO:
+            assert v.certificate == (
+                "every generator entry is at most 3/4 <= 1 - epsilon, so every "
+                "row of every nonempty word stays tv >= 1/4 from every vertex"
+            )
+
     def test_block_system_unknown(self):
         """Two closed classes: no word crowds a vertex, and the row supports
         decide NO."""
@@ -698,13 +721,15 @@ def det_systems(draw):
 @st.composite
 def stochastic_systems(draw):
     """A stochastic system on 2-5 points with 1-3 generators, from the
-    dense, sparse or block builder of ``helpers``, with some entry strictly
-    between 0 and 1."""
-    kind = draw(st.sampled_from(["dense", "sparse", "block"]))
+    dense, sparse, spread or block builder of ``helpers``, with some entry
+    strictly between 0 and 1.  Spread systems have no point-mass row."""
+    kind = draw(st.sampled_from(["dense", "sparse", "spread", "block"]))
     m = draw(st.integers(3 if kind == "block" else 2, 5))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "sparse":
         return rand_sparse_stochastic_system(rng, m)
+    if kind == "spread":
+        return rand_spread_stochastic_system(rng, m)
     if kind == "block":
         return rand_block_stochastic_system(rng, m)
     gens = [rand_stochastic(rng, m, 4) for _ in range(draw(st.integers(1, 3)))]
@@ -794,6 +819,28 @@ class TestDifferential:
         else:
             pair = Verdict(Status.YES, word, f"word merges {x} and {y} exactly")
         assert proximal_pair(sys, x, y, B) == pair
+
+    def test_entry_bound_no(self):
+        # Where no generator entry exceeds 1 - epsilon, every short product
+        # keeps its entries at most the largest one, and the vertex search
+        # can only run out of words.  The bound must decide at least 20 of
+        # the drawn systems.
+        decided = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(stochastic_systems())
+        def check(sys):
+            b = Budget(max_word_len=8)
+            bound = fraction_entry_bound(sys, b)
+            if bound is None:
+                return
+            assert products_within(sys, largest_entry(sys), 3)
+            assert _fraction_vertex_search(sys, b).status is Status.UNKNOWN
+            if strongly_proximal(sys, b) == bound:
+                decided.append(sys)
+
+        check()
+        assert len(decided) >= 20
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(stochastic_systems())
