@@ -16,8 +16,8 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
-from .linalg import clear_denominators
-from .spaces import ZERO, FiniteSpace, Measure, _check_indices, _fraction_rows
+from .linalg import _check_indices, _fraction_rows, clear_denominators
+from .spaces import ZERO, FiniteSpace, Measure
 
 Word = tuple[int, ...]
 

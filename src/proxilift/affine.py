@@ -33,9 +33,9 @@ from .errors import (
     ValidationError,
 )
 from .lift import CheckReport, LiftedSystem, _outcome, lift_system
-from .linalg import rank, solve_affine
+from .linalg import _fraction_rows, rank, solve_affine
 from .proximality import Budget, Verdict, decide
-from .spaces import ZERO, FiniteSpace, Measure, _fraction_rows, random_measure
+from .spaces import ZERO, FiniteSpace, Measure, random_measure
 
 
 @dataclass(frozen=True)

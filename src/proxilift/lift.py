@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .actions import (
@@ -39,7 +39,7 @@ from .actions import (
     pushforward,
 )
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
-from .linalg import clear_denominators
+from .linalg import _as_int, clear_denominators
 from .proximality import (
     Budget,
     Status,
@@ -52,10 +52,9 @@ from .spaces import (
     FiniteSpace,
     GridSimplex,
     Measure,
-    _as_int,
     _random_counts,
 )
-from .transport import min_cost_transport
+from .transport import _w1_cost
 
 # A meta-measure is a probability vector over grid atoms: same validation,
 # different index set, so the measure type is reused as-is.
@@ -87,14 +86,25 @@ class LiftedSystem:
 
         The distance between atoms a / q and b / q is the optimal cost of
         transporting the integer masses a onto b under the base metric,
-        divided by q.  The base metric is validated symmetric, so W1 is too,
-        and each unordered pair is solved once.
+        divided by q.  The base metric is validated (zero diagonal, triangle
+        inequality), so that cost depends on b - a alone: the shared mass
+        stays put (``transport._w1_cost``).  The metric is scaled to integers
+        once, each pair i < j is keyed by ``comps[j] - comps[i]`` (its first
+        nonzero entry is positive, since compositions are in lex order), and
+        each distinct difference is solved once, with its ``Fraction`` built
+        once.  The metric is symmetric, so the table is too.
         """
         comps, q = self.grid.compositions, self.grid.resolution
-        cost = self.grid.base.metric
+        cost, scale = clear_denominators(self.grid.base.metric)
+        den = q * scale
+        solved: dict[tuple[int, ...], Fraction] = {}
         rows = [[ZERO] * len(comps) for _ in comps]
         for i, j in combinations(range(len(comps)), 2):
-            rows[i][j] = rows[j][i] = min_cost_transport(comps[i], comps[j], cost) / q
+            diff = tuple(map(sub, comps[j], comps[i]))
+            w = solved.get(diff)
+            if w is None:
+                w = solved[diff] = Fraction(_w1_cost(diff, cost), den)
+            rows[i][j] = rows[j][i] = w
         return tuple(map(tuple, rows))
 
     def __len__(self) -> int:

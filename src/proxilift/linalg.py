@@ -3,17 +3,51 @@
 Everything here works on lists of :class:`fractions.Fraction` and is exact; no
 floating point, no tolerances.  Matrices are small (desk scale), so plain
 Gaussian elimination is the right tool.  ``clear_denominators`` is the one
-place where rational rows become integer rows over a common denominator.
+place where rational rows become integer rows over a common denominator, and
+the exact-input gate below is the one place that decides what an exact input
+is; every other module imports both from here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
+
+from .errors import ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# The exact-input gate.  Every index, count, resolution and rational that
+# enters the library passes one of these four: floats are refused, not
+# truncated, and so are booleans, which Python would take as 0 and 1.
+def _as_fraction(x: int | Fraction) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _fraction_rows(
+    rows: Iterable[Iterable[int | Fraction]],
+) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(map(_as_fraction, row)) for row in rows)
+
+
+def _as_int(x: int, what: str) -> int:
+    if type(x) is int:
+        return x
+    raise ValidationError(f"{what} must be an integer, got {type(x).__name__}")
+
+
+def _check_indices(xs: Collection[int], m: int, what: str) -> None:
+    """Every entry of xs is an integer in 0..m-1.  Types, min and max are
+    read over the whole collection at once, so hot constructors stay fast."""
+    if xs and (set(map(type, xs)) != {int} or min(xs) < 0 or max(xs) >= m):
+        raise ValidationError(f"{what} outside the integers 0..{m - 1}")
 
 
 def clear_denominators(

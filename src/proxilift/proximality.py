@@ -52,8 +52,14 @@ from .actions import (
     pushforward,
 )
 from .errors import UnsupportedKind, ValidationError
-from .linalg import clear_denominators, solve_affine
-from .spaces import Measure, _as_fraction, _as_int, _check_indices, tv_distance
+from .linalg import (
+    _as_fraction,
+    _as_int,
+    _check_indices,
+    clear_denominators,
+    solve_affine,
+)
+from .spaces import Measure, tv_distance
 
 
 class Status(enum.Enum):

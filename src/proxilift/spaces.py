@@ -10,7 +10,8 @@ compositions alone, and ``Measure`` atoms are built only on request.
 
 Weak* convergence on a finite space is metrized equivalently by total
 variation or by Wasserstein-1; both are provided, the latter computed exactly
-by integer min-cost flow after clearing denominators.
+by integer min-cost flow on the difference of the two measures after clearing
+denominators.
 """
 
 from __future__ import annotations
@@ -20,44 +21,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
-from .linalg import clear_denominators
-from .transport import min_cost_transport
+from .linalg import (
+    _as_fraction,
+    _as_int,
+    _check_indices,
+    _fraction_rows,
+    clear_denominators,
+)
+from .transport import _w1_cost
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-# The exact-input gate.  Every index, count, resolution and rational that
-# enters the library passes one of these four: floats are refused, not
-# truncated, and so are booleans, which Python would take as 0 and 1.
-def _as_fraction(x: int | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def _fraction_rows(
-    rows: Iterable[Iterable[int | Fraction]],
-) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(map(_as_fraction, row)) for row in rows)
-
-
-def _as_int(x: int, what: str) -> int:
-    if type(x) is int:
-        return x
-    raise ValidationError(f"{what} must be an integer, got {type(x).__name__}")
-
-
-def _check_indices(xs: Collection[int], m: int, what: str) -> None:
-    """Every entry of xs is an integer in 0..m-1.  Types, min and max are
-    read over the whole collection at once, so hot constructors stay fast."""
-    if xs and (set(map(type, xs)) != {int} or min(xs) < 0 or max(xs) >= m):
-        raise ValidationError(f"{what} outside the integers 0..{m - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,17 +215,19 @@ def tv_distance(mu: Measure, nu: Measure) -> Fraction:
 def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
     """Optimal-transport cost between mu and nu under the space metric.
 
-    Masses are scaled by a common denominator and the resulting integer
-    transportation problem is solved exactly, so the value is an exact
-    rational and satisfies the metric axioms.
+    Masses and metric are each scaled to integers by a common denominator,
+    and only the difference of the masses is transported: the metric is
+    validated (zero diagonal, triangle inequality), so the mass mu and nu
+    share stays in place (see ``transport._w1_cost``).  The value is an
+    exact rational and satisfies the metric axioms.
     """
     m = len(space)
     if len(mu) != m or len(nu) != m:
         raise DimensionMismatch("measure size does not match space", m)
-    if mu == nu:
-        return ZERO
     (supply, demand), denom = clear_denominators((mu.weights, nu.weights))
-    return min_cost_transport(supply, demand, space.metric) / denom
+    metric, scale = clear_denominators(space.metric)
+    diff = [a - b for a, b in zip(supply, demand)]
+    return Fraction(_w1_cost(diff, metric), denom * scale)
 
 
 def _compositions(m: int, q: int) -> list[tuple[int, ...]]:

@@ -63,17 +63,27 @@ def rand_grid_measure(rng: random.Random, m: int, q: int) -> Measure:
     return Measure(tuple(Fraction(a, q) for a in parts))
 
 
-def rand_metric_space(rng: random.Random, m: int) -> FiniteSpace:
-    """Random integer points in Z^3 under the L1 metric (a genuine metric)."""
+def rand_metric_space(
+    rng: random.Random, m: int, dens: Optional[Sequence[int]] = None
+) -> FiniteSpace:
+    """Random integer points in Z^3 under the L1 metric (a genuine metric).
+
+    With ``dens``, axis k is weighted by 1/d_k for a d_k drawn from dens, so
+    the distances are rationals over mixed denominators; without it no
+    weights are drawn and the RNG sequence is the integer one.
+    """
     while True:
         points = [
             tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(m)
         ]
         if len(set(points)) == m:
             break
+    weights = [Fraction(1, rng.choice(dens)) for _ in range(3)] if dens else [1] * 3
     rows = tuple(
         tuple(
-            Fraction(sum(abs(a - b) for a, b in zip(points[i], points[j])))
+            Fraction(
+                sum(abs(a - b) * w for a, b, w in zip(points[i], points[j], weights))
+            )
             for j in range(m)
         )
         for i in range(m)

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 import proxilift.lift as lift_module
+import proxilift.transport as transport_module
 from proxilift import (
     ActionSystem,
     Budget,
@@ -38,9 +39,9 @@ from proxilift import (
     pushforward,
     strongly_proximal,
     reset_word,
-    w1_distance,
 )
 from helpers import (
+    brute_force_w1,
     fraction_psi_checks,
     fraction_psi_homomorphism,
     polytope_oracle,
@@ -108,18 +109,51 @@ class TestLiftSystem:
         assert strongly_proximal(lifted.system, B).status is Status.YES
 
     def test_metric_table_is_w1(self):
+        # The oracle enumerates every transport plan between the atoms, so it
+        # shares no code with the table.  Odd trials use rational metrics
+        # over mixed denominators, which the table scales to integers once.
         rng = random.Random(43)
-        for _ in range(20):
+        for t in range(20):
             m = rng.randint(1, 4)
-            base = rand_metric_space(rng, m)
+            base = rand_metric_space(rng, m, (2, 3, 5, 12) if t % 2 else None)
             sys = ActionSystem.deterministic(
                 base, [tuple(rng.randrange(m) for _ in range(m))]
             )
             lifted = lift_system(sys, rng.randint(1, 3))
             atoms = lifted.grid.atoms
             assert lifted.metric == tuple(
-                tuple(w1_distance(base, a, b) for b in atoms) for a in atoms
+                tuple(brute_force_w1(base.metric, a, b) for b in atoms)
+                for a in atoms
             )
+
+    def test_metric_table_solves_each_difference_once(self, monkeypatch):
+        # m = 5, q = 5 on a line with rational positions: 126 atoms, 7875
+        # pairs, 1375 distinct composition differences.
+        positions = [F(0), F(7, 2), F(1), F(9), F(16, 3)]
+        base = FiniteSpace.from_rows(
+            tuple(f"x{i}" for i in range(5)),
+            [[abs(a - b) for b in positions] for a in positions],
+        )
+        lifted = lift_system(ActionSystem.deterministic(base, [(1, 2, 3, 4, 0)]), 5)
+        comps = lifted.grid.compositions
+        kernel, calls = transport_module._min_cost, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(transport_module, "_min_cost", counted)
+        table = lifted.metric
+        monkeypatch.undo()
+        pairs = list(combinations(range(len(comps)), 2))
+        diffs = {tuple(b - a for a, b in zip(comps[i], comps[j])) for i, j in pairs}
+        assert (len(comps), len(pairs), len(diffs)) == (126, 7875, 1375)
+        assert len(calls) == len(diffs)
+        # Every entry equals one full transport of the two compositions.
+        assert all(table[i][i] == 0 for i in range(len(comps)))
+        for i, j in pairs:
+            want = transport_module.min_cost_transport(comps[i], comps[j], base.metric)
+            assert table[i][j] == table[j][i] == want / 5
 
     def test_stochastic_rejected(self):
         sp = FiniteSpace.discrete(("a", "b"))

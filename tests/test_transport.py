@@ -4,9 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from proxilift import Measure, ValidationError, w1_distance
 from proxilift.transport import min_cost_transport
-from helpers import brute_force_transport, rand_grid_measure
+from helpers import (
+    brute_force_transport,
+    brute_force_w1,
+    rand_grid_measure,
+    rand_metric_space,
+)
 
 F = Fraction
 
@@ -83,3 +90,55 @@ class TestMinCostTransport:
     def test_negative_cost(self):
         with pytest.raises(ValueError, match="negative transport cost"):
             min_cost_transport([1, 1], [2], [[F(1)], [F(-1, 2)]])
+
+    def test_bool_supply_refused(self):
+        # Python would read True as 1 and return a cost.
+        with pytest.raises(ValidationError, match="supply must be an integer, got bool"):
+            min_cost_transport([True, 1], [2], [[F(1)], [F(1)]])
+
+    def test_float_supply_refused(self):
+        with pytest.raises(ValidationError, match="supply must be an integer, got float"):
+            min_cost_transport([1.0], [1], [[F(1)]])
+        with pytest.raises(ValidationError, match="demand must be an integer, got float"):
+            min_cost_transport([1], [1.0], [[F(1)]])
+
+    def test_float_cost_refused(self):
+        with pytest.raises(ValidationError, match="exact rational, got float"):
+            min_cost_transport([1, 1], [2], [[F(1)], [0.5]])
+
+
+@st.composite
+def shared_mass(draw):
+    """An L1 metric on 1-4 points (integer or rational), margins a and b with
+    one small total, and a common mass c."""
+    m = draw(st.integers(1, 4))
+    dens = draw(st.sampled_from([None, (2, 3, 5, 12)]))
+    space = rand_metric_space(random.Random(draw(st.integers(0, 2**16))), m, dens)
+    total = draw(st.integers(0, 3))
+
+    def margin():
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m - 1, max_size=m - 1)))
+        return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+    c = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    return space, margin(), margin(), c
+
+
+class TestSharedMassCancels:
+    """Under a metric cost the mass two margins share never moves, which is
+    what lets ``w1_distance`` and the lift's W1 table transport only the
+    difference of two measures."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shared_mass())
+    def test_shared_mass_cancels(self, case):
+        space, a, b, c = case
+        d = space.metric
+        ac, bc = [x + y for x, y in zip(a, c)], [x + y for x, y in zip(b, c)]
+        got = min_cost_transport(ac, bc, d)
+        assert got == min_cost_transport(a, b, d) == brute_force_transport(ac, bc, d)
+        total = sum(ac)
+        if total:
+            mu = Measure(tuple(F(x, total) for x in ac))
+            nu = Measure(tuple(F(x, total) for x in bc))
+            assert w1_distance(space, mu, nu) == brute_force_w1(d, mu, nu) == got / total
