@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain, combinations
+from operator import mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
@@ -68,7 +69,12 @@ class Transformation:
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Square matrix of exact transition probabilities, rows summing to 1."""
+    """Square matrix of exact transition probabilities, rows summing to 1.
+
+    The entries must be ``Fraction``s.  The matrix is checked once as
+    integer rows over its common denominator den: every numerator is
+    nonnegative and every row sums to den.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
 
@@ -76,6 +82,13 @@ class StochasticMatrix:
         m = len(self.rows)
         if m == 0:
             raise ValidationError("empty stochastic matrix")
+        if all(len(row) == m for row in self.rows) and set(
+            map(type, chain.from_iterable(self.rows))
+        ) == {Fraction}:
+            nums, den = clear_denominators(self.rows)
+            if all(min(row) >= 0 and sum(row) == den for row in nums):
+                return
+        # Otherwise the row-by-row loop decides and names the first fault.
         for row in self.rows:
             if len(row) != m:
                 raise DimensionMismatch("stochastic matrix must be square", m)
@@ -307,20 +320,24 @@ def convolution(table: SemigroupTable, mu: Measure, nu: Measure) -> Measure:
     return Measure.from_weights(_convolve(table, mu.weights, nu.weights))
 
 
+IntRows = list[list[int]]
+
+
+def _dobrushin(rows: IntRows, den: int) -> Fraction:
+    """Dobrushin coefficient of the matrix with these integer rows over den."""
+    gap = max(
+        (sum(map(abs, map(sub, r, t))) for r, t in combinations(rows, 2)),
+        default=0,
+    )
+    return Fraction(gap, 2 * den)
+
+
 def dobrushin(s: StochasticMatrix) -> Fraction:
     """Contraction coefficient: half the largest L1 gap between two rows.
 
     Zero exactly when all rows agree (rank one); total variation between
     pushed measures contracts by at least this factor, and the coefficient is
-    submultiplicative under matrix products.
+    submultiplicative under matrix products.  The gaps are summed on the
+    integer rows of s over its common denominator.
     """
-    m = len(s)
-    best = ZERO
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = sum(
-                (abs(a - b) for a, b in zip(s.rows[i], s.rows[j])), ZERO
-            )
-            if gap > best:
-                best = gap
-    return best / 2
+    return _dobrushin(*clear_denominators(s.rows))

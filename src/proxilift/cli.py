@@ -70,7 +70,7 @@ from .spaces import (
     tightness_profile,
 )
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 Replay = tuple[str, Callable[[], bool]]
 
@@ -89,9 +89,11 @@ def parse_rational(node: Any, path: str) -> Fraction:
     if isinstance(node, float):
         raise SpecError(path, "floats are forbidden in spec files; write \"p/q\"")
     if isinstance(node, str):
-        if not _RATIONAL_RE.match(node):
+        literal = _RATIONAL_RE.fullmatch(node)
+        if literal is None:
             raise SpecError(path, f"not a rational literal: {node!r}")
-        return Fraction(node)
+        num, den = literal.groups()
+        return Fraction(int(num), int(den or 1))
     raise SpecError(path, f"expected a rational, got {type(node).__name__}")
 
 

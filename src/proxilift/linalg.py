@@ -5,7 +5,9 @@ floating point, no tolerances.  Matrices are small (desk scale), so plain
 Gaussian elimination is the right tool.  ``clear_denominators`` is the one
 place where rational rows become integer rows over a common denominator, and
 the exact-input gate below is the one place that decides what an exact input
-is; every other module imports both from here.
+is; every other module imports both from here.  Past the gate, measures,
+stochastic matrices and metrics are checked, and Dobrushin coefficients
+summed, on the integer rows ``clear_denominators`` gives.
 """
 
 from __future__ import annotations

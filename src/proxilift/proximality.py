@@ -45,10 +45,12 @@ from typing import Callable, Iterator, Optional
 
 from .actions import (
     ActionSystem,
+    IntRows,
     Kind,
     StochasticMatrix,
     Transformation,
     Word,
+    _dobrushin,
     pushforward,
 )
 from .errors import UnsupportedKind, ValidationError
@@ -257,18 +259,6 @@ def _greedy_scrambling(sys: ActionSystem) -> Verdict:
             return _never_merges(starts[0], _merge_path(succ, m, starts[:1])[1])
         word += piece
         rows = [_image(row, succ, piece) for row in rows]
-
-
-IntRows = list[list[int]]
-
-
-def _dobrushin(rows: IntRows, den: int) -> Fraction:
-    """Dobrushin coefficient of the matrix with these rows over den."""
-    gap = max(
-        (sum(map(abs, map(sub, r, t))) for r, t in combinations(rows, 2)),
-        default=0,
-    )
-    return Fraction(gap, 2 * den)
 
 
 def _by_dobrushin(rows: IntRows, den: int) -> tuple[Fraction]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
@@ -42,9 +43,12 @@ class FiniteSpace:
     """Point labels plus a symmetric rational metric.
 
     ``matrix`` is an explicit metric matrix, validated on construction, or
-    None for the discrete metric (build that with ``discrete``).  Equality
-    compares labels and metric values, so a discrete space equals the
-    explicit space with the same labels and the 0/1 matrix.
+    None for the discrete metric (build that with ``discrete``).  The checks
+    (zero diagonal, symmetry, positive distances, the triangle inequality
+    for every triple (i, j, k)) run on the integer numerators of the matrix
+    over its common denominator.  Equality compares labels and metric
+    values, so a discrete space equals the explicit space with the same
+    labels and the 0/1 matrix.
     """
 
     labels: tuple[str, ...]
@@ -61,6 +65,7 @@ class FiniteSpace:
         rows = _fraction_rows(self.matrix)
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DimensionMismatch("metric matrix must be square of size", m)
+        rows, _ = clear_denominators(rows)
         for i in range(m):
             if rows[i][i] != 0:
                 raise ValidationError(f"metric diagonal must be zero at {i}")
@@ -79,13 +84,14 @@ class FiniteSpace:
             for i in range(m):
                 row_i = rows[i]
                 for j in range(m):
-                    d_ij = row_i[j]
-                    row_j = rows[j]
-                    for k in range(m):
-                        if d_ij + row_j[k] < row_i[k]:
-                            raise ValidationError(
-                                f"triangle inequality fails on ({i},{j},{k})"
-                            )
+                    # d_ij + d_jk < d_ik for some k, read off one row gap
+                    if row_i[j] + min(map(sub, rows[j], row_i)) < 0:
+                        k = next(
+                            k for k in range(m) if row_i[j] + rows[j][k] < row_i[k]
+                        )
+                        raise ValidationError(
+                            f"triangle inequality fails on ({i},{j},{k})"
+                        )
 
     @classmethod
     def discrete(cls, labels: Sequence[str]) -> "FiniteSpace":
@@ -143,15 +149,26 @@ class FiniteSpace:
 
 @dataclass(frozen=True)
 class Measure:
-    """Exact probability vector; the index set is supplied by context."""
+    """Exact probability vector; the index set is supplied by context.
+
+    The weights must be ``Fraction``s.  They are checked as integer
+    numerators over their common denominator den: each numerator lies in
+    0..den and they sum to den.
+    """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights:
+        weights = self.weights
+        if weights and set(map(type, weights)) == {Fraction}:
+            (nums,), den = clear_denominators((weights,))
+            if min(nums) >= 0 and sum(nums) == den:
+                return
+        # Otherwise the entry-by-entry loop decides and names the first fault.
+        if not weights:
             raise ValidationError("a measure needs at least one coordinate")
         total = ZERO
-        for w in self.weights:
+        for w in weights:
             if not isinstance(w, Fraction):
                 raise ValidationError("measure weights must be Fractions")
             if w < 0 or w > 1:

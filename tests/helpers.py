@@ -6,8 +6,10 @@ words level by level or by a subset BFS that applies maps point by point,
 mergeable pairs by forward fixed points over the points or the row supports,
 invariant meta-measures by enumerating the vertices of the invariance
 polytope, the stochastic greedy searches by multiplying ``Fraction``
-matrices, and the barycenter laws on validated ``Fraction`` measures.  Expected values frozen into tests come from these or from hand
-evaluation, never from the code under test.
+matrices, the barycenter laws on validated ``Fraction`` measures, and the
+input checks of measures, stochastic matrices and metrics and the Dobrushin
+coefficient by ``Fraction`` loops.  Expected values frozen into tests come
+from these or from hand evaluation, never from the code under test.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
+from hypothesis import strategies as st
+
 from proxilift import (
     ActionSystem,
     Budget,
     CheckReport,
+    DimensionMismatch,
     FiniteSpace,
     GridSimplex,
     Measure,
@@ -30,8 +35,8 @@ from proxilift import (
     Status,
     StochasticMatrix,
     Transformation,
+    ValidationError,
     Verdict,
-    dobrushin,
     lift_system,
     pushforward,
     random_measure,
@@ -602,6 +607,20 @@ def polytope_oracle(sys: ActionSystem, q: int) -> list[Measure]:
 # matrix products, one StochasticMatrix.then per candidate.  Verdicts come
 # with the same witnesses and certificate text as the library's searches.
 
+def fraction_dobrushin(s: StochasticMatrix) -> Fraction:
+    """Half the largest L1 gap between two rows, by ``Fraction`` sums."""
+    m = len(s)
+    best = Fraction(0)
+    for i in range(m):
+        for j in range(i + 1, m):
+            gap = sum(
+                (abs(a - b) for a, b in zip(s.rows[i], s.rows[j])), Fraction(0)
+            )
+            if gap > best:
+                best = gap
+    return best / 2
+
+
 def fraction_word_matrix(sys: ActionSystem, word: tuple[int, ...]) -> StochasticMatrix:
     """S_w as the left fold of ``StochasticMatrix.then`` from the identity,
     transformations taken as their 0/1 matrices."""
@@ -655,7 +674,7 @@ def fraction_pair_search(
             nxt = matrix.then(g)
             t_mu = pushforward(sys, (gi,), cur_mu)
             t_nu = pushforward(sys, (gi,), cur_nu)
-            key = (tv_distance(t_mu, t_nu), dobrushin(nxt), gi)
+            key = (tv_distance(t_mu, t_nu), fraction_dobrushin(nxt), gi)
             if best is None or key < best[0]:
                 best = (key, gi, nxt, t_mu, t_nu)
         (tv, coeff, _), gi, matrix, cur_mu, cur_nu = best
@@ -700,7 +719,7 @@ def _fraction_single_generator_obstruction(
         return None
     power = s
     for k in range(1, b.max_word_len + 1):
-        coeff = dobrushin(power)
+        coeff = fraction_dobrushin(power)
         if coeff < 1:
             margin = 1 - max(pi)
             return Verdict(
@@ -726,7 +745,7 @@ def _fraction_vertex_search(sys: ActionSystem, b: Budget) -> Verdict:
         best = None
         for gi, g in enumerate(sys.generators):
             nxt = matrix.then(g)
-            key = (-score(nxt), dobrushin(nxt), gi)
+            key = (-score(nxt), fraction_dobrushin(nxt), gi)
             if best is None or key < best[0]:
                 best = (key, gi, nxt)
         _, gi, matrix = best
@@ -881,3 +900,111 @@ def fraction_psi_homomorphism(
         if lhs != Measure.from_weights(rhs):
             violations.append(f"homomorphism law fails on trial {t}")
     return CheckReport("psi_homomorphism", trials, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# Input-check oracles: the ``Fraction`` loops that validate a measure, a
+# stochastic matrix and a metric, entry by entry in index order.  Each
+# returns the first fault as (exception type, message), or None when the
+# input is valid.
+
+Fault = Optional[tuple[type, str]]
+
+
+def fault_of(build, *args) -> Fault:
+    """The fault that build(*args) raises, or None if it returns."""
+    try:
+        build(*args)
+    except (ValidationError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def weight_vectors(draw, size: Optional[int] = None):
+    """A probability vector of 1-6 (or ``size``) rationals, kept or given
+    one fault: an entry set to any rational, mass moved between two
+    entries (the sum stays, the range may break), or an entry that is not
+    a ``Fraction``.  All-zero counts give the zero vector."""
+    n = draw(st.integers(1, 6)) if size is None else size
+    counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    weights = [Fraction(c, sum(counts) or 1) for c in counts]
+    if not n:
+        return ()
+    edit = draw(st.sampled_from(["none", "none", "entry", "shift", "type"]))
+    i = draw(st.integers(0, n - 1))
+    value = draw(st.fractions(min_value=-1, max_value=2, max_denominator=12))
+    if edit == "entry":
+        weights[i] = value
+    elif edit == "shift":
+        weights[i] += value
+        weights[(i + 1) % n] -= value
+    elif edit == "type":
+        weights[i] = draw(st.sampled_from([0, 1, 0.5, True]))
+    return tuple(weights)
+
+
+def measure_fault(weights: Sequence) -> Fault:
+    if not weights:
+        return ValidationError, "a measure needs at least one coordinate"
+    total = Fraction(0)
+    for w in weights:
+        if not isinstance(w, Fraction):
+            return ValidationError, "measure weights must be Fractions"
+        if w < 0 or w > 1:
+            return ValidationError, f"weight {w} outside [0,1]"
+        total += w
+    if total != 1:
+        return ValidationError, f"weights sum to {total}, not 1"
+    return None
+
+
+def stochastic_fault(rows: Sequence[Sequence]) -> Fault:
+    m = len(rows)
+    if m == 0:
+        return ValidationError, "empty stochastic matrix"
+    for row in rows:
+        if len(row) != m:
+            exc = DimensionMismatch("stochastic matrix must be square", m)
+            return DimensionMismatch, str(exc)
+        fault = measure_fault(row)
+        if fault is not None:
+            return fault
+    return None
+
+
+def metric_fault(labels: Sequence[str], matrix: Sequence[Sequence]) -> Fault:
+    m = len(labels)
+    if m == 0:
+        return ValidationError, "a space needs at least one point"
+    if len(set(labels)) != m:
+        return ValidationError, "point labels must be distinct"
+    rows = []
+    for row in matrix:
+        out = []
+        for x in row:
+            if not isinstance(x, Fraction) and type(x) is not int:
+                return (
+                    ValidationError,
+                    f"expected an exact rational, got {type(x).__name__}",
+                )
+            out.append(Fraction(x))
+        rows.append(out)
+    if len(rows) != m or any(len(row) != m for row in rows):
+        exc = DimensionMismatch("metric matrix must be square of size", m)
+        return DimensionMismatch, str(exc)
+    for i in range(m):
+        if rows[i][i] != 0:
+            return ValidationError, f"metric diagonal must be zero at {i}"
+        for j in range(i + 1, m):
+            if rows[i][j] != rows[j][i]:
+                return ValidationError, f"metric not symmetric at ({i},{j})"
+            if rows[i][j] <= 0:
+                return (
+                    ValidationError,
+                    f"distinct points {i},{j} need positive distance",
+                )
+    for i, j, k in product(range(m), repeat=3):
+        if rows[i][j] + rows[j][k] < rows[i][k]:
+            return ValidationError, f"triangle inequality fails on ({i},{j},{k})"
+    return None

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from proxilift import (
     ActionSystem,
+    DimensionMismatch,
     FiniteSpace,
     Kind,
     Measure,
@@ -21,11 +22,15 @@ from proxilift import (
     tv_distance,
 )
 from helpers import (
+    fault_of,
+    fraction_dobrushin,
     fraction_word_matrix,
     rand_det_system,
     rand_measure,
     rand_sparse_stochastic_system,
     rand_stochastic,
+    stochastic_fault,
+    weight_vectors,
 )
 
 F = Fraction
@@ -174,6 +179,26 @@ class TestConvolution:
             SemigroupTable(((1, 0), (0, 0)))
 
 
+@st.composite
+def stochastic_inputs(draw):
+    """A stochastic matrix on 1-5 points, each row kept or given one fault
+    (see ``weight_vectors``), now and then one row of the wrong length."""
+    m = draw(st.integers(1, 5))
+    short, step = draw(st.integers(0, 3 * m)), draw(st.sampled_from([-1, 1]))
+    return tuple(
+        draw(weight_vectors(m + step if r == short else m)) for r in range(m)
+    )
+
+
+@st.composite
+def stochastic_matrices(draw):
+    """A valid stochastic matrix on 1-6 points, rows over mixed
+    denominators, dense or with zeros."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    return rand_stochastic(rng, m, draw(st.sampled_from([1, 2, 8, 30])))
+
+
 class TestDobrushin:
     def test_identity_matrix(self):
         ident = StochasticMatrix.from_rows([[1, 0], [0, 1]])
@@ -207,6 +232,11 @@ class TestDobrushin:
             a, b = rand_stochastic(rng, 3), rand_stochastic(rng, 3)
             assert dobrushin(a.then(b)) <= dobrushin(a) * dobrushin(b)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stochastic_matrices())
+    def test_matches_fraction_loop(self, s):
+        assert dobrushin(s) == fraction_dobrushin(s)
+
 
 @st.composite
 def word_systems(draw):
@@ -237,6 +267,54 @@ class TestWordMatrix:
     def test_matches_fraction_fold(self, drawn):
         sys, word = drawn
         assert sys.word_matrix(word) == fraction_word_matrix(sys, word)
+
+
+class TestStochasticValidation:
+    """The first fault of a matrix in row order, with its row's message."""
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ((), (ValidationError, "empty stochastic matrix")),
+            (
+                ((F(1),), (F(1),)),
+                (DimensionMismatch, "('stochastic matrix must be square', 2)"),
+            ),
+            (
+                ((F(1), F(0)), (F(1, 2), F(1, 3))),
+                (ValidationError, "weights sum to 5/6, not 1"),
+            ),
+            (
+                ((F(1), F(0)), (F(3, 2), F(-1, 2))),
+                (ValidationError, "weight 3/2 outside [0,1]"),
+            ),
+            (((1, 0), (0, 1)), (ValidationError, "measure weights must be Fractions")),
+            # two faults: the row reached first decides the message
+            (
+                ((F(1, 2), F(1, 3)), (F(1),)),
+                (ValidationError, "weights sum to 5/6, not 1"),
+            ),
+            (
+                ((F(1),), (F(1, 2), F(1, 3))),
+                (DimensionMismatch, "('stochastic matrix must be square', 2)"),
+            ),
+            (
+                ((F(1), F(0)), (F(2), F(-1)), (F(1, 2), F(1, 3))),
+                (DimensionMismatch, "('stochastic matrix must be square', 3)"),
+            ),
+            (
+                ((F(1), F(0), F(0)), (F(2), F(-1), F(0)), (F(1, 2), F(1, 3), F(0))),
+                (ValidationError, "weight 2 outside [0,1]"),
+            ),
+        ],
+    )
+    def test_first_fault_reported(self, rows, fault):
+        assert fault_of(StochasticMatrix, rows) == fault
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stochastic_inputs())
+    def test_matches_fraction_loop(self, rows):
+        assert fault_of(StochasticMatrix, rows) == stochastic_fault(rows)
 
 
 class TestSystemValidation:

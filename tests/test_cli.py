@@ -75,6 +75,28 @@ class TestParseRational:
         with pytest.raises(SpecError):
             parse_rational(bad, "x")
 
+    @pytest.mark.parametrize(
+        "bad", ["1/2\n", "3\n", "\n", "1/2\n\n", " 1/2", "1/2 ", "\u0661/2", "1_0"]
+    )
+    def test_whole_string_of_ascii_digits(self, bad):
+        with pytest.raises(SpecError, match="not a rational literal"):
+            parse_rational(bad, "x")
+
+    def test_trailing_newline_in_a_spec_entry(self, tmp_path):
+        doc = {
+            "space": SPACE2,
+            "action": {"kind": "stochastic", "generators": [[[1, 0], ["1/2\n", "1/2"]]]},
+        }
+        with pytest.raises(SpecError, match="not a rational literal") as info:
+            load_spec(write_spec(tmp_path, doc))
+        assert info.value.path == "action.generators[0][1][0]"
+
+    def test_trailing_newline_in_a_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(SPECS / "swap2.json"), "--epsilon", "1/1000\n"])
+        assert exc.value.code == 2
+        assert "argument --epsilon:" in capsys.readouterr().err
+
 
 SPACE2 = {"labels": ["a", "b"], "metric": [[0, 1], [1, 0]]}
 

@@ -34,7 +34,15 @@ from proxilift import (
 )
 from proxilift.cli import ParsedSpec, load_spec, serialize_spec
 from proxilift.linalg import clear_denominators
-from helpers import brute_force_w1, rand_grid_measure, rand_metric_space
+from helpers import (
+    brute_force_w1,
+    fault_of,
+    measure_fault,
+    metric_fault,
+    rand_grid_measure,
+    rand_metric_space,
+    weight_vectors,
+)
 
 F = Fraction
 
@@ -138,6 +146,141 @@ class TestDiscreteSpace:
         path = tmp_path / "discrete.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert load_spec(str(path)).system == sys
+
+
+class TestValidationMessages:
+    """Each input check names its first fault in index order, word for word."""
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((), "a measure needs at least one coordinate"),
+            ((1,), "measure weights must be Fractions"),
+            ((F(1, 2), 0.5), "measure weights must be Fractions"),
+            ((F(3, 2), F(-1, 2)), "weight 3/2 outside [0,1]"),
+            ((F(1, 2), F(-1, 4), F(3, 4)), "weight -1/4 outside [0,1]"),
+            ((F(1, 2), F(1, 3)), "weights sum to 5/6, not 1"),
+            ((F(0), F(0)), "weights sum to 0, not 1"),
+            # two faults: the first weight in index order is reported
+            ((F(2), 0.5), "weight 2 outside [0,1]"),
+            ((0.5, F(2)), "measure weights must be Fractions"),
+            ((F(1, 2), F(-1, 2), F(3, 2)), "weight -1/2 outside [0,1]"),
+        ],
+    )
+    def test_measure(self, weights, message):
+        assert fault_of(Measure, weights) == (ValidationError, message)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1], [1, 1]], "metric diagonal must be zero at 1"),
+            ([[0, 1], [2, 0]], "metric not symmetric at (0,1)"),
+            ([[0, 0], [0, 0]], "distinct points 0,1 need positive distance"),
+            (
+                [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+                "triangle inequality fails on (0,1,2)",
+            ),
+            (
+                [[0, F(1, 3), F(1, 2)], [F(1, 3), 0, F(1, 7)], [F(1, 2), F(1, 7), 0]],
+                "triangle inequality fails on (0,1,2)",
+            ),
+            # two faults: the first in the row-by-row sweep is reported
+            ([[0, 1, 1], [1, 0, 2], [1, 3, 5]], "metric not symmetric at (1,2)"),
+            (
+                [[0, 1, 0], [1, 0, 2], [0, 3, 0]],
+                "distinct points 0,2 need positive distance",
+            ),
+            ([[0, 1, 9], [1, 0, 1], [9, 1, 1]], "metric diagonal must be zero at 2"),
+            (
+                [[0, 1, 5, 1], [1, 0, 1, 1], [5, 1, 0, 9], [1, 1, 9, 0]],
+                "triangle inequality fails on (0,1,2)",
+            ),
+        ],
+    )
+    def test_metric(self, rows, message):
+        labels = tuple(f"p{i}" for i in range(len(rows)))
+        assert fault_of(FiniteSpace.from_rows, labels, rows) == (
+            ValidationError,
+            message,
+        )
+
+    def test_metric_shape_and_entries(self):
+        assert fault_of(FiniteSpace.from_rows, ("a", "b"), [[0, 1, 1], [1, 0]]) == (
+            DimensionMismatch,
+            "('metric matrix must be square of size', 2)",
+        )
+        assert fault_of(FiniteSpace, ("a", "b"), ((0, 0.5), (0.5, 0))) == (
+            ValidationError,
+            "expected an exact rational, got float",
+        )
+
+    def test_triangle_sweep_reaches_the_last_triple(self):
+        # 40 points, every distance in [7/6, 19/12] but three: d(37,38) =
+        # d(37,39) = 1 and d(38,39) = 7/3.  Only (38,37,39) and its mirror
+        # (39,37,38) then break the inequality, and (38,37,39) is the last
+        # triple at which any triangle can first fail: a failure at (i,j,k)
+        # is also one at (k,j,i), so it shows first with i < k <= 39.
+        m = 40
+        rows = [
+            [F(0) if i == j else F(7, 6) + F((i + j) % 6, 12) for j in range(m)]
+            for i in range(m)
+        ]
+        for i, j, d in ((37, 38, F(1)), (37, 39, F(1)), (38, 39, F(7, 3))):
+            rows[i][j] = rows[j][i] = d
+        labels = tuple(f"p{i}" for i in range(m))
+        assert fault_of(FiniteSpace.from_rows, labels, rows) == (
+            ValidationError,
+            "triangle inequality fails on (38,37,39)",
+        )
+        rows[38][39] = rows[39][38] = F(2)
+        FiniteSpace.from_rows(labels, rows)
+
+
+@st.composite
+def metric_inputs(draw):
+    """An L1 metric on 1-6 distinct points of Z^2 with rational axis
+    weights, kept or given one fault: a diagonal entry, one asymmetric
+    entry, one symmetric pair set to any rational (which may break
+    positivity or the triangle inequality) or a float."""
+    m = draw(st.integers(1, 6))
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            min_size=m,
+            max_size=m,
+            unique=True,
+        )
+    )
+    wx, wy = (F(1, draw(st.integers(1, 6))) for _ in range(2))
+    rows = [
+        [abs(a - c) * wx + abs(b - d) * wy for c, d in pts] for a, b in pts
+    ]
+    edit = draw(st.sampled_from(["none", "diagonal", "one", "pair", "float"]))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    value = draw(st.fractions(min_value=-1, max_value=8, max_denominator=6))
+    if edit == "diagonal" or (edit == "one" and i != j):
+        rows[i][j] = value
+    elif edit == "pair":
+        rows[i][j] = rows[j][i] = value
+    elif edit == "float":
+        rows[i][j] = float(rows[i][j])
+    return tuple(f"p{k}" for k in range(m)), tuple(map(tuple, rows))
+
+
+class TestChecksMatchFractionLoops:
+    """The checks accept and reject exactly what the ``Fraction`` loops of
+    the oracles do, and name the same first fault."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(weight_vectors())
+    def test_measure(self, weights):
+        assert fault_of(Measure, weights) == measure_fault(weights)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(metric_inputs())
+    def test_metric(self, drawn):
+        labels, rows = drawn
+        assert fault_of(FiniteSpace, labels, rows) == metric_fault(labels, rows)
 
 
 class TestMeasure:
