@@ -112,14 +112,25 @@ def _expect_int(node: Any, path: str) -> int:
 def _rows(
     node: Any, path: str, entry: Callable[[Any, str], Any]
 ) -> tuple[tuple, ...]:
-    """A list of lists at path, each entry parsed by entry(x, its path)."""
-    return tuple(
-        tuple(
-            entry(x, f"{path}[{i}][{j}]")
-            for j, x in enumerate(_expect_list(row, f"{path}[{i}]"))
+    """A list of lists at path, each entry parsed by entry(x, its path).
+
+    The first walk gives every row and entry the outer path, so no path is
+    formatted; only when it fails does a second walk, with each one's own
+    path, raise the same first fault where it sits.
+    """
+    try:
+        return tuple(
+            tuple(entry(x, path) for x in _expect_list(row, path))
+            for row in _expect_list(node, path)
         )
-        for i, row in enumerate(_expect_list(node, path))
-    )
+    except SpecError:
+        return tuple(
+            tuple(
+                entry(x, f"{path}[{i}][{j}]")
+                for j, x in enumerate(_expect_list(row, f"{path}[{i}]"))
+            )
+            for i, row in enumerate(_expect_list(node, path))
+        )
 
 
 def _at(path: str, build: Callable[..., Any], *args: Any) -> Any:

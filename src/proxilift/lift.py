@@ -52,6 +52,7 @@ from .spaces import (
     FiniteSpace,
     GridSimplex,
     Measure,
+    _grid_fold,
     _random_counts,
 )
 from .transport import _w1_cost
@@ -70,9 +71,17 @@ class LiftedSystem:
 
     @cached_property
     def atom_space(self) -> FiniteSpace:
-        return FiniteSpace.discrete(
-            tuple(f"({','.join(map(str, c))})" for c in self.grid.compositions)
-        )
+        """The atoms as a discrete space, atom c labelled "(c_0,c_1,...)".
+
+        The labels are the grid fold of string pieces "a," per part, with
+        "(" put before those of the first part and the last part's ","
+        turned into ")"; with one point that gives "(a)".
+        """
+        q = self.grid.resolution
+        parts = [[f"{a}," for a in range(q + 1)] for _ in range(len(self.grid.base))]
+        parts[0] = ["(" + p for p in parts[0]]
+        parts[-1] = [p[:-1] + ")" for p in parts[-1]]
+        return FiniteSpace.discrete(tuple(_grid_fold(parts, q)))
 
     @cached_property
     def system(self) -> ActionSystem:
@@ -116,25 +125,30 @@ def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
 
     Atoms are the grid's integer compositions c of q (atom = c / q).  A
     generator g pushes c to the composition that adds c_x into g(x) for
-    every point x, which is the numerator vector of the pushforward; its
-    atom index comes from ``grid.index``.  Lifts are not memoized: each call
-    builds a new one, and callers keep the ``LiftedSystem`` they need again.
+    every point x, the numerator vector of the pushforward.  Each composition
+    c has the integer key sum_x c_x (q + 1)^x, unique since no part exceeds
+    q, and its push by g has the key sum_x c_x (q + 1)^g(x).  Both key lists
+    are one grid fold (``_grid_fold``) of the multiples of those weights, so
+    a generator costs one fold and one dict lookup per atom.  Lifts are not
+    memoized: each call builds a new one, and callers keep the
+    ``LiftedSystem`` they need again.
     """
     if sys.kind is not Kind.DETERMINISTIC:
         raise UnsupportedKind("only deterministic systems lift to the grid")
     grid = GridSimplex.build(sys.space, q)
-    index = grid.index
-    m = len(sys.space)
-    lifted = []
-    for g in sys.generators:
-        images = []
-        for c in grid.compositions:
-            pushed = [0] * m
-            for target, a in zip(g.image, c):
-                pushed[target] += a
-            images.append(index[tuple(pushed)])
-        lifted.append(Transformation(tuple(images)))
-    return LiftedSystem(grid, tuple(lifted))
+    weights = [(q + 1) ** x for x in range(len(sys.space))]
+
+    def keys(point_weights: Iterable[int]) -> list[int]:
+        return _grid_fold([range(0, (q + 1) * w, w) for w in point_weights], q)
+
+    atom = {k: i for i, k in enumerate(keys(weights))}
+    lifted = tuple(
+        Transformation(
+            tuple(map(atom.__getitem__, keys([weights[y] for y in g.image])))
+        )
+        for g in sys.generators
+    )
+    return LiftedSystem(grid, lifted)
 
 
 def _barycenter_numerators(

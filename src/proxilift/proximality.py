@@ -7,10 +7,12 @@ acts as a constant map, a reset word: applied to any measure it yields a
 point mass, and conversely a sequence pushing every measure toward point
 masses must eventually act constantly on a finite set.  A reset word exists
 exactly when every pair merges (Cerny 1964).  Every pair question is one
-forward BFS over point pairs (``_merge_path``): it finds a merge word, or
-a set of pairs closed under the generators that avoids the diagonal, the
-certificate of a NO.  Greedy merging (Eppstein, SIAM J. Comput. 1990)
-chains merge words into a reset word or stops at a pair that never merges.
+forward BFS over point pairs, on the maps of a deterministic system
+(``_merge_images``) or the supports of stochastic rows (``_merge_path``):
+it finds a merge word, or a set of pairs closed under the generators that
+avoids the diagonal, the certificate of a NO.  Greedy merging (Eppstein,
+SIAM J. Comput. 1990) chains merge words into a reset word or stops at a
+pair that never merges.
 A bidirectional subset search (Kisielewicz, Kowalski and Szykula, J. Comb.
 Optim. 2015) then finds the length-minimal reset word: images of the full
 set forward, preimages of the singletons backward, as bitmasks mapped a
@@ -48,7 +50,6 @@ from .actions import (
     IntRows,
     Kind,
     StochasticMatrix,
-    Transformation,
     Word,
     _dobrushin,
     pushforward,
@@ -131,14 +132,23 @@ def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
 
 
 def _successors(sys: ActionSystem) -> list[tuple[tuple[int, ...], ...]]:
-    """Per letter, the successors of each point: its image under a
-    transformation, the support of its row under a stochastic matrix."""
+    """Per letter of a stochastic system, the successors of each point: the
+    support of its row.  Deterministic systems search on their images
+    (``_merge_images``)."""
     return [
-        tuple((p,) for p in g.image)
-        if isinstance(g, Transformation)
-        else tuple(tuple(j for j, p in enumerate(row) if p) for row in g.rows)
+        tuple(tuple(j for j, p in enumerate(row) if p) for row in g.rows)
         for g in sys.generators
     ]
+
+
+def _word_to(links: list[tuple[int, int]], gid: int, letter: int) -> Word:
+    """The word of group gid followed by the letter, read back along the
+    groups' parent links."""
+    word = [letter]
+    while gid:
+        gid, letter = links[gid]
+        word.append(letter)
+    return tuple(reversed(word))
 
 
 def _merge_path(
@@ -152,7 +162,10 @@ def _merge_path(
     their words, each holding the new pairs one word reaches, and a letter
     runs over a whole group before the next, so the first merge ends the
     least word.  Returns it, or None when the pairs reachable from the
-    starts avoid the diagonal, with the number of pairs reached.
+    starts avoid the diagonal, with the number of pairs reached.  This is
+    the stochastic search, on the supports of the rows (``_successors``);
+    ``_merge_images`` is the same search on the maps of a deterministic
+    system.
     """
     seen: dict[int, None] = {}
     for x, y in starts:
@@ -169,15 +182,44 @@ def _merge_path(
                     for c in step[a]:
                         for d in step[b]:
                             if c == d:
-                                word = [letter]
-                                while gid:
-                                    gid, letter = links[gid]
-                                    word.append(letter)
-                                return tuple(reversed(word)), len(seen)
+                                return _word_to(links, gid, letter), len(seen)
                             pair = c * m + d if c < d else d * m + c
                             if pair not in seen:
                                 seen[pair] = None
                                 new.append(pair)
+                if new:
+                    links.append((gid, letter))
+                    nxt.append((len(links) - 1, new))
+        level = nxt
+    return None, len(seen)
+
+
+def _merge_images(
+    maps: list[tuple[int, ...]], m: int, pair: tuple[int, int]
+) -> tuple[Optional[Word], int]:
+    """``_merge_path`` from one pair x < y of a deterministic system, whose
+    letters are the image tuples ``maps``: a letter sends (a, b) to the one
+    pair (g[a], g[b]).  The same groups in the same order, so the same word
+    and the same number of pairs reached."""
+    x, y = pair
+    seen: dict[int, None] = {x * m + y: None}
+    links = [(0, -1)]  # per group: its parent group and the last letter
+    level = [(0, list(seen))]
+    while level:
+        nxt = []
+        for gid, group in level:
+            ends = [divmod(pid, m) for pid in group]
+            for letter, g in enumerate(maps):
+                new = []
+                for a, b in ends:
+                    c = g[a]
+                    d = g[b]
+                    if c == d:
+                        return _word_to(links, gid, letter), len(seen)
+                    pid = c * m + d if c < d else d * m + c
+                    if pid not in seen:
+                        seen[pid] = None
+                        new.append(pid)
                 if new:
                     links.append((gid, letter))
                     nxt.append((len(links) - 1, new))
@@ -206,21 +248,24 @@ def _image(points: set[int], succ: list, word: Word) -> set[int]:
 def _greedy_reset(sys: ActionSystem) -> Verdict:
     """A reset word of the deterministic ``sys`` by greedy merging.
 
-    Merge the two smallest image points with ``_merge_path``'s word, apply
-    it, repeat: at most m - 1 pieces.  YES with the word, or the NO naming
-    the first pair that never merges, and then no reset word exists.
+    Merge the two smallest image points with ``_merge_images``'s word,
+    apply it to the image set letter by letter, repeat: at most m - 1
+    pieces.  YES with the word, or the NO naming the first pair that never
+    merges, and then no reset word exists.
     """
     m = len(sys.space)
-    succ = _successors(sys)
+    maps = [g.image for g in sys.generators]
     current = set(range(m))
     word: list[int] = []
     while len(current) > 1:
         pair = tuple(sorted(current)[:2])
-        piece, reached = _merge_path(succ, m, [pair])
+        piece, reached = _merge_images(maps, m, pair)
         if piece is None:
             return _never_merges(pair, reached)
         word += piece
-        current = _image(current, succ, piece)
+        for letter in piece:
+            g = maps[letter]
+            current = {g[a] for a in current}
     return yes(
         tuple(word),
         f"greedy pair merging, constant to point {current.pop()} "
@@ -310,13 +355,18 @@ def proximal_pair(sys: ActionSystem, x: int, y: int, b: Budget) -> Verdict:
     """
     m = len(sys.space)
     _check_indices((x, y), m, "point index")
+    det = _deterministic_view(sys)
     word: Optional[Word] = ()
     if x != y:
         pair = (min(x, y), max(x, y))
-        word, reached = _merge_path(_successors(sys), m, [pair])
+        if det is None:
+            word, reached = _merge_path(_successors(sys), m, [pair])
+        else:
+            maps = [g.image for g in det.generators]
+            word, reached = _merge_images(maps, m, pair)
         if word is None:
             return _never_merges(pair, reached)
-    if _deterministic_view(sys) is not None:
+    if det is not None:
         return yes(word, f"word merges {x} and {y} exactly")
     return _stochastic_pair_search(
         sys,

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import sub
 from typing import Iterable, Optional, Sequence
 
@@ -247,18 +246,32 @@ def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
     return Fraction(_w1_cost(diff, metric), denom * scale)
 
 
-def _compositions(m: int, q: int) -> list[tuple[int, ...]]:
-    """The compositions of q into m nonnegative parts, in lexicographic order.
+def _grid_fold(parts: Sequence[Sequence], q: int) -> list:
+    """parts[0][c_0] + parts[1][c_1] + ... for each composition c of q into
+    len(parts) nonnegative parts, in lexicographic order of c.
 
-    A choice of m - 1 bar positions among q + m - 1 slots (stars and bars)
-    gives the parts as the gaps between bars; ``combinations`` yields the
-    bar positions lexicographically, which orders the parts the same way.
+    Each part lists its q + 1 pieces, for the values 0..q; ``+`` may add
+    ints or concatenate tuples or strings.  Level r of the last k parts holds
+    the sums of their compositions of r, in order: value a of the part before
+    them, ascending, then level r - a below it.  Only level q of all the
+    parts is built.
     """
-    slots = q + m - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
-        for bars in combinations(range(slots), m - 1)
-    ]
+    first, *rest = parts
+    if not rest:
+        return [first[q]]
+    levels = [[p] for p in rest[-1]]
+    for part in reversed(rest[:-1]):
+        levels = [
+            [p + s for a, p in enumerate(part[: r + 1]) for s in levels[r - a]]
+            for r in range(q + 1)
+        ]
+    return [p + s for a, p in enumerate(first) for s in levels[q - a]]
+
+
+def _compositions(m: int, q: int) -> list[tuple[int, ...]]:
+    """The compositions of q into m nonnegative parts, in lexicographic order:
+    the grid fold of the one-tuples (a,), a = 0..q, in every part."""
+    return _grid_fold([[(a,) for a in range(q + 1)]] * m, q)
 
 
 def grid_atoms(m: int, q: int) -> list[Measure]:
@@ -280,7 +293,8 @@ class GridSimplex:
 
     Atom k is the measure c / q for the k-th composition c of q into
     len(base) nonnegative parts, lexicographically ordered.  The integer
-    compositions are the atoms' one representation: ``index`` maps a
+    compositions are the atoms' one representation, built by ``_grid_fold``
+    as the lift's integer keys and atom labels are: ``index`` maps a
     composition to its atom index, and ``atoms`` builds the ``Measure``
     objects only when something reads them.
     """

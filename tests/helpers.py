@@ -3,6 +3,7 @@
 The oracles here deliberately avoid the library's algorithms: transport is
 solved by enumerating every integer coupling, synchronization by enumerating
 words level by level or by a subset BFS that applies maps point by point,
+lifted generators by pushing every composition of the grid on its own,
 mergeable pairs by forward fixed points over the points or the row supports,
 invariant meta-measures by enumerating the vertices of the invariance
 polytope, the stochastic greedy searches by multiplying ``Fraction``
@@ -385,6 +386,28 @@ def greedy_reset_oracle(sys: ActionSystem) -> Verdict:
         f"greedy pair merging, constant to point {current[0]} "
         "(witness may be non-minimal)",
     )
+
+
+def push_loop_lift(sys: ActionSystem, q: int) -> tuple[Transformation, ...]:
+    """The lifted generators of a deterministic system, atom by atom.
+
+    The grid's compositions are the vectors in 0..q summing to q, in
+    ``product``'s lexicographic order; a generator g sends composition c to
+    the one that adds c_x into g(x) for every point x.
+    """
+    m = len(sys.space)
+    comps = [c for c in product(range(q + 1), repeat=m) if sum(c) == q]
+    index = {c: k for k, c in enumerate(comps)}
+    lifted = []
+    for g in sys.generators:
+        images = []
+        for c in comps:
+            pushed = [0] * m
+            for target, a in zip(g.image, c):
+                pushed[target] += a
+            images.append(index[tuple(pushed)])
+        lifted.append(Transformation(tuple(images)))
+    return tuple(lifted)
 
 
 def _supports(sys: ActionSystem) -> list[list[set[int]]]:

@@ -170,6 +170,33 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=r"space\.metric\[0\]\[1\]"):
             load_spec(write_spec(tmp_path, doc))
 
+    def test_non_list_row_named(self, tmp_path):
+        doc = {
+            "space": {"labels": ["a", "b"], "metric": [[0, 1], 1]},
+            "action": {"kind": "deterministic", "generators": [[1, 0]]},
+        }
+        with pytest.raises(SpecError) as info:
+            load_spec(write_spec(tmp_path, doc))
+        assert info.value.path == "space.metric[1]"
+        assert str(info.value) == "space.metric[1]: expected a list, got int"
+
+    def test_first_bad_entry_of_a_large_metric_named(self, tmp_path):
+        # The last row of a 20 x 20 metric holds two faults; the first in
+        # row order is named.
+        metric = [[int(i != j) for j in range(20)] for i in range(20)]
+        metric[19][18] = "one"
+        metric[19][19] = 0.5
+        doc = {
+            "space": {"labels": [f"p{i}" for i in range(20)], "metric": metric},
+            "action": {"kind": "deterministic", "generators": [list(range(20))]},
+        }
+        with pytest.raises(SpecError) as info:
+            load_spec(write_spec(tmp_path, doc))
+        assert info.value.path == "space.metric[19][18]"
+        assert str(info.value) == (
+            "space.metric[19][18]: not a rational literal: 'one'"
+        )
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="unknown keys"):
             load_spec(write_spec(tmp_path, {"spice": {}}))
@@ -721,6 +748,12 @@ GENERATED_SPECS = {
             [[2, 10, 0, 0], [6, 6, 0, 0], [0, 0, 7, 5], [0, 0, 3, 9]],
         ]
     ),
+    # Cerny's C_7, whose lift at q = 6 has 924 atoms.
+    "cerny7": _det_doc([[1, 2, 3, 4, 5, 6, 0], [1, 1, 2, 3, 4, 5, 6]]),
+    # Points 0 and 1 fixed by both letters beside Cerny's C_5 on 2..6.
+    "two_sink7": _det_doc([[0, 1, 3, 4, 5, 6, 2], [0, 1, 3, 3, 4, 5, 6]]),
+    # A 5-cycle: a permutation, so its lift keeps non-vertex invariants.
+    "cycle5": _det_doc([[1, 2, 3, 4, 0]]),
 }
 
 
@@ -788,6 +821,30 @@ class TestGoldenDigests:
         monkeypatch.chdir(tmp_path)
         args = ["analyze", f"{name}.json", "--mode", "base", "--verify"]
         _, rep = run_json(args, capsys)
+        assert rep["verify"]["ok"]
+        assert rep["report_digest"] == digest
+
+    @pytest.mark.parametrize(
+        "name, mode, grid, digest",
+        [
+            ("cerny7", "prop1", 6, "c8c34ee9155b5f56b8956c393f5165fe8b0b79691674a3baf3fb28902b999fdc"),
+            ("cerny7", "thm", 6, "e48f2b0ec05fde7239082f8bce78928b40cddcaf0928261b1e2ea16d08cb470c"),
+            ("two_sink7", "thm", 5, "efb444b0e4fbfa9f2b5db186ae6383b6e7639842997301968f981a4001a3b868"),
+            ("cycle5", "invariant", 4, "8b9453278406bc0b4724e44a4ce80af838867852cf805126c673adb45489a5d7"),
+        ],
+    )
+    def test_generated_lift_digest(
+        self, name, mode, grid, digest, tmp_path, monkeypatch, capsys
+    ):
+        # Lifts at benchmark scale: up to 924 atoms.
+        write_spec(tmp_path, GENERATED_SPECS[name], f"{name}.json")
+        monkeypatch.chdir(tmp_path)
+        args = [
+            "analyze", f"{name}.json", "--mode", mode, "--grid", str(grid),
+            "--verify",
+        ]
+        code, rep = run_json(args, capsys)
+        assert code == 0
         assert rep["verify"]["ok"]
         assert rep["report_digest"] == digest
 

@@ -104,6 +104,28 @@ class TestLiftSystem:
                 for gi in range(len(images))
             )
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_generators_match_push_loop(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        q = data.draw(st.integers(1, 5), label="q")
+        point = st.integers(0, m - 1)
+        letter = st.one_of(
+            point.map(lambda target: (target,) * m),
+            st.permutations(range(m)).map(tuple),
+            st.lists(point, min_size=m, max_size=m).map(tuple),
+        )
+        sys = det_system(*data.draw(st.lists(letter, min_size=1, max_size=3)))
+        assert lift_system(sys, q).generators == helpers.push_loop_lift(sys, q)
+
+    @pytest.mark.parametrize("m, q", [(1, 3), (3, 2), (5, 4)])
+    def test_atom_labels(self, m, q):
+        lifted = lift_system(det_system(tuple(range(m))), q)
+        comps = [c for c in product(range(q + 1), repeat=m) if sum(c) == q]
+        labels = lifted.atom_space.labels
+        assert labels == tuple(f"({','.join(map(str, c))})" for c in comps)
+        assert labels[-1] == "(" + ",".join([str(q)] + ["0"] * (m - 1)) + ")"
+
     def test_cerny_lift_is_strongly_proximal(self):
         lifted = lift_system(cerny4(), 2)
         assert strongly_proximal(lifted.system, B).status is Status.YES

@@ -95,16 +95,24 @@ def two_sink(n):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The start pairs of every ``_merge_path`` search, in call order."""
+    """The start pairs of every pair search, in call order: ``_merge_path``
+    on stochastic supports, ``_merge_images`` from one pair on the maps of
+    a deterministic system."""
     calls = []
-    real = proximality._merge_path
+    real_path = proximality._merge_path
+    real_images = proximality._merge_images
 
-    def counting(succ, m, starts):
+    def counting_path(succ, m, starts):
         starts = list(starts)
         calls.append(starts)
-        return real(succ, m, starts)
+        return real_path(succ, m, starts)
 
-    monkeypatch.setattr(proximality, "_merge_path", counting)
+    def counting_images(maps, m, pair):
+        calls.append([pair])
+        return real_images(maps, m, pair)
+
+    monkeypatch.setattr(proximality, "_merge_path", counting_path)
+    monkeypatch.setattr(proximality, "_merge_images", counting_images)
     return calls
 
 
@@ -271,6 +279,27 @@ class TestProximalPair:
         a = pushforward(sys, v.witness, Measure.point_mass(2, 0))
         b = pushforward(sys, v.witness, Measure.point_mass(2, 1))
         assert tv_distance(a, b) < B.epsilon
+
+
+class TestMergeImages:
+    def test_matches_merge_path_on_singleton_successors(self):
+        # The deterministic search against the generic one on successor
+        # tuples (p,): the same word and pairs reached from every start.
+        rng = random.Random(53)
+        systems = [det_system(*rand_images(rng, rng.randint(2, 9))) for _ in range(150)]
+        systems += [
+            lift_system(sys, 2).system for sys in systems[:40] if len(sys.space) <= 5
+        ]
+        outcomes = Counter()
+        for sys in systems:
+            m = len(sys.space)
+            maps = [g.image for g in sys.generators]
+            succ = [tuple((p,) for p in image) for image in maps]
+            for pair in combinations(range(m), 2):
+                got = proximality._merge_images(maps, m, pair)
+                assert got == proximality._merge_path(succ, m, [pair])
+                outcomes[got[0] is None] += 1
+        assert min(outcomes.values()) >= 500
 
 
 class TestIsProximal:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from proxilift import (
 )
 from proxilift.cli import ParsedSpec, load_spec, serialize_spec
 from proxilift.linalg import clear_denominators
+from proxilift.spaces import _compositions
 from helpers import (
     brute_force_w1,
     fault_of,
@@ -395,6 +397,13 @@ class TestGridAtoms:
         for m in range(1, 5):
             for q in range(1, 5):
                 assert len(grid_atoms(m, q)) == math.comb(q + m - 1, m - 1)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_compositions_match_brute_force(self, m):
+        # Every vector in 0..q summing to q, in product's lexicographic order.
+        for q in range(7):
+            want = [c for c in product(range(q + 1), repeat=m) if sum(c) == q]
+            assert _compositions(m, q) == want
 
     def test_order_is_lexicographic_on_numerators(self):
         atoms = grid_atoms(2, 2)
