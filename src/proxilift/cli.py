@@ -248,10 +248,6 @@ def load_spec(path: str) -> ParsedSpec:
     return ParsedSpec(path, digest, system, table, model, maps)
 
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_spec(spec: ParsedSpec) -> dict:
     """Spec back to its JSON form; parsing the result reproduces the spec."""
     out: dict[str, Any] = {}
@@ -259,29 +255,22 @@ def serialize_spec(spec: ParsedSpec) -> dict:
         sysm = spec.system
         out["space"] = {
             "labels": list(sysm.space.labels),
-            "metric": [
-                [rational_str(x) for x in row] for row in sysm.space.metric
-            ],
+            "metric": [[str(x) for x in row] for row in sysm.space.metric],
         }
         if sysm.kind is Kind.DETERMINISTIC:
             gens: list = [list(g.image) for g in sysm.generators]
         else:
-            gens = [
-                [[rational_str(x) for x in row] for row in g.rows]
-                for g in sysm.generators
-            ]
+            gens = [[[str(x) for x in row] for row in g.rows] for g in sysm.generators]
         out["action"] = {"kind": sysm.kind.value, "generators": gens}
     if spec.table is not None:
         out["table"] = [list(row) for row in spec.table.table]
     if spec.simplex is not None and spec.maps is not None:
         out["simplex"] = {
-            "vertices": [
-                [rational_str(x) for x in v] for v in spec.simplex.vertices
-            ],
+            "vertices": [[str(x) for x in v] for v in spec.simplex.vertices],
             "maps": [
                 list(m.vertex_images())
                 if m.is_deterministic()
-                else [[rational_str(x) for x in row] for row in m.rows]
+                else [[str(x) for x in row] for row in m.rows]
                 for m in spec.maps
             ],
         }
@@ -515,7 +504,7 @@ def _mode_invariant(
     for meta in metas:
         rows.append(
             {
-                "weights": [rational_str(w) for w in meta.weights],
+                "weights": [str(w) for w in meta.weights],
                 "point_mass_at_vertex": meta_is_vertex_point_mass(grid, meta),
             }
         )
@@ -624,7 +613,7 @@ def analyze(args: argparse.Namespace) -> int:
             "grid": args.grid,
             "max_word_len": args.max_word_len,
             "max_closure": args.max_closure,
-            "epsilon": rational_str(args.epsilon),
+            "epsilon": str(args.epsilon),
             "seed": args.seed,
             "trials": args.trials,
         },
@@ -653,7 +642,7 @@ def analyze(args: argparse.Namespace) -> int:
 
 def _demo_schedule(n_max: int, steps: int) -> list[int]:
     if steps < 2 or n_max < 2:
-        return [max(1, n_max)]
+        return [n_max]
     vals = {1, n_max}
     for i in range(steps):
         vals.add(max(1, round(n_max ** (i / (steps - 1)))))
@@ -699,6 +688,8 @@ def demo_sl(args: argparse.Namespace) -> int:
         raise SpecError("--cubes", "cube half-widths must be strictly increasing")
     if args.grid < 1:
         raise SpecError("--grid", "quadrature needs at least 1 cell per axis")
+    if args.n_max < 1:
+        raise SpecError("--n-max", "the largest n must be at least 1")
     schedule = _demo_schedule(args.n_max, args.steps)
     density = 1.0 / 8.0
     ball_volume = 4.0 / 3.0 * math.pi * radius**3
@@ -822,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=env("PROXILIFT_MAX_CLOSURE", "100000"),
         help="most sets the reset-word search stores, forward and backward "
-        "together, before the greedy word stands; also the most image pairs "
-        "of a measure-pair orbit",
+        "together, before the greedy word stands",
     )
     an.add_argument(
         "--epsilon",

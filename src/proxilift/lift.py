@@ -238,13 +238,15 @@ def psi_checks(
     rng = random.Random(seed)
     violations: list[str] = []
 
+    m = len(grid.base)
+    vertices = [0] * m  # the atom index of the point mass at each point
     for i, c in enumerate(comps):
         # The point mass at atom i: its one atom c, with mass 1.
         if tuple(_barycenter_numerators(zip(c), (1,))) != c:
             violations.append(f"delta section fails at atom {i}")
+        if q in c:
+            vertices[c.index(q)] = i
 
-    m = len(grid.base)
-    vertices = [grid.vertex_index(x) for x in range(m)]
     # Numerators over 6q of the vertex point mass at each vertex atom.
     vertex_mass = {
         v: [6 * q if j == x else 0 for j in range(m)]

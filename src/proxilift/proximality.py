@@ -16,7 +16,8 @@ pair that never merges.
 A bidirectional subset search (Kisielewicz, Kowalski and Szykula, J. Comb.
 Optim. 2015) then finds the length-minimal reset word: images of the full
 set forward, preimages of the singletons backward, as bitmasks mapped a
-byte at a time through nibble tables.
+byte at a time through nibble tables.  A pair of measures is pushed as one
+integer vector, their difference, until some word sends it to zero.
 
 On stochastic systems the pair search reads the supports of the rows.
 Greedy row merging either builds a scrambling word, whose Dobrushin
@@ -38,7 +39,6 @@ greedy merge answers ``is_proximal`` and starts ``strongly_proximal``.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -52,7 +52,7 @@ from .actions import (
     StochasticMatrix,
     Word,
     _dobrushin,
-    pushforward,
+    _push,
 )
 from .errors import UnsupportedKind, ValidationError
 from .linalg import (
@@ -106,7 +106,15 @@ def unknown(certificate: str) -> Verdict:
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits; epsilon is the stochastic closeness threshold."""
+    """Search limits.
+
+    ``max_word_len`` bounds the words of the greedy stochastic searches.
+    ``max_closure`` bounds the sets that ``reset_word`` stores and the
+    differences that ``measure_pair_proximal`` stores; when either runs
+    out, greedy merging's constant word stands if there is one (for a
+    measure pair, if ``max_closure`` also holds every point pair).  epsilon
+    is the stochastic closeness threshold.
+    """
 
     max_word_len: int = 64
     max_closure: int = 100_000
@@ -142,8 +150,8 @@ def _successors(sys: ActionSystem) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _word_to(links: list[tuple[int, int]], gid: int, letter: int) -> Word:
-    """The word of group gid followed by the letter, read back along the
-    groups' parent links."""
+    """The word of node gid, a group of pairs or one measure difference,
+    followed by the letter, read back along the nodes' parent links."""
     word = [letter]
     while gid:
         gid, letter = links[gid]
@@ -697,8 +705,18 @@ def measure_pair_proximal(
 ) -> Verdict:
     """Does some word push mu and nu to equal (or epsilon-close) images?
 
-    Deterministic: the joint orbit of (mu, nu) is finite, so BFS decides
-    exactly within the closure budget.  Stochastic: greedy tv descent.
+    Deterministic: pushforward is linear, so mu w = nu w exactly when w
+    sends d, the integer numerators of mu - nu over their common
+    denominator, to zero.  A BFS over the vectors d w, letters in order with
+    parent links, finds the shortest, then lexicographically least, such
+    word; a BFS over the pairs (mu w, nu w) finds the same one, since its
+    moves and its test both factor through d.  Or it ends at a NO: the
+    differences reachable from d, a set closed under the generators that
+    avoids zero.  ``max_closure`` bounds the stored differences.  When it
+    runs out, greedy merging's constant word, which pushes both measures to
+    one point mass, is the possibly non-minimal answer, provided the budget
+    holds every point pair, the most that one greedy pair search stores.
+    Otherwise the answer is UNKNOWN.  Stochastic: greedy tv descent.
     """
     m = len(sys.space)
     if len(mu) != m or len(nu) != m:
@@ -708,35 +726,40 @@ def measure_pair_proximal(
         return _stochastic_pair_search(sys, mu, nu, b, "(mu,nu)")
     if mu == nu:
         return yes((), "measures already equal")
-    start = (mu, nu)
-    parent: dict[tuple[Measure, Measure], tuple[tuple[Measure, Measure], int]] = {}
+    (mu_n, nu_n), _ = clear_denominators((mu.weights, nu.weights))
+    start = tuple(map(sub, mu_n, nu_n))
+    maps = [g.image for g in det.generators]
     seen = {start}
-    queue: deque[tuple[Measure, Measure]] = deque([start])
-    while queue:
-        pair = queue.popleft()
-        for gi in range(len(det.generators)):
-            a = pushforward(det, (gi,), pair[0])
-            bb = pushforward(det, (gi,), pair[1])
-            if a == bb:
-                letters = [gi]
-                node = pair
-                while node != start:
-                    node, g = parent[node]
-                    letters.append(g)
+    queue = [start]
+    links = [(0, -1)]  # per difference: its parent and the last letter
+    for i, d in enumerate(queue):
+        for letter, g in enumerate(maps):
+            nxt = tuple(_push(g, d))
+            if not any(nxt):
                 return yes(
-                    tuple(reversed(letters)),
+                    _word_to(links, i, letter),
                     "word pushes both measures to the same image",
                 )
-            nxt = (a, bb)
             if nxt in seen:
                 continue
             if len(seen) >= b.max_closure:
-                return unknown(
-                    f"orbit budget exhausted (max_closure={b.max_closure})"
-                )
+                return _pair_budget_out(det, b)
             seen.add(nxt)
-            parent[nxt] = (pair, gi)
             queue.append(nxt)
-    return no(
-        f"joint orbit exhausted ({len(seen)} image pairs), images never equal"
-    )
+            links.append((i, letter))
+    return no(f"the {len(seen)} differences reachable from mu - nu are all nonzero")
+
+
+def _pair_budget_out(det: ActionSystem, b: Budget) -> Verdict:
+    """The verdict of ``measure_pair_proximal`` when its budget runs out."""
+    spent = f"difference budget exhausted (max_closure={b.max_closure})"
+    m = len(det.space)
+    if m * (m - 1) // 2 <= b.max_closure:
+        greedy = _greedy_reset(det)
+        if greedy.status is Status.YES:
+            return yes(
+                greedy.witness,
+                f"{spent}; the greedy constant word pushes both measures to one "
+                "point mass (witness may be non-minimal)",
+            )
+    return unknown(spent)

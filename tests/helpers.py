@@ -463,6 +463,79 @@ def never_merges_no(
     return Verdict(Status.NO, None, wrap.format(text), pair)
 
 
+def measure_pair_oracle(
+    sys: ActionSystem, mu: Measure, nu: Measure, b: Budget
+) -> Verdict:
+    """BFS over pairs of ``Measure`` images for a system with 0/1 maps.
+
+    Each step pushes both measures of a pair through one letter with
+    ``pushforward``; the first pair of equal images ends the word, read back
+    along parent links.  ``max_closure`` bounds the stored pairs.
+    """
+    if mu == nu:
+        return _yes((), "measures already equal")
+    start = (mu, nu)
+    parent: dict[tuple[Measure, Measure], tuple[tuple[Measure, Measure], int]] = {}
+    seen = {start}
+    queue: deque[tuple[Measure, Measure]] = deque([start])
+    while queue:
+        pair = queue.popleft()
+        for gi in range(len(sys.generators)):
+            a = pushforward(sys, (gi,), pair[0])
+            bb = pushforward(sys, (gi,), pair[1])
+            if a == bb:
+                letters = [gi]
+                node = pair
+                while node != start:
+                    node, g = parent[node]
+                    letters.append(g)
+                return _yes(
+                    tuple(reversed(letters)),
+                    "word pushes both measures to the same image",
+                )
+            nxt = (a, bb)
+            if nxt in seen:
+                continue
+            if len(seen) >= b.max_closure:
+                return _unknown(
+                    f"orbit budget exhausted (max_closure={b.max_closure})"
+                )
+            seen.add(nxt)
+            parent[nxt] = (pair, gi)
+            queue.append(nxt)
+    return Verdict(
+        Status.NO,
+        None,
+        f"joint orbit exhausted ({len(seen)} image pairs), images never equal",
+    )
+
+
+def difference_closure_oracle(
+    sys: ActionSystem, mu: Measure, nu: Measure
+) -> Optional[int]:
+    """Number of vectors mu w - nu w over all words w, the empty one
+    included, or None when one of them is zero.
+
+    The ``Fraction`` differences grow by their images under every map until
+    the set stops growing; no common denominator is taken.
+    """
+    maps = [g.image for g in sys.generators]
+    reached = {tuple(a - b for a, b in zip(mu.weights, nu.weights))}
+    while True:
+        images = set()
+        for d in reached:
+            for g in maps:
+                img = [Fraction(0)] * len(d)
+                for x, w in enumerate(d):
+                    img[g[x]] += w
+                images.add(tuple(img))
+        if any(not any(img) for img in images | reached):
+            return None
+        if images <= reached:
+            return len(reached)
+        reached |= images
+
+
 def mergeable_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
     """Pairs x < y that some word merges, as a forward fixed point.
 

@@ -897,3 +897,10 @@ class TestDemoSL:
     def test_bad_grid_exit_1(self, grid, capsys):
         assert main(["demo-sl", "--grid", grid]) == 1
         assert "error: --grid:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", ["0", "-5"])
+    def test_bad_n_max_exit_1(self, n_max, capsys):
+        assert main(["demo-sl", "--n-max", n_max]) == 1
+        captured = capsys.readouterr()
+        assert "error: --n-max:" in captured.err
+        assert captured.out == ""

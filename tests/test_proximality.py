@@ -33,12 +33,14 @@ from helpers import (
     _fraction_vertex_search,
     brute_merge_length,
     brute_reset_length,
+    difference_closure_oracle,
     fraction_entry_bound,
     fraction_pair_search,
     fraction_strongly_proximal,
     greedy_reset_oracle,
     is_scrambling,
     largest_entry,
+    measure_pair_oracle,
     merge_word_oracle,
     mergeable_pairs_oracle,
     never_merges_no,
@@ -683,11 +685,17 @@ class TestMeasurePairProximal:
         assert pushforward(sys, v.witness, mu) == pushforward(sys, v.witness, nu)
 
     def test_swap_separates_vertex_masses(self):
+        # delta_0 - delta_1 = (1, -1) and the swap alternates it with
+        # (-1, 1): two differences, neither zero.
         sys = det_system((1, 0))
         v = measure_pair_proximal(
             sys, Measure.point_mass(2, 0), Measure.point_mass(2, 1), B
         )
-        assert v.status is Status.NO
+        assert v == Verdict(
+            Status.NO,
+            None,
+            "the 2 differences reachable from mu - nu are all nonzero",
+        )
 
     def test_half_sum_device_on_strongly_proximal_systems(self):
         # mu and nu are recovered as the two halves of (mu + nu)/2; on a
@@ -725,6 +733,24 @@ class TestMeasurePairProximal:
         mu = Measure.point_mass(4, 0)
         nu = Measure.point_mass(4, 2)
         assert measure_pair_proximal(sys, mu, nu, tiny).status is Status.UNKNOWN
+
+    def test_budget_exhaustion_falls_back_to_greedy_reset(self):
+        # A budget of 15 holds every point pair of C_6, so greedy merging
+        # runs once the differences run out; its constant word pushes both
+        # measures to one point mass.
+        sys = cerny(6)
+        mu = Measure.from_weights([F(1, 2), F(1, 3), 0, 0, F(1, 6), 0])
+        nu = Measure.uniform(6)
+        v = measure_pair_proximal(sys, mu, nu, Budget(max_closure=15))
+        assert v == Verdict(
+            Status.YES,
+            greedy_reset_oracle(sys).witness,
+            "difference budget exhausted (max_closure=15); the greedy constant "
+            "word pushes both measures to one point mass (witness may be "
+            "non-minimal)",
+        )
+        assert sys.word_transformation(v.witness).is_constant()
+        assert measure_pair_oracle(sys, mu, nu, B).status is Status.YES
 
 
 class TestBudget:
@@ -779,6 +805,23 @@ def base_systems(draw):
         return det, det
     gens = [StochasticMatrix.from_transformation(g) for g in det.generators]
     return ActionSystem.stochastic(det.space, gens), det
+
+
+@st.composite
+def measure_pairs(draw):
+    """A system of ``rand_images`` on 1-6 points, as maps or as 0/1
+    stochastic matrices, its deterministic view, and two measures of
+    ``rand_measure`` (equal in a fifth of the draws)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = rng.randint(1, 6)
+    det = det_system(*rand_images(rng, m))
+    sys = det
+    if draw(st.booleans()):
+        gens = [StochasticMatrix.from_transformation(g) for g in det.generators]
+        sys = ActionSystem.stochastic(det.space, gens)
+    mu = rand_measure(rng, m, 6)
+    nu = mu if rng.random() < 0.2 else rand_measure(rng, m, 6)
+    return sys, det, mu, nu
 
 
 class TestDifferential:
@@ -848,6 +891,62 @@ class TestDifferential:
         else:
             pair = Verdict(Status.YES, word, f"word merges {x} and {y} exactly")
         assert proximal_pair(sys, x, y, B) == pair
+
+    def test_measure_pairs_match_pair_bfs(self):
+        # Wherever the BFS over Measure pairs decides within the budget, the
+        # search over differences gives its status and word; every NO counts
+        # the differences that a fixed point over Fraction vectors reaches.
+        # A budget run out falls back to the greedy constant word when the
+        # budget holds every point pair (max_closure = 6 does up to m = 4),
+        # and otherwise, or when there is no constant word, stays UNKNOWN.
+        outcomes = Counter()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(measure_pairs())
+        def check(drawn):
+            sys, det, mu, nu = drawn
+            m = len(sys.space)
+            greedy = greedy_reset_oracle(det)
+            for closure in (300, 6):
+                b = Budget(max_closure=closure)
+                got = measure_pair_proximal(sys, mu, nu, b)
+                want = measure_pair_oracle(sys, mu, nu, b)
+                if want.status is not Status.UNKNOWN:
+                    assert (got.status, got.witness) == (want.status, want.witness)
+                spent = f"difference budget exhausted (max_closure={closure})"
+                fell_back = got.certificate.startswith(spent)
+                holds_pairs = m * (m - 1) <= 2 * closure
+                may_fall_back = holds_pairs and greedy.status is Status.YES
+                if got.status is Status.NO:
+                    reached = difference_closure_oracle(det, mu, nu)
+                    assert got.certificate == (
+                        f"the {reached} differences reachable from mu - nu are "
+                        "all nonzero"
+                    )
+                    # The budget counts exactly the differences stored.
+                    exact = Budget(max_closure=reached)
+                    assert measure_pair_proximal(sys, mu, nu, exact) == got
+                    if reached > 1:
+                        short = Budget(max_closure=reached - 1)
+                        v = measure_pair_proximal(sys, mu, nu, short)
+                        assert v.status is not Status.NO
+                elif got.status is Status.UNKNOWN:
+                    assert got.certificate == spent
+                    assert not may_fall_back
+                else:
+                    if fell_back:
+                        assert may_fall_back
+                        assert got.witness == greedy.witness
+                    assert pushforward(sys, got.witness, mu) == pushforward(
+                        sys, got.witness, nu
+                    )
+                outcomes[got.status, fell_back] += 1
+
+        check()
+        assert outcomes[Status.YES, False] >= 100
+        assert outcomes[Status.NO, False] >= 50
+        assert outcomes[Status.YES, True] >= 10
+        assert outcomes[Status.UNKNOWN, True] >= 20
 
     def test_entry_bound_no(self):
         # Where no generator entry exceeds 1 - epsilon, every short product
