@@ -4,7 +4,15 @@ Spec files are JSON with every rational given exactly (integers or "p/q"
 strings; floats are rejected), so any system can round-trip through the
 format without loss.  Reports are JSON with stable key order and a content
 digest over everything except timing, which makes equal inputs produce
-byte-identical reports up to the timing block.
+byte-identical reports up to the timing block.  The timing block gives the
+whole run in ``seconds`` and its stages in ``load_s`` (reading the spec),
+``mode_s`` (the analysis) and ``verify_s`` (the replays and the report).
+
+A metric written as the 0/1 integer matrix is read as the discrete metric,
+without building or checking a matrix; every other metric is parsed entry by
+entry.  ``main`` builds its argument parser on first use and keeps it while
+the ``PROXILIFT_*`` environment stays the same, so repeated in-process calls
+pay for argument set-up once.
 
 The demo subcommand is the one deliberately floating-point corner: it
 tabulates a determinant-one diagonal action on R^3 that merges pairs in a
@@ -16,6 +24,7 @@ fails).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -141,13 +150,36 @@ def _at(path: str, build: Callable[..., Any], *args: Any) -> Any:
         raise SpecError(path, str(exc)) from exc
 
 
+def _is_discrete_metric(node: Any, m: int) -> bool:
+    """Whether node is the m x m matrix of JSON integers 0 on the diagonal
+    and 1 elsewhere; booleans, floats and strings do not count."""
+    return (
+        type(node) is list
+        and len(node) == m
+        and all(
+            type(row) is list
+            and len(row) == m
+            and all(type(x) is int for x in row)
+            and row[i] == 0
+            and row.count(1) == m - 1
+            for i, row in enumerate(node)
+        )
+    )
+
+
 def parse_space(node: Any, path: str) -> FiniteSpace:
+    """The space at path.  A metric written as the 0/1 integer matrix is read
+    as ``FiniteSpace.discrete``, which equals the explicit space; any other
+    metric is parsed and checked entry by entry."""
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with labels and metric")
     labels = _expect_list(node.get("labels"), f"{path}.labels")
     if not all(isinstance(x, str) for x in labels):
         raise SpecError(f"{path}.labels", "labels must be strings")
-    rows = _rows(node.get("metric"), f"{path}.metric", parse_rational)
+    metric = node.get("metric")
+    if _is_discrete_metric(metric, len(labels)):
+        return _at(path, FiniteSpace.discrete, labels)
+    rows = _rows(metric, f"{path}.metric", parse_rational)
     return _at(path, FiniteSpace, tuple(labels), rows)
 
 
@@ -584,6 +616,7 @@ def analyze(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise SpecError("--trials", "randomized checks need at least 1 trial")
     spec = load_spec(args.spec)
+    loaded = time.monotonic()
     b = Budget(args.max_word_len, args.max_closure, args.epsilon)
     mode = args.mode
     needs_system = mode in ("base", "prop1", "thm", "psi", "invariant")
@@ -605,6 +638,7 @@ def analyze(args: argparse.Namespace) -> int:
         results, code, replays = _mode_affine(
             spec, args.grid, b, args.trials, args.seed
         )
+    decided = time.monotonic()
     report: dict[str, Any] = {
         "tool": {"name": "proxilift", "version": __version__},
         "input": {"path": spec.path, "sha256": spec.sha256},
@@ -628,8 +662,14 @@ def analyze(args: argparse.Namespace) -> int:
         }
         if failures:
             code = 1
+    verified = time.monotonic()
     report["report_digest"] = _canonical_digest(report)
-    report["timing"] = {"seconds": round(time.monotonic() - started, 6)}
+    report["timing"] = {
+        "load_s": round(loaded - started, 6),
+        "mode_s": round(decided - loaded, 6),
+        "verify_s": round(verified - decided, 6),
+        "seconds": round(time.monotonic() - started, 6),
+    }
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -862,9 +902,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per set of ``PROXILIFT_*`` items env.
+
+    The key is all that the parser reads from the environment, so a changed
+    variable builds a fresh parser.  The parser holds flags and defaults
+    only; every parse converts the string defaults anew.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    env = sorted(
+        (k, v) for k, v in os.environ.items() if k.startswith("PROXILIFT_")
+    )
+    args = _parser(tuple(env)).parse_args(argv)
     try:
         return args.func(args)
     except (ProxiliftError, OSError) as exc:

@@ -10,7 +10,18 @@ class ValidationError(ProxiliftError, ValueError):
 
 
 class DimensionMismatch(ProxiliftError, ValueError):
-    """Operands are defined over spaces of different sizes."""
+    """Operands are defined over spaces of different sizes.
+
+    Raised as ``DimensionMismatch(message, *sizes)``; it prints as the
+    message followed by the sizes in parentheses, e.g. ``metric matrix must
+    be square of size (2)``.
+    """
+
+    def __str__(self):
+        message, *sizes = self.args or ("",)
+        if not sizes:
+            return str(message)
+        return f"{message} ({', '.join(map(str, sizes))})"
 
 
 class UnsupportedKind(ProxiliftError, TypeError):

@@ -278,7 +278,7 @@ class TestStochasticValidation:
             ((), (ValidationError, "empty stochastic matrix")),
             (
                 ((F(1),), (F(1),)),
-                (DimensionMismatch, "('stochastic matrix must be square', 2)"),
+                (DimensionMismatch, "stochastic matrix must be square (2)"),
             ),
             (
                 ((F(1), F(0)), (F(1, 2), F(1, 3))),
@@ -296,11 +296,11 @@ class TestStochasticValidation:
             ),
             (
                 ((F(1),), (F(1, 2), F(1, 3))),
-                (DimensionMismatch, "('stochastic matrix must be square', 2)"),
+                (DimensionMismatch, "stochastic matrix must be square (2)"),
             ),
             (
                 ((F(1), F(0)), (F(2), F(-1)), (F(1, 2), F(1, 3))),
-                (DimensionMismatch, "('stochastic matrix must be square', 3)"),
+                (DimensionMismatch, "stochastic matrix must be square (3)"),
             ),
             (
                 ((F(1), F(0), F(0)), (F(2), F(-1), F(0)), (F(1, 2), F(1, 3), F(0))),

@@ -1,13 +1,17 @@
 """Spec parsing, report determinism, exit codes, the SL demo."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from proxilift import (
     Budget,
+    FiniteSpace,
     Measure,
     SpecError,
     StochasticMatrix,
@@ -227,6 +231,98 @@ class TestLoadSpec:
         assert spec.sha256 == hashlib.sha256(
             pathlib.Path(path).read_bytes()
         ).hexdigest()
+
+
+def _metric_doc(metric, labels=("a", "b")):
+    return {
+        "space": {"labels": list(labels), "metric": metric},
+        "action": {"kind": "deterministic", "generators": [[1, 0]]},
+    }
+
+
+class TestDiscreteMetricRead:
+    """A 0/1 integer metric is read as ``FiniteSpace.discrete``; every other
+    metric takes the entry-by-entry path, with its errors and paths."""
+
+    def test_zero_one_integers_give_the_discrete_space(self, tmp_path):
+        labels = [f"p{i}" for i in range(5)]
+        metric = [[int(i != j) for j in range(5)] for i in range(5)]
+        doc = {
+            "space": {"labels": labels, "metric": metric},
+            "action": {"kind": "deterministic", "generators": [[1, 2, 3, 4, 0]]},
+        }
+        space = load_spec(write_spec(tmp_path, doc)).system.space
+        assert space.matrix is None
+        explicit = FiniteSpace.from_rows(labels, metric)
+        assert explicit.matrix is not None and space == explicit
+
+    def test_strings_take_the_explicit_path(self, tmp_path):
+        doc = _metric_doc([["0", "1"], ["2/2", 0]])
+        space = load_spec(write_spec(tmp_path, doc)).system.space
+        assert space.matrix is not None
+        assert space == FiniteSpace.discrete(("a", "b"))
+
+    @pytest.mark.parametrize("mode", ["base", "prop1"])
+    def test_string_metric_gives_the_same_digest(
+        self, mode, tmp_path, monkeypatch, capsys
+    ):
+        doc = GENERATED_SPECS["cerny9"]
+        strings = dict(doc, space=dict(doc["space"]))
+        strings["space"]["metric"] = [
+            ["0" if i == j else ("2/2" if (i + j) % 2 else "1") for j in range(9)]
+            for i in range(9)
+        ]
+        write_spec(tmp_path, doc, "ints.json")
+        write_spec(tmp_path, strings, "strings.json")
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for name in ("ints.json", "strings.json"):
+            code, rep = run_json(["analyze", name, "--mode", mode, "--verify"], capsys)
+            assert code == 0 and rep["verify"]["ok"]
+            reports.append(rep)
+        ints, rep = reports
+        # The input block names the file and the hash of its bytes, which
+        # differ; under the integer file's input block the digests agree.
+        assert rep["input"]["sha256"] != ints["input"]["sha256"]
+        rep["input"] = ints["input"]
+        assert cli._canonical_digest(rep) == ints["report_digest"]
+
+    @pytest.mark.parametrize(
+        "metric, labels, path, message",
+        [
+            (
+                [[0, True], [1, 0]], "ab", "space.metric[0][1]",
+                "expected a rational, got a boolean",
+            ),
+            (
+                [[0, 1.0], [1, 0]], "ab", "space.metric[0][1]",
+                'floats are forbidden in spec files; write "p/q"',
+            ),
+            (
+                [[0, 0], [0, 0]], "ab", "space",
+                "distinct points 0,1 need positive distance",
+            ),
+            (
+                [[0, 1], [1, 0], [1, 1]], "ab", "space",
+                "metric matrix must be square of size (2)",
+            ),
+            (
+                [[0, 1, 1], [1, 0, 1]], "ab", "space",
+                "metric matrix must be square of size (2)",
+            ),
+            ([[0, 1], [1, 1]], "ab", "space", "metric diagonal must be zero at 1"),
+            ([[1, 0], [0, 1]], "ab", "space", "metric diagonal must be zero at 0"),
+            ([[0, 1], [1, 0]], "aa", "space", "point labels must be distinct"),
+            ([], "", "space", "a space needs at least one point"),
+        ],
+    )
+    def test_other_metrics_keep_their_errors(
+        self, metric, labels, path, message, tmp_path
+    ):
+        with pytest.raises(SpecError) as info:
+            load_spec(write_spec(tmp_path, _metric_doc(metric, labels)))
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestAnalyzeModes:
@@ -590,6 +686,26 @@ class TestAnalyzeModes:
         assert main(["analyze", str(p), "--mode", "base"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                _metric_doc([[0, 1], [1, 0], [1, 1]]),
+                "space: metric matrix must be square of size (2)",
+            ),
+            (
+                {
+                    "space": SPACE2,
+                    "action": {"kind": "stochastic", "generators": [[[1, 0]]]},
+                },
+                "action.generators[0]: stochastic matrix must be square (1)",
+            ),
+        ],
+    )
+    def test_dimension_mismatch_message(self, doc, message, tmp_path, capsys):
+        assert main(["analyze", write_spec(tmp_path, doc), "--mode", "base"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_text_format(self, capsys):
         code = main(
             [
@@ -632,6 +748,19 @@ class TestDeterminism:
         blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
         assert rep["report_digest"] == hashlib.sha256(blob.encode()).hexdigest()
 
+    def test_stage_timers(self, capsys):
+        _, rep = run_json(
+            ["analyze", str(SPECS / "cerny4.json"), "--mode", "thm", "--verify"],
+            capsys,
+        )
+        timing = rep["timing"]
+        assert set(timing) == {"seconds", "load_s", "mode_s", "verify_s"}
+        for stage in ("load_s", "mode_s", "verify_s"):
+            assert 0 <= timing[stage] <= timing["seconds"]
+        assert timing["load_s"] + timing["mode_s"] + timing["verify_s"] <= (
+            timing["seconds"] + 3e-6
+        )
+
     def test_env_override_grid(self, monkeypatch, capsys):
         monkeypatch.setenv("PROXILIFT_GRID", "3")
         _, rep = run_json(
@@ -655,6 +784,72 @@ class TestDeterminism:
         monkeypatch.setenv("PROXILIFT_GRID", "3")
         assert build_parser().parse_args(["demo-sl"]).grid == 200
         assert build_parser().parse_args(["analyze", "x.json"]).grid == 3
+
+
+class TestParserReuse:
+    """``main`` builds one parser per set of ``PROXILIFT_*`` items."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        parsers = []
+
+        def counting():
+            parsers.append(build_parser())
+            return parsers[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield parsers
+        cli._parser.cache_clear()
+
+    def test_no_parser_at_import(self):
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        probe = (
+            "import proxilift.cli as c; "
+            "print(c._parser.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "0\n"
+
+    def test_same_environment_builds_once(self, built, capsys):
+        args = ["analyze", str(SPECS / "swap2.json"), "--mode", "base"]
+        for _ in range(4):
+            assert main(args) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_environment_change_is_seen(self, built, monkeypatch, capsys):
+        args = ["analyze", str(SPECS / "swap2.json"), "--mode", "invariant"]
+        monkeypatch.delenv("PROXILIFT_GRID", raising=False)
+        assert run_json(args, capsys)[1]["flags"]["grid"] == 2
+        monkeypatch.setenv("PROXILIFT_GRID", "3")
+        assert run_json(args, capsys)[1]["flags"]["grid"] == 3
+        monkeypatch.delenv("PROXILIFT_GRID")
+        assert run_json(args, capsys)[1]["flags"]["grid"] == 2
+        assert len(built) == 3
+
+    def test_bad_value_after_a_good_call(self, built, monkeypatch, capsys):
+        args = ["analyze", str(SPECS / "swap2.json"), "--mode", "base"]
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("PROXILIFT_MAX_CLOSURE", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "argument --max-closure:" in capsys.readouterr().err
+
+    def test_demo_leaves_the_cube_default(self, built, capsys):
+        default = [F(1), F(10), F(100)]
+        for extra in ([], ["--cubes", "2,3"], []):
+            argv = ["demo-sl", "--n-max", "4", "--steps", "2", "--out", "-"]
+            assert main(argv + extra) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        assert built[0].parse_args(["demo-sl"]).cubes == default
 
 
 def _det_doc(generators):

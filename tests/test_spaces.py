@@ -209,7 +209,7 @@ class TestValidationMessages:
     def test_metric_shape_and_entries(self):
         assert fault_of(FiniteSpace.from_rows, ("a", "b"), [[0, 1, 1], [1, 0]]) == (
             DimensionMismatch,
-            "('metric matrix must be square of size', 2)",
+            "metric matrix must be square of size (2)",
         )
         assert fault_of(FiniteSpace, ("a", "b"), ((0, 0.5), (0.5, 0))) == (
             ValidationError,
