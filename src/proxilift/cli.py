@@ -82,6 +82,8 @@ from .spaces import (
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 Replay = tuple[str, Callable[[], bool]]
+# A pair's closure: whether it avoids the diagonal, and its unordered pairs.
+Closure = Callable[[tuple[int, int]], tuple[bool, int]]
 
 # Exit code of a harness outcome, shared by modes prop1, thm and affine.
 _OUTCOME_CODE = {"PASS": 0, "INCONCLUSIVE": 2, "FAIL": 1}
@@ -357,35 +359,54 @@ def _witness_replay(
     return [(desc, lambda: check(word))]
 
 
-def _pair_replay(desc: str, v: Verdict, sysm: ActionSystem) -> list[Replay]:
+def _reachable_pairs(sysm: ActionSystem, pair: tuple[int, int]) -> set:
+    """The ordered pairs reachable from pair, by a plain search: a letter
+    sends (a, b) to every (c, d) with c in the support of row a and d in
+    that of row b (the images, on a deterministic system)."""
+    moves = [
+        [(p,) for p in g.image]
+        if isinstance(g, Transformation)
+        else [[j for j, p in enumerate(row) if p] for row in g.rows]
+        for g in sysm.generators
+    ]
+    seen, todo = {pair}, [pair]
+    while todo:
+        a, b = todo.pop()
+        new = {(c, d) for g in moves for c in g[a] for d in g[b]} - seen
+        seen |= new
+        todo += new
+    return seen
+
+
+def _pair_closure(sysm: ActionSystem) -> Closure:
+    """Whether the pairs reachable from a pair avoid the diagonal, and how
+    many unordered pairs they are; each distinct pair is searched once."""
+    known: dict[tuple[int, int], tuple[bool, int]] = {}
+
+    def closure(pair: tuple[int, int]) -> tuple[bool, int]:
+        if pair not in known:
+            seen = _reachable_pairs(sysm, pair)
+            reached = len({(min(a, b), max(a, b)) for a, b in seen})
+            known[pair] = all(a != b for a, b in seen), reached
+        return known[pair]
+
+    return closure
+
+
+def _pair_replay(desc: str, v: Verdict, closure: Closure) -> list[Replay]:
     """The replay of a NO naming a pair that never merges, or nothing.
 
-    A plain search rebuilds the ordered pairs reachable from the named one:
-    a letter sends (a, b) to every (c, d) with c in the support of row a
-    and d in that of row b (the images, on a deterministic system).  It
-    holds when none is diagonal and the certificate counts them right, as
-    unordered pairs.
+    It holds when the pair's closure (``_pair_closure``) avoids the diagonal
+    and the certificate counts its pairs right.
     """
     if v.status is not Status.NO or v.pair is None:
         return []
     pair, certificate = v.pair, v.certificate or ""
 
     def run() -> bool:
-        moves = [
-            [(p,) for p in g.image]
-            if isinstance(g, Transformation)
-            else [[j for j, p in enumerate(row) if p] for row in g.rows]
-            for g in sysm.generators
-        ]
-        seen, todo = {pair}, [pair]
-        while todo:
-            a, b = todo.pop()
-            new = {(c, d) for g in moves for c in g[a] for d in g[b]} - seen
-            seen |= new
-            todo += new
-        reached = len({(min(a, b), max(a, b)) for a, b in seen})
+        avoids, reached = closure(pair)
         claim = f"pair {pair} never merges: the {reached} pairs reachable"
-        return all(a != b for a, b in seen) and claim in certificate
+        return avoids and claim in certificate
 
     return [(desc, run)]
 
@@ -411,7 +432,15 @@ def _bound_replay(
 
 
 def _is_constant(sysm: ActionSystem) -> Callable[[Word], bool]:
-    return lambda word: sysm.word_transformation(word).is_constant()
+    """The constant-word check on sysm, each distinct word replayed once."""
+    known: dict[Word, bool] = {}
+
+    def check(word: Word) -> bool:
+        if word not in known:
+            known[word] = sysm.word_transformation(word).is_constant()
+        return known[word]
+
+    return check
 
 
 def _contracts(sysm: ActionSystem) -> Callable[[Word], bool]:
@@ -468,10 +497,9 @@ def _mode_base(
     named = [("is_proximal", prox), ("strongly_proximal", strong)]
     if system.kind is Kind.DETERMINISTIC:
         named.append(("reset_word", reset))
+        constant = _is_constant(system)
         for name, v in (("reset_word", reset), ("strongly_proximal", strong)):
-            replays += _witness_replay(
-                f"{name} witness is constant", v, _is_constant(system)
-            )
+            replays += _witness_replay(f"{name} witness is constant", v, constant)
     else:
         replays += _witness_replay(
             "is_proximal witness contracts", prox, _contracts(system)
@@ -487,9 +515,10 @@ def _mode_base(
             system,
             b.epsilon,
         )
+    closure = _pair_closure(system)
     for name, v in named:
         results[name] = verdict_json(v)
-        replays += _pair_replay(f"{name} pair never merges", v, system)
+        replays += _pair_replay(f"{name} pair never merges", v, closure)
     code = 0 if all(v.status is not Status.UNKNOWN for _, v in named) else 2
     return results, code, replays
 
@@ -499,16 +528,20 @@ def _mode_harness(
 ) -> tuple[dict, int, list[Replay]]:
     rep = equivalence_harness(system, q, b, mode)
     replays: list[Replay] = []
+    # Every row holds the same base verdict; its replays run once.
+    constant, closure = _is_constant(system), _pair_closure(system)
     for row in rep.rows:
         lifted = row.lifted.system
         replays += _witness_replay(
-            f"q={row.q} base witness is constant", row.base, _is_constant(system)
+            f"q={row.q} base witness is constant", row.base, constant
         )
         replays += _witness_replay(
             f"q={row.q} lift witness is constant", row.lift, _is_constant(lifted)
         )
-        replays += _pair_replay(f"q={row.q} base pair never merges", row.base, system)
-        replays += _pair_replay(f"q={row.q} lift pair never merges", row.lift, lifted)
+        replays += _pair_replay(f"q={row.q} base pair never merges", row.base, closure)
+        replays += _pair_replay(
+            f"q={row.q} lift pair never merges", row.lift, _pair_closure(lifted)
+        )
     return {"harness": harness_json(rep)}, _OUTCOME_CODE[rep.outcome], replays
 
 
@@ -576,8 +609,9 @@ def _mode_affine(
     replays = _witness_replay(
         "corollary strong witness is constant", cor.strong, _is_constant(hull)
     )
-    replays += _pair_replay("corollary proximal pair never merges", cor.proximal, hull)
-    replays += _pair_replay("corollary strong pair never merges", cor.strong, hull)
+    closure = _pair_closure(hull)
+    for name, v in (("proximal", cor.proximal), ("strong", cor.strong)):
+        replays += _pair_replay(f"corollary {name} pair never merges", v, closure)
     code = _OUTCOME_CODE[cor.outcome] if equiv.ok else 1
     return results, code, replays
 
@@ -820,6 +854,30 @@ def _cube_list(text: str) -> list[Fraction]:
     return out
 
 
+def _choice(*names: str) -> Callable[[str], str]:
+    """A flag type that accepts only names.  argparse checks ``choices`` on
+    command-line values alone; an environment default is checked here, when
+    argparse converts it, so a bad one is a usage error naming the flag."""
+
+    def check(text: str) -> str:
+        if text not in names:
+            listed = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {listed})"
+            )
+        return text
+
+    return check
+
+
+# Every environment variable that ``build_parser`` reads, the key of ``_parser``.
+_ENV_NAMES = (
+    "PROXILIFT_MODE", "PROXILIFT_GRID", "PROXILIFT_MAX_WORD_LEN",
+    "PROXILIFT_MAX_CLOSURE", "PROXILIFT_EPSILON", "PROXILIFT_FORMAT",
+    "PROXILIFT_SEED", "PROXILIFT_TRIALS", "PROXILIFT_N_MAX", "PROXILIFT_STEPS",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxilift",
@@ -831,13 +889,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # An environment value is passed as the raw string default, which
     # argparse converts with the flag's type, so a bad value is a usage error.
-    env = os.environ.get
+    # Only the names of _ENV_NAMES can be read.
+    values = dict(zip(_ENV_NAMES, map(os.environ.get, _ENV_NAMES)))
+
+    def env(name: str, default: str) -> str:
+        value = values[name]
+        return default if value is None else value
+
+    modes = ("base", "prop1", "thm", "psi", "invariant", "affine")
+    formats = ("json", "text")
 
     an = sub.add_parser("analyze", help="analyze a JSON system spec")
     an.add_argument("spec", help="path to the spec file")
     an.add_argument(
         "--mode",
-        choices=["base", "prop1", "thm", "psi", "invariant", "affine"],
+        choices=modes,
+        type=_choice(*modes),
         default=env("PROXILIFT_MODE", "base"),
     )
     an.add_argument("--grid", type=int, default=env("PROXILIFT_GRID", "2"))
@@ -864,7 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     an.add_argument(
         "--format",
-        choices=["json", "text"],
+        choices=formats,
+        type=_choice(*formats),
         default=env("PROXILIFT_FORMAT", "json"),
     )
     an.add_argument("--seed", type=int, default=env("PROXILIFT_SEED", "0"))
@@ -903,21 +971,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=1)
-def _parser(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
-    """``build_parser()``, built once per set of ``PROXILIFT_*`` items env.
+def _parser(env: tuple[Optional[str], ...]) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per tuple env of the values of the
+    ``_ENV_NAMES`` variables (None when unset).
 
     The key is all that the parser reads from the environment, so a changed
-    variable builds a fresh parser.  The parser holds flags and defaults
-    only; every parse converts the string defaults anew.
+    variable builds a fresh parser, and reading ten variables costs less
+    than scanning the whole environment.  The parser holds flags and
+    defaults only; every parse converts the string defaults anew.
     """
     return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    env = sorted(
-        (k, v) for k, v in os.environ.items() if k.startswith("PROXILIFT_")
-    )
-    args = _parser(tuple(env)).parse_args(argv)
+    args = _parser(tuple(map(os.environ.get, _ENV_NAMES))).parse_args(argv)
     try:
         return args.func(args)
     except (ProxiliftError, OSError) as exc:

@@ -1,10 +1,13 @@
 """Exact rational linear algebra: elimination, rank, affine solution sets.
 
-Everything here works on lists of :class:`fractions.Fraction` and is exact; no
-floating point, no tolerances.  Matrices are small (desk scale), so plain
-Gaussian elimination is the right tool.  ``clear_denominators`` is the one
-place where rational rows become integer rows over a common denominator, and
-the exact-input gate below is the one place that decides what an exact input
+Everything here is exact; no floating point, no tolerances.  ``rank`` and
+``solve_affine`` take ``Fraction`` rows, clear their denominators once and
+run Gauss-Jordan elimination on integers, fraction-free, by
+cross-multiplication and gcd reduction; only the solutions they return are
+``Fraction``s.  Matrices are small (desk scale), so no pivoting strategy or
+modular method is needed.  ``clear_denominators`` is the one place where
+rational rows become integer rows over a common denominator, and the
+exact-input gate below is the one place that decides what an exact input
 is; every other module imports both from here.  Past the gate, measures,
 stochastic matrices and metrics are checked, and Dobrushin coefficients
 summed, on the integer rows ``clear_denominators`` gives.
@@ -61,29 +64,38 @@ def clear_denominators(
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix (destructively computed on a copy)."""
-    m = [list(r) for r in rows]
-    return len(_echelon(m))
+    """Rank of a rational matrix."""
+    return len(_echelon(clear_denominators(rows)[0]))
 
 
-def _echelon(m: list[list[Fraction]]) -> list[int]:
-    """Reduce ``m`` in place to row echelon form; return the pivot columns."""
+def _echelon(m: list[list[int]]) -> list[int]:
+    """Reduce the integer rows ``m`` in place to reduced row echelon form up
+    to one nonzero factor per row; return the pivot columns.
+
+    Gauss-Jordan elimination without fractions: a row is cleared at a pivot
+    column by cross-multiplying it with the pivot row, then divided by the
+    gcd of its entries.  Each row stays a nonzero multiple of the row that
+    rational elimination would hold, so the pivots are the same, and row i
+    divided by its pivot entry is row i of the unique reduced form.
+    """
     if not m:
         return []
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            a = m[i][c]
+            if i != r and a:
+                row = [p * x - a * y for x, y in zip(m[i], top)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -97,12 +109,14 @@ def solve_affine(
     """Solve ``A x = b`` exactly.
 
     Returns ``(particular, nullspace_basis)`` describing the full affine
-    solution set, or ``None`` when the system is inconsistent.
+    solution set, or ``None`` when the system is inconsistent.  The
+    elimination runs on integer rows; only the entries returned become
+    ``Fraction``s, each an entry of its reduced row over the pivot.
     """
     if not rows:
         raise ValueError("empty system")
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug, _ = clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])
     pivots = _echelon(aug)
     if n in pivots:  # pivot in the rhs column: 0 = nonzero
         return None
@@ -110,12 +124,12 @@ def solve_affine(
     free_cols = [c for c in range(n) if c not in pivot_of_col]
     particular = [ZERO] * n
     for c, i in pivot_of_col.items():
-        particular[c] = aug[i][n]
+        particular[c] = Fraction(aug[i][n], aug[i][c])
     basis = []
     for fc in free_cols:
         vec = [ZERO] * n
         vec[fc] = ONE
         for c, i in pivot_of_col.items():
-            vec[c] = -aug[i][fc]
+            vec[c] = Fraction(-aug[i][fc], aug[i][c])
         basis.append(vec)
     return particular, basis

@@ -494,11 +494,17 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     reset word of length d1 + d2.  Each round expands a whole level of the
     side with the smaller frontier and tests it, set by set, against the
     last level of the other side; no other pair of levels can meet first,
-    but the tests cost the product of the two level sizes.  The first meet
-    fixes the minimal length L.  The witness is the BFS word of the first
-    meeting forward set in BFS order, the least of its length, then a walk:
-    at each step the least letter whose image lies inside a backward set of
-    the depth still to go.  That word is the least of length L.
+    but the tests cost the product of the two level sizes.  A set lies
+    inside no set smaller than itself, so a set is tested only when its
+    size (``int.bit_count``) is at most ``widest``, the largest size in the
+    last backward level, and a new backward level whose ``widest`` is below
+    ``narrowest``, the smallest size in the forward frontier, skips the scan
+    of that frontier.  These filters drop only tests that fail, so the meet
+    is the same.  The first meet fixes the minimal length L.  The witness is
+    the BFS word of the first meeting forward set in BFS order, the least of
+    its length, then a walk: at each step the least letter whose image lies
+    inside a backward set of the depth still to go.  That word is the least
+    of length L.
 
     Greedy merging runs first: when it finds no constant word, its NO, the
     pair where it stops, is the answer and the subset search never runs.
@@ -527,12 +533,15 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     parent: dict[int, Optional[tuple[int, int]]] = {full: None}
     stored: set[int] = set()  # backward sets beyond the singletons
     forward = [full]
+    narrowest = m  # the smallest size in the forward frontier
     levels: list[Optional[list[int]]] = [None]  # backward, by depth
+    widest = 1  # the largest size in the last backward level
     meet = None
     while meet is None:
         backward = levels[-1]
         if len(forward) <= (m if backward is None else len(backward)):
             new = []
+            narrowest = m
             for mask in forward:
                 data = mask.to_bytes(width, "little")
                 for gi, tables in enumerate(images):
@@ -543,7 +552,10 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                         return greedy
                     parent[nxt] = (mask, gi)
                     new.append(nxt)
-                    if _inside(nxt, backward):
+                    size = nxt.bit_count()
+                    if size < narrowest:
+                        narrowest = size
+                    if size <= widest and _inside(nxt, backward):
                         meet = nxt
                         break
                 if meet is not None:
@@ -569,7 +581,10 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     stored.add(pre)
                     new.append(pre)
             levels.append(new)
-            meet = next((f for f in forward if _inside(f, levels[-1])), None)
+            widest = max(map(int.bit_count, new), default=0)
+            if narrowest <= widest:
+                fits = (f for f in forward if f.bit_count() <= widest)
+                meet = next((f for f in fits if _inside(f, new)), None)
     word = []
     node = meet
     while parent[node] is not None:

@@ -6,11 +6,12 @@ words level by level or by a subset BFS that applies maps point by point,
 lifted generators by pushing every composition of the grid on its own,
 mergeable pairs by forward fixed points over the points or the row supports,
 invariant meta-measures by enumerating the vertices of the invariance
-polytope, the stochastic greedy searches by multiplying ``Fraction``
-matrices, the barycenter laws on validated ``Fraction`` measures, and the
-input checks of measures, stochastic matrices and metrics and the Dobrushin
-coefficient by ``Fraction`` loops.  Expected values frozen into tests come
-from these or from hand evaluation, never from the code under test.
+polytope, linear systems by Gauss-Jordan elimination on ``Fraction`` rows,
+the stochastic greedy searches by multiplying ``Fraction`` matrices, the
+barycenter laws on validated ``Fraction`` measures, and the input checks of
+measures, stochastic matrices and metrics and the Dobrushin coefficient by
+``Fraction`` loops.  Expected values frozen into tests come from these or
+from hand evaluation, never from the code under test.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from proxilift import (
     random_measure,
     tv_distance,
 )
-from proxilift.linalg import solve_affine
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +593,64 @@ def support_pairs_oracle(sys: ActionSystem) -> set[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# Linear algebra oracle: Gauss-Jordan elimination on Fraction rows, each
+# pivot row scaled to 1, every step a Fraction operation.
+
+def fraction_echelon(m: list[list[Fraction]]) -> list[int]:
+    """Reduce ``m`` in place to reduced row echelon form; return the pivot
+    columns."""
+    if not m:
+        return []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def fraction_rank(rows: list[list[Fraction]]) -> int:
+    return len(fraction_echelon([list(map(Fraction, r)) for r in rows]))
+
+
+def fraction_solve_affine(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """``(particular, nullspace_basis)`` of ``A x = b``, read off the reduced
+    rows, or ``None`` when a pivot lands in the rhs column."""
+    n = len(rows[0])
+    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    pivots = fraction_echelon(aug)
+    if n in pivots:
+        return None
+    pivot_of_col = {c: i for i, c in enumerate(pivots)}
+    particular = [Fraction(0)] * n
+    for c, i in pivot_of_col.items():
+        particular[c] = aug[i][n]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivot_of_col):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for c, i in pivot_of_col.items():
+            vec[c] = -aug[i][fc]
+        basis.append(vec)
+    return particular, basis
+
+
+# ---------------------------------------------------------------------------
 # Invariant meta-measure oracle: exhaustive vertex enumeration of the
 # invariance polytope, trying every zero pattern.
 
@@ -600,7 +658,7 @@ def solve_unique(
     rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> list[Fraction] | None:
     """Solve ``A x = b`` when a unique solution is required; ``None`` otherwise."""
-    sol = solve_affine(rows, rhs)
+    sol = fraction_solve_affine(rows, rhs)
     if sol is None:
         return None
     particular, basis = sol
@@ -624,7 +682,7 @@ def polytope_vertices(
     independent subset of their zero coordinates completes the equality rows
     to full rank.
     """
-    sol = solve_affine(eq_rows, eq_rhs)
+    sol = fraction_solve_affine(eq_rows, eq_rhs)
     if sol is None:
         return []
     particular, basis = sol
@@ -807,7 +865,7 @@ def _fraction_single_generator_obstruction(
     ]
     rows.append([Fraction(1)] * m)
     rhs = [Fraction(0)] * m + [Fraction(1)]
-    solved = solve_affine([list(map(Fraction, r)) for r in rows], rhs)
+    solved = fraction_solve_affine([list(map(Fraction, r)) for r in rows], rhs)
     if solved is None:
         return None
     pi, basis = solved

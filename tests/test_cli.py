@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from proxilift import (
+    ActionSystem,
     Budget,
     FiniteSpace,
     Measure,
@@ -722,6 +723,97 @@ class TestAnalyzeModes:
         assert "outcome: PASS" in out
 
 
+class TestReplaysRunOnce:
+    """``--verify`` replays each distinct witness word and each named pair
+    once per system, while every replay still counts and reports.  Systems
+    are told apart by their point labels."""
+
+    @pytest.fixture
+    def words(self, monkeypatch):
+        """The (labels, word) of every ``word_transformation`` call."""
+        calls = []
+        real = ActionSystem.word_transformation
+
+        def counting(system, word):
+            calls.append((system.space.labels, tuple(word)))
+            return real(system, word)
+
+        monkeypatch.setattr(ActionSystem, "word_transformation", counting)
+        return calls
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """The (labels, pair) of every pair-closure search."""
+        calls = []
+        real = cli._reachable_pairs
+
+        def counting(system, pair):
+            calls.append((system.space.labels, pair))
+            return real(system, pair)
+
+        monkeypatch.setattr(cli, "_reachable_pairs", counting)
+        return calls
+
+    def test_base_replays_a_shared_witness_once(self, words, capsys):
+        path = str(SPECS / "cerny4.json")
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 0
+        assert rep["verify"] == {"checked": 2, "ok": True, "failures": []}
+        witness = tuple(rep["results"]["reset_word"]["witness"])
+        assert words == [(load_spec(path).system.space.labels, witness)]
+
+    def test_non_constant_witness_fails_both_replays(
+        self, words, monkeypatch, capsys
+    ):
+        # The 4-cycle alone is no reset word; strongly_proximal reuses it.
+        forged = proximality.yes((0,), "word is constant to point 0")
+        monkeypatch.setattr(proximality, "reset_word", lambda system, b: forged)
+        path = str(SPECS / "cerny4.json")
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 1
+        assert rep["verify"]["checked"] == 2
+        assert rep["verify"]["failures"] == [
+            "reset_word witness is constant",
+            "strongly_proximal witness is constant",
+        ]
+        assert [word for _, word in words] == [(0,)]
+
+    @pytest.mark.parametrize("mode", ["thm", "prop1"])
+    def test_harness_replays_the_base_witness_once(self, mode, words, capsys):
+        path = str(SPECS / "cerny4.json")
+        argv = ["analyze", path, "--mode", mode, "--grid", "3", "--verify"]
+        code, rep = run_json(argv, capsys)
+        assert code == 0 and rep["verify"]["ok"] is True
+        rows = rep["results"]["harness"]["rows"]
+        labels = load_spec(path).system.space.labels
+        assert len(rows) == 3 and rows[0]["base"]["status"] == "YES"
+        assert [n for n, _ in words].count(labels) == 1
+        # Each row's lift is its own system, its witness replayed on it.
+        lifted = [n for n, _ in words if n != labels]
+        assert len(set(lifted)) == len(lifted)
+        assert len(lifted) == sum(r["lift"]["witness"] is not None for r in rows)
+
+    def test_base_searches_a_named_pair_once(self, closures, capsys):
+        path = str(SPECS / "swap2.json")
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 0
+        assert rep["verify"] == {"checked": 3, "ok": True, "failures": []}
+        assert closures == [(load_spec(path).system.space.labels, (0, 1))]
+
+    def test_harness_searches_the_base_pair_once(self, closures, capsys):
+        path = str(SPECS / "swap2.json")
+        argv = ["analyze", path, "--mode", "thm", "--grid", "3", "--verify"]
+        code, rep = run_json(argv, capsys)
+        assert code == 0 and rep["verify"]["ok"] is True
+        rows = rep["results"]["harness"]["rows"]
+        labels = load_spec(path).system.space.labels
+        assert len(rows) == 3 and rows[0]["base"]["status"] == "NO"
+        assert [c for c in closures if c[0] == labels] == [(labels, (0, 1))]
+        lifted = [n for n, _ in closures if n != labels]
+        assert len(set(lifted)) == len(lifted)
+        assert len(lifted) == sum(r["lift"]["status"] == "NO" for r in rows)
+
+
 class TestDeterminism:
     def strip(self, rep):
         rep = dict(rep)
@@ -779,6 +871,29 @@ class TestDeterminism:
             main(["analyze", str(SPECS / "swap2.json"), "--mode", "base"])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, flag, value, good",
+        [
+            ("PROXILIFT_MODE", "--mode", "bogus", "base"),
+            ("PROXILIFT_FORMAT", "--format", "xml", "json"),
+        ],
+    )
+    def test_bad_env_choice_is_usage_error(
+        self, monkeypatch, capsys, name, flag, value, good
+    ):
+        # argparse checks choices on command-line values only; the flag's
+        # type checks the environment default too.
+        monkeypatch.setenv(name, value)
+        argv = ["analyze", str(SPECS / "cerny4.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: {value!r}" in err
+        # A value given on the command line wins over the bad default.
+        code, rep = run_json(argv + [flag, good], capsys)
+        assert code == 0 and rep["flags"]["mode"] == "base"
 
     def test_demo_grid_has_no_env_override(self, monkeypatch):
         monkeypatch.setenv("PROXILIFT_GRID", "3")
@@ -841,6 +956,59 @@ class TestParserReuse:
             main(args)
         assert exc.value.code == 2
         assert "argument --max-closure:" in capsys.readouterr().err
+
+    # Per variable: the command, the namespace field and a value other
+    # than the default.
+    ENV_FLAGS = {
+        "PROXILIFT_MODE": ("analyze", "mode", "thm"),
+        "PROXILIFT_GRID": ("analyze", "grid", "5"),
+        "PROXILIFT_MAX_WORD_LEN": ("analyze", "max_word_len", "7"),
+        "PROXILIFT_MAX_CLOSURE": ("analyze", "max_closure", "9"),
+        "PROXILIFT_EPSILON": ("analyze", "epsilon", "1/7"),
+        "PROXILIFT_FORMAT": ("analyze", "format", "text"),
+        "PROXILIFT_SEED": ("analyze", "seed", "5"),
+        "PROXILIFT_TRIALS": ("analyze", "trials", "3"),
+        "PROXILIFT_N_MAX": ("demo-sl", "n_max", "5"),
+        "PROXILIFT_STEPS": ("demo-sl", "steps", "3"),
+    }
+
+    @pytest.fixture
+    def parsed(self, built, monkeypatch):
+        """The namespace of every ``main`` call, which runs nothing."""
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return 0
+
+        monkeypatch.setattr(cli, "analyze", record)
+        monkeypatch.setattr(cli, "demo_sl", record)
+        for name in cli._ENV_NAMES:
+            monkeypatch.delenv(name, raising=False)
+        return seen
+
+    def test_every_keyed_variable_moves_its_default(
+        self, parsed, built, monkeypatch
+    ):
+        assert sorted(cli._ENV_NAMES) == sorted(self.ENV_FLAGS)
+        for name in cli._ENV_NAMES:
+            command, field, value = self.ENV_FLAGS[name]
+            argv = [command] + (["x.json"] if command == "analyze" else [])
+            main(argv)
+            monkeypatch.setenv(name, value)
+            main(argv)
+            monkeypatch.delenv(name)
+            before, after = parsed[-2:]
+            assert getattr(before, field) != getattr(after, field)
+            assert str(getattr(after, field)) == value
+        # Only the last parser is kept, so each call after a change builds.
+        assert len(built) == 2 * len(cli._ENV_NAMES)
+
+    def test_unrelated_variable_builds_no_parser(self, parsed, built, monkeypatch):
+        main(["analyze", "x.json"])
+        monkeypatch.setenv("PROXILIFT_FOO", "1")
+        main(["analyze", "x.json"])
+        assert len(parsed) == 2 and len(built) == 1
 
     def test_demo_leaves_the_cube_default(self, built, capsys):
         default = [F(1), F(10), F(100)]

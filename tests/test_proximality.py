@@ -76,6 +76,12 @@ def rand_images(rng, m):
     return images
 
 
+def rand_permutation_system(rng, m):
+    """A permutation of m points followed by 1-2 random maps."""
+    maps = [tuple(rng.randrange(m) for _ in range(m)) for _ in range(rng.randint(1, 2))]
+    return det_system(tuple(rng.sample(range(m), m)), *maps)
+
+
 def cerny(n):
     """Cerny's C_n: a cycle and a letter merging points 0 and 1."""
     return det_system(
@@ -525,6 +531,35 @@ class TestResetWord:
             outcomes.update(assert_reset(sys, [B, Budget(max_closure=50), exact]))
         assert all(outcomes[k] >= 30 for k in ("NO", "found", "fallback"))
 
+    def test_meets_at_the_widest_size(self, monkeypatch):
+        # A set lies inside a backward set only if it is no larger, so the
+        # search tests a set only when its size is at most the largest size
+        # of the backward level.  Here the first meet of each system is a
+        # forward set as large as the widest set of its level, singletons
+        # aside, which needs the bound to be inclusive.
+        first = []  # the sizes at the first meet of one search
+        real = proximality._inside
+
+        def spying(mask, level):
+            inside = real(mask, level)
+            if inside and not first:
+                widest = 1 if level is None else max(map(int.bit_count, level))
+                first.append((mask.bit_count(), widest, level is None))
+            return inside
+
+        monkeypatch.setattr(proximality, "_inside", spying)
+        rng = random.Random(53)
+        equal = 0
+        for _ in range(400):
+            sys = rand_permutation_system(rng, rng.randint(2, 12))
+            first.clear()
+            assert reset_word(sys, B) == want_reset(sys)
+            if first:
+                size, widest, singletons = first[0]
+                assert size <= widest
+                equal += size == widest and not singletons
+        assert equal >= 20
+
     def test_stochastic_rejected(self):
         sys = stoch_system([[F(1, 2), F(1, 2)], [0, 1]])
         with pytest.raises(UnsupportedKind):
@@ -774,6 +809,13 @@ def det_systems(draw):
 
 
 @st.composite
+def permutation_systems(draw):
+    """A system of ``rand_permutation_system`` on 2-12 points."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return rand_permutation_system(rng, rng.randint(2, 12))
+
+
+@st.composite
 def stochastic_systems(draw):
     """A stochastic system on 2-5 points with 1-3 generators, from the
     dense, sparse, spread or block builder of ``helpers``, with some entry
@@ -861,6 +903,14 @@ class TestDifferential:
                     reset.pair,
                 )
         assert strong == want == strongly_proximal(sys, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(det_systems(), permutation_systems()))
+    def test_reset_word_matches_subset_bfs(self, sys):
+        # With room for every subset on both sides, the bidirectional search
+        # and its size filters give the forward subset BFS's word.
+        exact = Budget(max_closure=2 ** (len(sys.space) + 1))
+        assert reset_word(sys, exact) == want_reset(sys)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(det_systems(), st.data())
