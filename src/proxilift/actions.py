@@ -44,10 +44,6 @@ class Transformation:
     def identity(cls, m: int) -> "Transformation":
         return cls(tuple(range(m)))
 
-    @classmethod
-    def constant(cls, m: int, target: int) -> "Transformation":
-        return cls(tuple(target for _ in range(m)))
-
     def __len__(self) -> int:
         return len(self.image)
 

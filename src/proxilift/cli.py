@@ -14,6 +14,10 @@ entry.  ``main`` builds its argument parser on first use and keeps it while
 the ``PROXILIFT_*`` environment stays the same, so repeated in-process calls
 pay for argument set-up once.
 
+``--verify`` replays each verdict from data: a YES from its witness word, a
+NO from its typed ``evidence`` (``NeverMerges`` or ``EntryBound``).  The
+certificate text is for people; this module neither formats nor parses it.
+
 The demo subcommand is the one deliberately floating-point corner: it
 tabulates a determinant-one diagonal action on R^3 that merges pairs in a
 plane (proximality evidence) while pushing volume off every fixed cube, so
@@ -69,6 +73,8 @@ from .lift import (
 )
 from .proximality import (
     Budget,
+    EntryBound,
+    NeverMerges,
     Status,
     Verdict,
     decide,
@@ -82,8 +88,6 @@ from .spaces import (
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 Replay = tuple[str, Callable[[], bool]]
-# A pair's closure: whether it avoids the diagonal, and its unordered pairs.
-Closure = Callable[[tuple[int, int]], tuple[bool, int]]
 
 # Exit code of a harness outcome, shared by modes prop1, thm and affine.
 _OUTCOME_CODE = {"PASS": 0, "INCONCLUSIVE": 2, "FAIL": 1}
@@ -349,16 +353,6 @@ def harness_json(rep: HarnessReport) -> dict:
     }
 
 
-def _witness_replay(
-    desc: str, v: Verdict, check: Callable[[Word], bool]
-) -> list[Replay]:
-    """The replay of a YES verdict's witness word under check, or nothing."""
-    if v.status is not Status.YES or v.witness is None:
-        return []
-    word = v.witness
-    return [(desc, lambda: check(word))]
-
-
 def _reachable_pairs(sysm: ActionSystem, pair: tuple[int, int]) -> set:
     """The ordered pairs reachable from pair, by a plain search: a letter
     sends (a, b) to every (c, d) with c in the support of row a and d in
@@ -378,83 +372,68 @@ def _reachable_pairs(sysm: ActionSystem, pair: tuple[int, int]) -> set:
     return seen
 
 
-def _pair_closure(sysm: ActionSystem) -> Closure:
-    """Whether the pairs reachable from a pair avoid the diagonal, and how
-    many unordered pairs they are; each distinct pair is searched once."""
-    known: dict[tuple[int, int], tuple[bool, int]] = {}
-
-    def closure(pair: tuple[int, int]) -> tuple[bool, int]:
-        if pair not in known:
-            seen = _reachable_pairs(sysm, pair)
-            reached = len({(min(a, b), max(a, b)) for a, b in seen})
-            known[pair] = all(a != b for a, b in seen), reached
-        return known[pair]
-
-    return closure
-
-
-def _pair_replay(desc: str, v: Verdict, closure: Closure) -> list[Replay]:
-    """The replay of a NO naming a pair that never merges, or nothing.
-
-    It holds when the pair's closure (``_pair_closure``) avoids the diagonal
-    and the certificate counts its pairs right.
-    """
-    if v.status is not Status.NO or v.pair is None:
-        return []
-    pair, certificate = v.pair, v.certificate or ""
-
-    def run() -> bool:
-        avoids, reached = closure(pair)
-        claim = f"pair {pair} never merges: the {reached} pairs reachable"
-        return avoids and claim in certificate
-
-    return [(desc, run)]
-
-
-def _bound_replay(
-    desc: str, v: Verdict, sysm: ActionSystem, epsilon: Fraction
-) -> list[Replay]:
-    """The replay of a NO that bounds every generator entry, or nothing.
-
-    It recomputes the largest entry of the generators.  It holds when that
-    entry is at most 1 - epsilon and the certificate states exactly it.
-    """
-    claim = "every generator entry is at most "
-    certificate = v.certificate or ""
-    if v.status is not Status.NO or not certificate.startswith(claim):
-        return []
-
-    def run() -> bool:
-        top = max(p for g in sysm.generators for row in g.rows for p in row)
-        return top <= 1 - epsilon and certificate.startswith(f"{claim}{top} <= ")
-
-    return [(desc, run)]
-
-
-def _is_constant(sysm: ActionSystem) -> Callable[[Word], bool]:
-    """The constant-word check on sysm, each distinct word replayed once."""
-    known: dict[Word, bool] = {}
-
-    def check(word: Word) -> bool:
-        if word not in known:
-            known[word] = sysm.word_transformation(word).is_constant()
-        return known[word]
-
-    return check
-
-
-def _contracts(sysm: ActionSystem) -> Callable[[Word], bool]:
-    return lambda word: dobrushin(sysm.word_matrix(word)) < 1
-
-
-def _crowds_vertex(
+def _replays(
     sysm: ActionSystem, epsilon: Fraction
-) -> Callable[[Word], bool]:
-    def check(word: Word) -> bool:
+) -> Callable[[str, Verdict], list[Replay]]:
+    """The replay builder of the verdicts decided on sysm.
+
+    ``replay(name, v)`` gives verdict v at most one replay, read from its
+    witness or its evidence and named after name.  A YES word must act as
+    a constant map on a deterministic system.  On a stochastic system, which
+    base mode alone decides, the word of ``is_proximal`` must contract
+    (Dobrushin coefficient below 1) and that of ``strongly_proximal`` must
+    take every row within epsilon of one vertex.  A ``NeverMerges`` holds
+    when the pairs reachable from its pair avoid the diagonal and are
+    ``reached`` unordered pairs; an ``EntryBound`` when the largest
+    generator entry is its ``top`` and at most 1 - epsilon.  Each distinct
+    word and pair is replayed once, however many verdicts share it.
+    """
+    pairs: dict[tuple[int, int], Optional[int]] = {}  # None: meets the diagonal
+    words: dict[Word, bool] = {}
+
+    def never_merges(ev: NeverMerges) -> bool:
+        if ev.pair not in pairs:
+            seen = _reachable_pairs(sysm, ev.pair)
+            pairs[ev.pair] = (
+                None
+                if any(a == b for a, b in seen)
+                else len({(min(a, b), max(a, b)) for a, b in seen})
+            )
+        return pairs[ev.pair] == ev.reached
+
+    def bounded(ev: EntryBound) -> bool:
+        top = max(p for g in sysm.generators for row in g.rows for p in row)
+        return top == ev.top and top <= 1 - epsilon
+
+    def constant(word: Word) -> bool:
+        if word not in words:
+            words[word] = sysm.word_transformation(word).is_constant()
+        return words[word]
+
+    def contracts(word: Word) -> bool:
+        return dobrushin(sysm.word_matrix(word)) < 1
+
+    def crowds(word: Word) -> bool:
         crowd = max(min(col) for col in zip(*sysm.word_matrix(word).rows))
         return 1 - crowd < epsilon
 
-    return check
+    def replay(name: str, v: Verdict) -> list[Replay]:
+        if isinstance(v.evidence, NeverMerges):
+            what, check = "pair never merges", never_merges
+        elif isinstance(v.evidence, EntryBound):
+            what, check = "generator entries are at most 1 - epsilon", bounded
+        elif v.status is not Status.YES or v.witness is None:
+            return []
+        elif sysm.kind is Kind.DETERMINISTIC:
+            what, check = "witness is constant", constant
+        elif name == "is_proximal":
+            what, check = "witness contracts", contracts
+        else:
+            what, check = "witness crowds a vertex", crowds
+        data = v.witness if v.evidence is None else v.evidence
+        return [(f"{name} {what}", functools.partial(check, data))]
+
+    return replay
 
 
 def _extreme_meta_replay(
@@ -491,34 +470,13 @@ def _extreme_meta_replay(
 def _mode_base(
     system: ActionSystem, b: Budget
 ) -> tuple[dict, int, list[Replay]]:
-    results: dict[str, Any] = {}
-    replays: list[Replay] = []
     prox, strong, reset = decide(system, b)
     named = [("is_proximal", prox), ("strongly_proximal", strong)]
     if system.kind is Kind.DETERMINISTIC:
         named.append(("reset_word", reset))
-        constant = _is_constant(system)
-        for name, v in (("reset_word", reset), ("strongly_proximal", strong)):
-            replays += _witness_replay(f"{name} witness is constant", v, constant)
-    else:
-        replays += _witness_replay(
-            "is_proximal witness contracts", prox, _contracts(system)
-        )
-        replays += _witness_replay(
-            "strongly_proximal witness crowds a vertex",
-            strong,
-            _crowds_vertex(system, b.epsilon),
-        )
-        replays += _bound_replay(
-            "strongly_proximal generator entries are at most 1 - epsilon",
-            strong,
-            system,
-            b.epsilon,
-        )
-    closure = _pair_closure(system)
-    for name, v in named:
-        results[name] = verdict_json(v)
-        replays += _pair_replay(f"{name} pair never merges", v, closure)
+    replay = _replays(system, b.epsilon)
+    results = {name: verdict_json(v) for name, v in named}
+    replays = [r for name, v in named for r in replay(name, v)]
     code = 0 if all(v.status is not Status.UNKNOWN for _, v in named) else 2
     return results, code, replays
 
@@ -527,21 +485,13 @@ def _mode_harness(
     system: ActionSystem, q: int, b: Budget, mode: HarnessMode
 ) -> tuple[dict, int, list[Replay]]:
     rep = equivalence_harness(system, q, b, mode)
-    replays: list[Replay] = []
     # Every row holds the same base verdict; its replays run once.
-    constant, closure = _is_constant(system), _pair_closure(system)
+    base = _replays(system, b.epsilon)
+    replays: list[Replay] = []
     for row in rep.rows:
-        lifted = row.lifted.system
-        replays += _witness_replay(
-            f"q={row.q} base witness is constant", row.base, constant
-        )
-        replays += _witness_replay(
-            f"q={row.q} lift witness is constant", row.lift, _is_constant(lifted)
-        )
-        replays += _pair_replay(f"q={row.q} base pair never merges", row.base, closure)
-        replays += _pair_replay(
-            f"q={row.q} lift pair never merges", row.lift, _pair_closure(lifted)
-        )
+        lifted = _replays(row.lifted.system, b.epsilon)
+        replays += base(f"q={row.q} base", row.base)
+        replays += lifted(f"q={row.q} lift", row.lift)
     return {"harness": harness_json(rep)}, _OUTCOME_CODE[rep.outcome], replays
 
 
@@ -605,13 +555,9 @@ def _mode_affine(
             "outcome": cor.outcome,
         },
     }
-    hull = cor.lifted.system
-    replays = _witness_replay(
-        "corollary strong witness is constant", cor.strong, _is_constant(hull)
-    )
-    closure = _pair_closure(hull)
-    for name, v in (("proximal", cor.proximal), ("strong", cor.strong)):
-        replays += _pair_replay(f"corollary {name} pair never merges", v, closure)
+    replay = _replays(cor.lifted.system, b.epsilon)
+    named = [("proximal", cor.proximal), ("strong", cor.strong)]
+    replays = [r for name, v in named for r in replay(f"corollary {name}", v)]
     code = _OUTCOME_CODE[cor.outcome] if equiv.ok else 1
     return results, code, replays
 

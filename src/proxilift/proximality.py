@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .actions import (
     ActionSystem,
@@ -71,18 +71,37 @@ class Status(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
+# The evidence records are NamedTuples: immutable, compared and hashed by
+# value like a frozen dataclass, and a seventh of its class-creation cost
+# at import.
+class NeverMerges(NamedTuple):
+    """A pair of points that no word merges: the ``reached`` unordered pairs
+    reachable from it form a set closed under the generators that avoids
+    the diagonal (Cerny 1964)."""
+
+    pair: tuple[int, int]
+    reached: int
+
+
+class EntryBound(NamedTuple):
+    """No generator entry exceeds ``top``, which is at most 1 - epsilon."""
+
+    top: Fraction
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a decision procedure, always with evidence attached.
+    """Outcome of a decision procedure, with a witness or certificate.
 
-    A NO whose certificate is a pair that never merges names it in ``pair``
-    as well, for replay.
+    ``certificate`` explains the verdict to people.  A NO that rests on a
+    pair that never merges, or on the largest generator entry, also holds
+    it as data in ``evidence``, and replays read that, never the text.
     """
 
     status: Status
     witness: Optional[Word] = None
     certificate: Optional[str] = None
-    pair: Optional[tuple[int, int]] = None
+    evidence: Optional[NeverMerges | EntryBound] = None
 
     def __post_init__(self) -> None:
         if self.status is Status.YES:
@@ -96,8 +115,10 @@ def yes(witness: Optional[Word] = None, certificate: Optional[str] = None) -> Ve
     return Verdict(Status.YES, witness, certificate)
 
 
-def no(certificate: str, pair: Optional[tuple[int, int]] = None) -> Verdict:
-    return Verdict(Status.NO, None, certificate, pair)
+def no(
+    certificate: str, evidence: Optional[NeverMerges | EntryBound] = None
+) -> Verdict:
+    return Verdict(Status.NO, None, certificate, evidence)
 
 
 def unknown(certificate: str) -> Verdict:
@@ -237,11 +258,11 @@ def _merge_images(
 
 def _never_merges(pair: tuple[int, int], reached: int) -> Verdict:
     """The NO naming a pair whose ``reached`` successor pairs avoid the
-    diagonal."""
+    diagonal, in its text and as ``NeverMerges`` evidence."""
     return no(
         f"pair {pair} never merges: the {reached} pairs reachable from it "
         "avoid the diagonal",
-        pair,
+        NeverMerges(pair, reached),
     )
 
 
@@ -509,7 +530,8 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     Greedy merging runs first: when it finds no constant word, its NO, the
     pair where it stops, is the answer and the subset search never runs.
     Otherwise a singleton is an image of the full set and the full set a
-    preimage of a singleton, so neither side runs dry before they meet.
+    preimage of a singleton, so neither side runs dry before they meet; if
+    one does, so that no meet can follow, the search raises RuntimeError.
     ``max_closure`` bounds the sets stored on both sides, the singletons
     aside; when it runs out, the greedy word is the valid, possibly
     non-minimal, answer.  The preimage tables are built when the backward
@@ -539,6 +561,10 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     meet = None
     while meet is None:
         backward = levels[-1]
+        if not forward or backward == []:
+            raise RuntimeError(
+                "reset_word subset search: a side ran empty before the sides met"
+            )
         if len(forward) <= (m if backward is None else len(backward)):
             new = []
             narrowest = m
@@ -630,12 +656,14 @@ def decide(
                 reset.witness, "reset word collapses every measure to a point mass"
             )
         else:
-            strong = no(f"no constant word exists ({reset.certificate})", reset.pair)
+            strong = no(
+                f"no constant word exists ({reset.certificate})", reset.evidence
+            )
         return _proximal_from_reset(reset, len(sys.space)), strong, reset
     prox = _greedy_scrambling(sys)
     if prox.status is Status.NO:
         crowded = f"no word crowds all rows near one vertex ({prox.certificate})"
-        return prox, no(crowded, prox.pair), None
+        return prox, no(crowded, prox.evidence), None
     if len(sys.generators) == 1:
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
@@ -645,7 +673,8 @@ def decide(
         # An entry of S_ug is sum_z (S_u)_yz g_zx <= max_z g_zx <= top.
         bounded = no(
             f"every generator entry is at most {top} <= 1 - epsilon, so every "
-            f"row of every nonempty word stays tv >= {1 - top} from every vertex"
+            f"row of every nonempty word stays tv >= {1 - top} from every vertex",
+            EntryBound(top),
         )
         return prox, bounded, None
     return prox, _stochastic_vertex_search(sys, b), None

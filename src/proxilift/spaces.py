@@ -96,9 +96,8 @@ class FiniteSpace:
     def discrete(cls, labels: Sequence[str]) -> "FiniteSpace":
         """All distinct distances equal to 1 (the discrete metric).
 
-        No matrix is stored: ``distance`` and ``diameter`` answer directly,
-        the metric is valid by construction, and ``metric`` builds the n x n
-        matrix only when something reads it.
+        No matrix is stored: the metric is valid by construction, and
+        ``metric`` builds the n x n matrix only when something reads it.
         """
         return cls(tuple(labels), None)
 
@@ -130,20 +129,6 @@ class FiniteSpace:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def distance(self, i: int, j: int) -> Fraction:
-        if self.matrix is None:
-            return ZERO if i == j else ONE
-        return self.metric[i][j]
-
-    def diameter(self) -> Fraction:
-        m = len(self.labels)
-        if self.matrix is None:
-            return ONE if m > 1 else ZERO
-        return max(
-            (self.metric[i][j] for i in range(m) for j in range(i + 1, m)),
-            default=ZERO,
-        )
 
 
 @dataclass(frozen=True)
@@ -365,11 +350,6 @@ def tightness_profile(
         profile.append(min(mu.mass_of(k) for mu in seq))
         prev = k
     return profile
-
-
-def tight_at(profile: Sequence[Fraction], epsilon: Fraction) -> bool:
-    """Whether some set in the profile retains mass at least 1-epsilon."""
-    return any(p >= 1 - epsilon for p in profile)
 
 
 def _random_counts(rng: random.Random, m: int, granularity: int = 12) -> list[int]:

@@ -44,6 +44,7 @@ from proxilift import (
     random_measure,
     tv_distance,
 )
+from proxilift.proximality import EntryBound, NeverMerges
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +453,17 @@ def pair_closure_oracle(
 def never_merges_no(
     sys: ActionSystem, pair: tuple[int, int], wrap: str = "{}"
 ) -> Verdict:
-    """The NO naming ``pair``, whose closure ``pair_closure_oracle`` counts;
-    ``wrap`` places that certificate inside a longer one."""
+    """The NO naming ``pair``, whose closure ``pair_closure_oracle`` counts,
+    in its certificate and its ``NeverMerges`` evidence; ``wrap`` places
+    that certificate inside a longer one."""
     reached = pair_closure_oracle(sys, pair)
     assert reached is not None, f"pair {pair} merges"
     text = (
         f"pair {pair} never merges: the {reached} pairs reachable from it "
         "avoid the diagonal"
     )
-    return Verdict(Status.NO, None, wrap.format(text), pair)
+    evidence = NeverMerges(pair, reached)
+    return Verdict(Status.NO, None, wrap.format(text), evidence)
 
 
 def measure_pair_oracle(
@@ -929,6 +932,7 @@ def fraction_entry_bound(sys: ActionSystem, b: Budget) -> Optional[Verdict]:
         None,
         f"every generator entry is at most {top} <= 1 - epsilon, so every row "
         f"of every nonempty word stays tv >= {1 - top} from every vertex",
+        EntryBound(top),
     )
 
 

@@ -1,5 +1,6 @@
 """Spec parsing, report determinism, exit codes, the SL demo."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -20,6 +21,7 @@ from proxilift import (
     reset_word,
 )
 from proxilift import affine, cli, lift, proximality
+from proxilift.proximality import EntryBound, NeverMerges
 from proxilift.cli import (
     build_parser,
     load_spec,
@@ -542,10 +544,8 @@ class TestAnalyzeModes:
     def test_verify_rejects_false_entry_bound_no(
         self, doc, top, epsilon, monkeypatch, tmp_path, capsys
     ):
-        forged = proximality.no(
-            f"every generator entry is at most {top} <= 1 - epsilon, so every "
-            "row of every nonempty word stays tv >= 0 from every vertex"
-        )
+        # The replay reads the evidence; the text is for people only.
+        forged = proximality.no("forged entry bound", EntryBound(F(top)))
         real = cli.decide
         monkeypatch.setattr(
             cli, "decide", lambda system, b: (real(system, b)[0], forged, None)
@@ -612,20 +612,16 @@ class TestAnalyzeModes:
         "name, pair, reached",
         [
             ("cerny4", (0, 1), 1),  # merges
+            # merges, with the closure's true count: only the diagonal tells
+            ("cerny4", (0, 1), 10),
             ("swap2", (0, 1), 2),  # never merges, but its closure has 1 pair
         ],
-        ids=["merging-pair", "wrong-count"],
+        ids=["merging-pair", "merging-pair-true-count", "wrong-count"],
     )
     def test_verify_rejects_false_pair_no(
         self, name, pair, reached, monkeypatch, capsys
     ):
-        forged = proximality.Verdict(
-            proximality.Status.NO,
-            None,
-            f"pair {pair} never merges: the {reached} pairs reachable from "
-            "it avoid the diagonal",
-            pair,
-        )
+        forged = proximality.no("forged pair", NeverMerges(pair, reached))
         monkeypatch.setattr(proximality, "reset_word", lambda system, b: forged)
         code, rep = run_json(
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base", "--verify"],
@@ -642,13 +638,7 @@ class TestAnalyzeModes:
         self, monkeypatch, tmp_path, capsys
     ):
         # Every row of dense4x2 is positive, so the pair merges at once.
-        forged = proximality.Verdict(
-            proximality.Status.NO,
-            None,
-            "pair (0, 1) never merges: the 1 pairs reachable from it avoid "
-            "the diagonal",
-            (0, 1),
-        )
+        forged = proximality.no("forged pair", NeverMerges((0, 1), 1))
         monkeypatch.setattr(proximality, "_greedy_scrambling", lambda system: forged)
         path = write_spec(tmp_path, GENERATED_SPECS["dense4x2"])
         code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
@@ -657,6 +647,44 @@ class TestAnalyzeModes:
             "is_proximal pair never merges",
             "strongly_proximal pair never merges",
         ]
+
+    def test_verify_rejects_false_stochastic_words(self, monkeypatch, capsys):
+        # The empty word leaves every row a distinct vertex: its Dobrushin
+        # coefficient is 1, and no column holds mass in every row.
+        forged = proximality.yes((), "forged word")
+        monkeypatch.setattr(cli, "decide", lambda system, b: (forged, forged, None))
+        argv = ["analyze", str(SPECS / "lazy_pair.json"), "--mode", "base"]
+        code, rep = run_json(argv + ["--verify"], capsys)
+        assert code == 1
+        assert rep["verify"]["failures"] == [
+            "is_proximal witness contracts",
+            "strongly_proximal witness crowds a vertex",
+        ]
+
+    @pytest.mark.parametrize("name, checked", [("swap2", 3), ("lazy_pair", 2)])
+    def test_replays_read_evidence_not_text(
+        self, name, checked, monkeypatch, capsys
+    ):
+        # Every NO keeps its evidence under unrelated text; the replays
+        # read the evidence, so they count and pass as before.
+        real = cli.decide
+
+        def reworded(system, b):
+            return tuple(
+                v
+                if v is None or v.status is not proximality.Status.NO
+                else dataclasses.replace(v, certificate="for people only")
+                for v in real(system, b)
+            )
+
+        monkeypatch.setattr(cli, "decide", reworded)
+        argv = ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"]
+        code, rep = run_json(argv + ["--verify"], capsys)
+        assert code == 0
+        assert "for people only" in {
+            v["certificate"] for v in rep["results"].values()
+        }
+        assert rep["verify"] == {"checked": checked, "ok": True, "failures": []}
 
     def test_verify_rejects_invariant_non_extreme(self, monkeypatch, capsys):
         # the swap's q=2 lift has orbits {(2,0), (0,2)} and {(1,1)}; the
@@ -773,8 +801,8 @@ class TestReplaysRunOnce:
         assert code == 1
         assert rep["verify"]["checked"] == 2
         assert rep["verify"]["failures"] == [
-            "reset_word witness is constant",
             "strongly_proximal witness is constant",
+            "reset_word witness is constant",
         ]
         assert [word for _, word in words] == [(0,)]
 

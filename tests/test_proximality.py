@@ -1,6 +1,7 @@
 """Proximality engines: pair decisions, reset words, strong proximality."""
 
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from proxilift import proximality
+from proxilift.proximality import NeverMerges
 from proxilift import (
     ActionSystem,
     Budget,
@@ -352,7 +354,7 @@ class TestIsProximal:
             None,
             "pair (0, 1) never merges: the 1 pairs reachable from it avoid "
             "the diagonal",
-            (0, 1),
+            NeverMerges((0, 1), 1),
         )
         assert is_proximal(sys, B) == want == greedy_reset_oracle(sys)
         assert searches == [[(0, 1)]]
@@ -371,7 +373,7 @@ class TestIsProximal:
             if not obstructed:
                 assert v.status is Status.YES
                 continue
-            assert v.pair in obstructed
+            assert v.evidence.pair in obstructed
             assert v == greedy_reset_oracle(sys)
         assert min(verdicts.values()) >= 50
 
@@ -401,7 +403,7 @@ class TestIsProximal:
             None,
             "pair (0, 2) never merges: the 4 pairs reachable from it avoid "
             "the diagonal",
-            (0, 2),
+            NeverMerges((0, 2), 4),
         )
 
     def test_doubly_deterministic_delegates(self):
@@ -459,7 +461,7 @@ class TestResetWord:
             None,
             "pair (0, 2) never merges: the 2 pairs reachable from it avoid "
             "the diagonal",
-            (0, 2),
+            NeverMerges((0, 2), 2),
         )
 
     def test_no_skips_the_subset_search(self, searches, monkeypatch):
@@ -560,6 +562,26 @@ class TestResetWord:
                 equal += size == widest and not singletons
         assert equal >= 20
 
+    def test_empty_frontier_raises(self, monkeypatch):
+        # A forged greedy YES on the swap, which has no reset word: the
+        # full set is the only image, so the forward side runs empty before
+        # any meet.  The search must raise instead of looping; the alarm
+        # turns a hang into a failure.
+        forged = proximality.yes((0,), "forged constant word")
+        monkeypatch.setattr(proximality, "_greedy_reset", lambda sys: forged)
+
+        def hang(signum, frame):
+            raise TimeoutError("reset_word did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(RuntimeError, match="reset_word subset search"):
+                reset_word(det_system((1, 0)), B)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_stochastic_rejected(self):
         sys = stoch_system([[F(1, 2), F(1, 2)], [0, 1]])
         with pytest.raises(UnsupportedKind):
@@ -640,7 +662,7 @@ class TestStronglyProximal:
             None,
             "no word crowds all rows near one vertex (pair (0, 2) never "
             "merges: the 4 pairs reachable from it avoid the diagonal)",
-            (0, 2),
+            NeverMerges((0, 2), 4),
         )
 
     def test_doubly_deterministic_delegates(self):
@@ -671,10 +693,12 @@ class TestStochasticSearches:
             obstructed = obstructed_pairs(sys, support_pairs_oracle(sys))
             prox = is_proximal(sys, b)
             if obstructed:
-                assert prox.pair in obstructed
-                want = never_merges_no(sys, prox.pair)
+                assert prox.evidence.pair in obstructed
+                want = never_merges_no(sys, prox.evidence.pair)
                 strong = never_merges_no(
-                    sys, prox.pair, "no word crowds all rows near one vertex ({})"
+                    sys,
+                    prox.evidence.pair,
+                    "no word crowds all rows near one vertex ({})",
                 )
             else:
                 assert prox.status is Status.YES
@@ -883,7 +907,9 @@ class TestDifferential:
             unmergeable = obstructed_pairs(sys, support_pairs_oracle(sys))
             if unmergeable:
                 want = never_merges_no(
-                    sys, prox.pair, "no word crowds all rows near one vertex ({})"
+                    sys,
+                    prox.evidence.pair,
+                    "no word crowds all rows near one vertex ({})",
                 )
             else:
                 want = fraction_strongly_proximal(sys, b)
@@ -900,7 +926,7 @@ class TestDifferential:
                     Status.NO,
                     None,
                     f"no constant word exists ({reset.certificate})",
-                    reset.pair,
+                    reset.evidence,
                 )
         assert strong == want == strongly_proximal(sys, b)
 
@@ -919,7 +945,7 @@ class TestDifferential:
         obstructed = obstructed_pairs(sys, mergeable_pairs_oracle(sys))
         if obstructed:
             prox = greedy_reset_oracle(sys)
-            assert prox.pair in obstructed
+            assert prox.evidence.pair in obstructed
         elif m == 1:
             prox = Verdict(Status.YES, None, "single point, trivially proximal")
         else:
@@ -1029,10 +1055,12 @@ class TestDifferential:
         unmergeable = obstructed_pairs(sys, support_pairs_oracle(sys))
         prox = is_proximal(sys, b)
         if unmergeable:
-            assert prox.pair in unmergeable
-            assert prox == never_merges_no(sys, prox.pair)
+            assert prox.evidence.pair in unmergeable
+            assert prox == never_merges_no(sys, prox.evidence.pair)
             assert strongly_proximal(sys, b) == never_merges_no(
-                sys, prox.pair, "no word crowds all rows near one vertex ({})"
+                sys,
+                prox.evidence.pair,
+                "no word crowds all rows near one vertex ({})",
             )
         else:
             assert prox.status is Status.YES

@@ -28,7 +28,6 @@ from proxilift import (
     psi_checks,
     pushforward,
     random_measure,
-    tight_at,
     tightness_profile,
     tv_distance,
     w1_distance,
@@ -59,8 +58,7 @@ class TestFiniteSpace:
     def test_discrete_metric_valid(self):
         sp = FiniteSpace.discrete(("x", "y", "z"))
         assert len(sp) == 3
-        assert sp.distance(0, 1) == 1
-        assert sp.diameter() == 1
+        assert sp.metric[0][1] == 1 and sp.metric[1][1] == 0
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ValidationError):
@@ -104,17 +102,12 @@ class TestDiscreteSpace:
     def test_reads_as_zero_one_matrix(self, m):
         sp = FiniteSpace.discrete(self.labels(m))
         assert sp.metric == self.zero_one(m)
-        for i in range(m):
-            for j in range(m):
-                assert sp.distance(i, j) == sp.metric[i][j]
-        assert sp.diameter() == (1 if m > 1 else 0)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_matrix_passes_the_full_validator(self, m):
         sp = FiniteSpace.discrete(self.labels(m))
         explicit = FiniteSpace(self.labels(m), sp.metric)
         assert explicit.matrix is not None
-        assert explicit.diameter() == sp.diameter()
         assert explicit == sp and hash(explicit) == hash(sp)
 
     def test_equal_labels_equal_and_hash_equal(self):
@@ -431,15 +424,6 @@ class TestTightness:
     def test_alternating_misses(self):
         seq = [Measure.point_mass(2, 0), Measure.point_mass(2, 1)]
         assert tightness_profile(seq, [[0]]) == [0]
-
-    def test_tight_at_level(self):
-        seq = [
-            Measure.from_weights([F(19, 20), F(1, 20)]),
-            Measure.from_weights([F(9, 10), F(1, 10)]),
-        ]
-        profile = tightness_profile(seq, [[0]])
-        assert tight_at(profile, F(1, 10))
-        assert not tight_at(profile, F(1, 20))
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValidationError):
