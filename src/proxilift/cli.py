@@ -406,8 +406,15 @@ def _replays(
         return top == ev.top and top <= 1 - epsilon
 
     def constant(word: Word) -> bool:
+        # The image of the full set, mapped letter by letter, shrinks where
+        # composing the word's map would follow every point to the end.
         if word not in words:
-            words[word] = sysm.word_transformation(word).is_constant()
+            sysm.check_word(word)
+            image = set(range(len(sysm.space)))
+            for letter in word:
+                g = sysm.generators[letter].image
+                image = {g[x] for x in image}
+            words[word] = len(image) == 1
         return words[word]
 
     def contracts(word: Word) -> bool:
@@ -866,7 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=env("PROXILIFT_MAX_CLOSURE", "100000"),
         help="most sets the reset-word search stores, forward and backward "
-        "together, before the greedy word stands",
+        "together, before the greedy word stands; greedy merging's pair "
+        "searches and pair table are not counted",
     )
     an.add_argument(
         "--epsilon",

@@ -12,7 +12,12 @@ forward BFS over point pairs, on the maps of a deterministic system
 it finds a merge word, or a set of pairs closed under the generators that
 avoids the diagonal, the certificate of a NO.  Greedy merging (Eppstein,
 SIAM J. Comput. 1990) chains merge words into a reset word or stops at a
-pair that never merges.
+pair that never merges.  Once its pair searches have stored m(m - 1)/2
+pairs in all, it builds one table of every pair's shortest merge length
+(``_pair_distances``, one backward BFS over pairs) and reads the rest from
+it: a reset word exists exactly when the table holds every pair, and the
+later merge words are walks down the table.  Greedy's word itself is built
+only when it is the answer, for a NO or when ``max_closure`` runs out.
 A bidirectional subset search (Kisielewicz, Kowalski and Szykula, J. Comb.
 Optim. 2015) then finds the length-minimal reset word: images of the full
 set forward, preimages of the singletons backward, as bitmasks mapped a
@@ -34,7 +39,7 @@ UNKNOWN.  The greedy searches keep each product exactly as integer rows
 over one integer denominator; only the scores they compare become
 ``Fraction``s.
 ``decide`` alone chooses between the reset path and row merging; its one
-greedy merge answers ``is_proximal`` and starts ``strongly_proximal``.
+synchronization test answers ``is_proximal`` and starts ``strongly_proximal``.
 """
 from __future__ import annotations
 
@@ -133,8 +138,9 @@ class Budget:
     ``max_closure`` bounds the sets that ``reset_word`` stores and the
     differences that ``measure_pair_proximal`` stores; when either runs
     out, greedy merging's constant word stands if there is one (for a
-    measure pair, if ``max_closure`` also holds every point pair).  epsilon
-    is the stochastic closeness threshold.
+    measure pair, if ``max_closure`` also holds every point pair).  Greedy
+    merging's pair searches and its pair table are not counted.  epsilon is
+    the stochastic closeness threshold.
     """
 
     max_word_len: int = 64
@@ -256,6 +262,68 @@ def _merge_images(
     return None, len(seen)
 
 
+def _pair_distances(maps: list[tuple[int, ...]], m: int) -> dict[int, int]:
+    """Every pair's shortest merge length, from one backward BFS over pairs.
+
+    Keys are the ids x * m + y, x < y, of the pairs some word merges.
+    Depth 1 holds the pairs that one letter merges, and depth d + 1 the
+    unseen pairs that some letter sends to a pair of depth d (Eppstein,
+    SIAM J. Comput. 1990).  A reset word exists exactly when the table holds
+    all m(m - 1)/2 pairs.  Each pair is the preimage of one pair per letter,
+    so the search costs O(k m^2) for k letters.
+    """
+    fibres = []  # per letter, the preimage of each point
+    for g in maps:
+        pre: list[list[int]] = [[] for _ in range(m)]
+        for a, c in enumerate(g):
+            pre[c].append(a)
+        fibres.append(pre)
+    dist: dict[int, int] = {}
+    level = []
+    for pre in fibres:
+        for points in pre:
+            for a, b in combinations(points, 2):
+                if a * m + b not in dist:
+                    dist[a * m + b] = 1
+                    level.append((a, b))
+    depth = 1
+    while level:
+        depth += 1
+        nxt = []
+        for c, d in level:
+            for pre in fibres:
+                for a in pre[c]:
+                    for b in pre[d]:
+                        pid = a * m + b if a < b else b * m + a
+                        if pid not in dist:
+                            dist[pid] = depth
+                            nxt.append((a, b))
+        level = nxt
+    return dist
+
+
+def _table_word(
+    maps: list[tuple[int, ...]], m: int, dist: dict[int, int], pair: tuple[int, int]
+) -> Word:
+    """``_merge_images``'s word for a pair x < y that the ``_pair_distances``
+    table holds: at each step the least letter that lowers the distance by
+    one, which spells the shortest, then lexicographically least, word."""
+    x, y = pair
+    left = dist[x * m + y]
+    word = []
+    while left:
+        left -= 1
+        for letter, g in enumerate(maps):
+            x2 = g[x]
+            y2 = g[y]
+            # A pair at distance 2 or more merges under no single letter.
+            if x2 == y2 or dist.get(x2 * m + y2 if x2 < y2 else y2 * m + x2) == left:
+                break
+        word.append(letter)
+        x, y = x2, y2
+    return tuple(word)
+
+
 def _never_merges(pair: tuple[int, int], reached: int) -> Verdict:
     """The NO naming a pair whose ``reached`` successor pairs avoid the
     diagonal, in its text and as ``NeverMerges`` evidence."""
@@ -274,32 +342,87 @@ def _image(points: set[int], succ: list, word: Word) -> set[int]:
     return points
 
 
-def _greedy_reset(sys: ActionSystem) -> Verdict:
-    """A reset word of the deterministic ``sys`` by greedy merging.
+class _Merging(NamedTuple):
+    """Greedy merging paused: the word so far, the image of the full set
+    under it, and the ``_pair_distances`` table once built."""
+
+    word: Word
+    current: set[int]
+    dist: Optional[dict[int, int]]
+
+
+def _greedy_merge(
+    maps: list[tuple[int, ...]], m: int, state: _Merging, pause: bool
+) -> Verdict | _Merging:
+    """Greedy merging of a deterministic system with letters ``maps``, from
+    ``state`` on.
 
     Merge the two smallest image points with ``_merge_images``'s word,
     apply it to the image set letter by letter, repeat: at most m - 1
-    pieces.  YES with the word, or the NO naming the first pair that never
-    merges, and then no reset word exists.
+    pieces.  Once the pairs these searches reached add up to m(m - 1)/2, as
+    many as a full ``_pair_distances`` table holds, that table is built and
+    walked (``_table_word``) for every later piece, and a pair outside it
+    stops the merging.  Returns the NO naming the first pair that never
+    merges, with its count from one ``_merge_images`` closure, and then no
+    reset word exists.  Otherwise the YES with the word; or, with
+    ``pause``, the state as soon as the table holds every pair, when a
+    reset word is known to exist (the piece just found is left for the walk
+    to find again), or at the end of the word.
     """
-    m = len(sys.space)
-    maps = [g.image for g in sys.generators]
-    current = set(range(m))
-    word: list[int] = []
+    total = m * (m - 1) // 2
+    word = list(state.word)
+    current, dist = state.current, state.dist
+    spent = 0
     while len(current) > 1:
         pair = tuple(sorted(current)[:2])
-        piece, reached = _merge_images(maps, m, pair)
-        if piece is None:
-            return _never_merges(pair, reached)
+        if dist is None:
+            piece, reached = _merge_images(maps, m, pair)
+            if piece is None:
+                return _never_merges(pair, reached)
+            spent += reached
+            if spent >= total:
+                dist = _pair_distances(maps, m)
+                if pause and len(dist) == total:
+                    return _Merging(tuple(word), current, dist)
+        elif pair[0] * m + pair[1] in dist:
+            piece = _table_word(maps, m, dist, pair)
+        else:
+            return _never_merges(pair, _merge_images(maps, m, pair)[1])
         word += piece
         for letter in piece:
             g = maps[letter]
             current = {g[a] for a in current}
+    if pause:
+        return _Merging(tuple(word), current, dist)
     return yes(
         tuple(word),
-        f"greedy pair merging, constant to point {current.pop()} "
+        f"greedy pair merging, constant to point {min(current)} "
         "(witness may be non-minimal)",
     )
+
+
+def _synchronizes(maps: list[tuple[int, ...]], m: int) -> Verdict | _Merging:
+    """Does a reset word exist?  Greedy merging from the full set, paused
+    once the answer is known: the NO where it stops, or the state from
+    which ``_greedy_word`` finishes its constant word."""
+    return _greedy_merge(maps, m, _Merging((), set(range(m)), None), True)
+
+
+def _greedy_word(maps: list[tuple[int, ...]], m: int, state: _Merging) -> Verdict:
+    """The YES of greedy merging, finished from a state of ``_synchronizes``
+    by walking its table."""
+    verdict = _greedy_merge(maps, m, state, False)
+    assert isinstance(verdict, Verdict)
+    return verdict
+
+
+def _greedy_reset(sys: ActionSystem) -> Verdict:
+    """A reset word of the deterministic ``sys`` by greedy merging: YES
+    with the word, or the NO naming the first pair that never merges."""
+    m = len(sys.space)
+    maps = [g.image for g in sys.generators]
+    state = _synchronizes(maps, m)
+    return state if isinstance(state, Verdict) else _greedy_word(maps, m, state)
 
 
 def _greedy_scrambling(sys: ActionSystem) -> Verdict:
@@ -440,23 +563,25 @@ def _stochastic_pair_search(
 def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     """Is every pair of points proximal?
 
-    Deterministic systems are YES when greedy merging finds a constant
-    word, since every pair then merges, and otherwise NO at the pair where
-    it stops.  Stochastic systems are YES with the scrambling word of greedy
-    row merging (its powers contract every pair), and otherwise NO at the
-    pair of points where it stops.  Neither answers UNKNOWN.
+    Deterministic systems are YES when a reset word exists, since every
+    pair then merges, and otherwise NO at the pair where greedy merging
+    stops; the test (``_synchronizes``) ends as soon as greedy merging's
+    pair table holds every pair, and builds no word.  Stochastic systems
+    are YES with the scrambling word of greedy row merging (its powers
+    contract every pair), and otherwise NO at the pair of points where it
+    stops.  Neither answers UNKNOWN.
     """
     det = _deterministic_view(sys)
     if det is None:
         return _greedy_scrambling(sys)
-    return _proximal_from_reset(_greedy_reset(det), len(sys.space))
+    m = len(sys.space)
+    stop = _synchronizes([g.image for g in det.generators], m)
+    return stop if isinstance(stop, Verdict) else _all_pairs_merge(m)
 
 
-def _proximal_from_reset(v: Verdict, m: int) -> Verdict:
-    """The is_proximal verdict that a reset verdict of a deterministic
-    system on m points decides: greedy merging's or ``reset_word``'s."""
-    if v.status is Status.NO:
-        return v
+def _all_pairs_merge(m: int) -> Verdict:
+    """The is_proximal YES of a deterministic system on m points that has a
+    reset word."""
     if m == 1:
         return yes(certificate="single point, trivially proximal")
     return yes(certificate=f"all {m * (m - 1) // 2} point pairs reach the diagonal")
@@ -527,14 +652,18 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     inside a backward set of the depth still to go.  That word is the least
     of length L.
 
-    Greedy merging runs first: when it finds no constant word, its NO, the
-    pair where it stops, is the answer and the subset search never runs.
-    Otherwise a singleton is an image of the full set and the full set a
-    preimage of a singleton, so neither side runs dry before they meet; if
-    one does, so that no meet can follow, the search raises RuntimeError.
-    ``max_closure`` bounds the sets stored on both sides, the singletons
-    aside; when it runs out, the greedy word is the valid, possibly
-    non-minimal, answer.  The preimage tables are built when the backward
+    Greedy merging runs first, as a synchronization test: when it finds no
+    constant word, its NO, the pair where it stops, is the answer and the
+    subset search never runs.  It stops as soon as its pair table
+    (``_pair_distances``) holds every pair, once its pair searches have
+    stored m(m - 1)/2 pairs, or at the end of its word.  Then a singleton is
+    an image of the full set and the full set a preimage of a singleton, so
+    neither side runs dry before they meet; if one does, so that no meet
+    can follow, the search raises RuntimeError.  ``max_closure`` bounds the
+    sets stored on both sides, the singletons aside, and not greedy
+    merging's pairs or its table; when it runs out, greedy's word, finished
+    from the table, is the valid, possibly non-minimal, answer.  It is never
+    built otherwise.  The preimage tables are built when the backward
     side first expands, which a search that the forward side ends alone
     never does.  ``decide`` reads both other verdicts of a deterministic
     system from this one.
@@ -545,12 +674,13 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     m = len(sys.space)
     if m == 1:
         return yes((), "single point, identity already constant")
-    greedy = _greedy_reset(det)
-    if greedy.status is Status.NO:
+    maps = [g.image for g in det.generators]
+    greedy = _synchronizes(maps, m)
+    if isinstance(greedy, Verdict):
         return greedy
     width = (m + 7) // 8
     full = (1 << m) - 1
-    images = [_nibble_tables([1 << y for y in g.image], m) for g in det.generators]
+    images = [_nibble_tables([1 << y for y in g], m) for g in maps]
     preimages: Optional[list] = None
     parent: dict[int, Optional[tuple[int, int]]] = {full: None}
     stored: set[int] = set()  # backward sets beyond the singletons
@@ -575,7 +705,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     if nxt in parent:
                         continue
                     if len(parent) + len(stored) >= b.max_closure:
-                        return greedy
+                        return _greedy_word(maps, m, greedy)
                     parent[nxt] = (mask, gi)
                     new.append(nxt)
                     size = nxt.bit_count()
@@ -590,9 +720,9 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
         else:
             if preimages is None:
                 preimages = []
-                for g in det.generators:
+                for g in maps:
                     masks = [0] * m
-                    for x, y in enumerate(g.image):
+                    for x, y in enumerate(g):
                         masks[y] |= 1 << x
                     preimages.append(_nibble_tables(masks, m))
             new = []
@@ -603,7 +733,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     if pre & (pre - 1) == 0 or pre in stored:
                         continue  # empty, a singleton, or seen
                     if len(parent) + len(stored) >= b.max_closure:
-                        return greedy
+                        return _greedy_word(maps, m, greedy)
                     stored.add(pre)
                     new.append(pre)
             levels.append(new)
@@ -634,7 +764,10 @@ def decide(
     verdicts of ``sys``; the last is None without a deterministic view.
 
     A deterministic view, 0/1 stochastic matrices unwrapped, gets one
-    ``reset_word``.  A constant word merges every pair and collapses every
+    ``reset_word``, so one synchronization test: greedy merging until its
+    pair table shows every pair merges, or to the pair where it stops.
+    Greedy's word is built only when the subset search runs out of
+    ``max_closure``.  A constant word merges every pair and collapses every
     measure to a point mass, and on a finite space no weaker behaviour
     drives all measures to point masses; where greedy merging stops,
     neither property holds.  Otherwise one greedy row merge answers
@@ -659,7 +792,9 @@ def decide(
             strong = no(
                 f"no constant word exists ({reset.certificate})", reset.evidence
             )
-        return _proximal_from_reset(reset, len(sys.space)), strong, reset
+        if reset.status is Status.NO:
+            return reset, strong, reset
+        return _all_pairs_merge(len(sys.space)), strong, reset
     prox = _greedy_scrambling(sys)
     if prox.status is Status.NO:
         crowded = f"no word crowds all rows near one vertex ({prox.certificate})"

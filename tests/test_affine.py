@@ -229,17 +229,17 @@ class TestCorollaryHarness:
 
     def test_decides_the_lift_with_one_greedy_merge(self, monkeypatch):
         spec = load_spec(str(SPECS / "affine_wedge.json"))
-        merged = []
-        real = proximality._greedy_reset
+        tests = []
+        real = proximality._synchronizes
 
-        def counting(system):
-            merged.append(len(system.space))
-            return real(system)
+        def counting(maps, m):
+            tests.append(m)
+            return real(maps, m)
 
-        monkeypatch.setattr(proximality, "_greedy_reset", counting)
+        monkeypatch.setattr(proximality, "_synchronizes", counting)
         rep = corollary_harness(spec.simplex, spec.maps, 3, B)
-        # One greedy merge of the 10-atom lift answers both questions.
-        assert merged == [10]
+        # One synchronization test of the 10-atom lift answers both questions.
+        assert tests == [10]
         monkeypatch.undo()
         lifted = rep.lifted.system
         assert rep.proximal == is_proximal(lifted, B)

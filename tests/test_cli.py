@@ -341,29 +341,37 @@ class TestAnalyzeModes:
 
     @pytest.mark.parametrize("name", ["cerny4", "swap2"])
     def test_base_runs_one_subset_search(self, name, monkeypatch, capsys):
-        greedy, tables = [], []
-        real_greedy = proximality._greedy_reset
+        tests, words, tables = [], [], []
+        real_test = proximality._synchronizes
+        real_word = proximality._greedy_word
         real_tables = proximality._nibble_tables
 
-        def counting_greedy(system):
-            greedy.append(system)
-            return real_greedy(system)
+        def counting_test(maps, m):
+            tests.append(m)
+            return real_test(maps, m)
+
+        def counting_word(*args):
+            words.append(args)
+            return real_word(*args)
 
         def counting_tables(*args):
             tables.append(args)
             return real_tables(*args)
 
-        monkeypatch.setattr(proximality, "_greedy_reset", counting_greedy)
+        monkeypatch.setattr(proximality, "_synchronizes", counting_test)
+        monkeypatch.setattr(proximality, "_greedy_word", counting_word)
         monkeypatch.setattr(proximality, "_nibble_tables", counting_tables)
         code, _ = run_json(
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"], capsys
         )
         assert code == 0
-        # One greedy merge answers all three questions.  The subset search
-        # builds one list of image tables per letter, and cerny4's forward
-        # side ends it alone; swap2 is not proximal, so its NO is greedy
-        # merging's and the search never runs.
-        assert len(greedy) == 1
+        # One synchronization test answers all three questions.  The subset
+        # search builds one list of image tables per letter, and cerny4's
+        # forward side ends it alone, so greedy's word is never built;
+        # swap2 is not proximal, so its NO is greedy merging's and the
+        # search never runs.
+        assert tests == [{"cerny4": 4, "swap2": 2}[name]]
+        assert words == []
         assert len(tables) == {"cerny4": 2, "swap2": 0}[name]
 
     def test_stochastic_base_runs_one_row_merge(self, monkeypatch, capsys):
@@ -384,12 +392,12 @@ class TestAnalyzeModes:
     def test_zero_one_stochastic_base_runs_one_greedy_merge(
         self, tmp_path, monkeypatch, capsys
     ):
-        greedy = []
-        real = proximality._greedy_reset
+        tests = []
+        real = proximality._synchronizes
 
-        def counting(system):
-            greedy.append(system)
-            return real(system)
+        def counting(maps, m):
+            tests.append(m)
+            return real(maps, m)
 
         unwrapped = []
         real_unwrap = StochasticMatrix.to_transformation
@@ -398,7 +406,7 @@ class TestAnalyzeModes:
             unwrapped.append(matrix)
             return real_unwrap(matrix)
 
-        monkeypatch.setattr(proximality, "_greedy_reset", counting)
+        monkeypatch.setattr(proximality, "_synchronizes", counting)
         monkeypatch.setattr(StochasticMatrix, "to_transformation", counting_unwrap)
         images = load_spec(str(SPECS / "cerny4.json")).system.generators
         doc = _stoch_doc(
@@ -407,8 +415,8 @@ class TestAnalyzeModes:
         _, rep = run_json(
             ["analyze", write_spec(tmp_path, doc), "--mode", "base"], capsys
         )
-        # One greedy merge, on a view that unwraps each matrix once.
-        assert len(greedy) == 1 and len(unwrapped) == len(images)
+        # One synchronization test, on a view that unwraps each matrix once.
+        assert tests == [4] and len(unwrapped) == len(images)
         _, det = run_json(
             ["analyze", str(SPECS / "cerny4.json"), "--mode", "base"], capsys
         )
@@ -758,15 +766,16 @@ class TestReplaysRunOnce:
 
     @pytest.fixture
     def words(self, monkeypatch):
-        """The (labels, word) of every ``word_transformation`` call."""
+        """The (labels, word) of every word checked against a system's
+        letters, which each witness replay does first."""
         calls = []
-        real = ActionSystem.word_transformation
+        real = ActionSystem.check_word
 
         def counting(system, word):
             calls.append((system.space.labels, tuple(word)))
             return real(system, word)
 
-        monkeypatch.setattr(ActionSystem, "word_transformation", counting)
+        monkeypatch.setattr(ActionSystem, "check_word", counting)
         return calls
 
     @pytest.fixture
@@ -805,6 +814,19 @@ class TestReplaysRunOnce:
             "reset_word witness is constant",
         ]
         assert [word for _, word in words] == [(0,)]
+
+    def test_two_point_image_fails_the_constant_replay(self, monkeypatch, capsys):
+        # The word b a a a b sends cerny4's four points to {1, 2}: one merge
+        # short of a constant map.
+        forged = proximality.yes((1, 0, 0, 0, 1), "word is constant to point 1")
+        monkeypatch.setattr(proximality, "reset_word", lambda system, b: forged)
+        path = str(SPECS / "cerny4.json")
+        code, rep = run_json(["analyze", path, "--mode", "base", "--verify"], capsys)
+        assert code == 1
+        assert rep["verify"]["failures"] == [
+            "strongly_proximal witness is constant",
+            "reset_word witness is constant",
+        ]
 
     @pytest.mark.parametrize("mode", ["thm", "prop1"])
     def test_harness_replays_the_base_witness_once(self, mode, words, capsys):
@@ -1214,6 +1236,26 @@ class TestGoldenDigests:
         _, rep = run_json(args, capsys)
         assert rep["verify"]["ok"]
         assert rep["report_digest"] == digest
+
+    def test_budget_fallback_digest(self, tmp_path, monkeypatch, capsys):
+        # 40 sets are too few for the subset search, so the reset word is
+        # greedy merging's: 101 letters against the minimal 91.
+        name = "circular11_step2"
+        write_spec(tmp_path, GENERATED_SPECS[name], f"{name}.json")
+        monkeypatch.chdir(tmp_path)
+        args = [
+            "analyze", f"{name}.json", "--mode", "base", "--max-closure", "40",
+            "--verify",
+        ]
+        code, rep = run_json(args, capsys)
+        assert code == 0
+        reset = rep["results"]["reset_word"]
+        assert len(reset["witness"]) == 101
+        assert reset["certificate"].startswith("greedy pair merging")
+        assert rep["verify"] == {"checked": 2, "ok": True, "failures": []}
+        assert rep["report_digest"] == (
+            "3929f78da7528a15bb3721229e464458276cb2c41293011f6cf707791501a369"
+        )
 
     @pytest.mark.parametrize(
         "name, mode, grid, digest",

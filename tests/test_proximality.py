@@ -332,7 +332,9 @@ class TestIsProximal:
             )
 
     def test_deterministic_yes_builds_no_table(self, searches):
-        # Greedy merging: at most m - 1 searches, each from one pair.
+        # Greedy merging: at most m - 1 searches, each from one pair.  C_7
+        # then reads synchronization from its pair table, which the lift
+        # never builds (``TestPairTable``).
         for sys in (cerny(7), lift_system(cerny(7), 4).system):
             m = len(sys.space)
             searches.clear()
@@ -563,12 +565,13 @@ class TestResetWord:
         assert equal >= 20
 
     def test_empty_frontier_raises(self, monkeypatch):
-        # A forged greedy YES on the swap, which has no reset word: the
-        # full set is the only image, so the forward side runs empty before
-        # any meet.  The search must raise instead of looping; the alarm
-        # turns a hang into a failure.
-        forged = proximality.yes((0,), "forged constant word")
-        monkeypatch.setattr(proximality, "_greedy_reset", lambda sys: forged)
+        # A forged synchronization test on the swap, which has no reset
+        # word: it reports a constant word, so the subset search runs, and
+        # the full set is the only image, so the forward side runs empty
+        # before any meet.  The search must raise instead of looping; the
+        # alarm turns a hang into a failure.
+        forged = proximality._Merging((0,), {0}, None)
+        monkeypatch.setattr(proximality, "_synchronizes", lambda maps, m: forged)
 
         def hang(signum, frame):
             raise TimeoutError("reset_word did not return within 10 s")
@@ -1071,3 +1074,139 @@ class TestDifferential:
                 assert v == never_merges_no(sys, (x, y))
             else:
                 assert v.status is not Status.NO
+
+
+@st.composite
+def pair_table_systems(draw):
+    """A deterministic system on 1-7 points with 1-3 generators, or its
+    lift at q <= 3, kept to at most 21 points so that the per-pair oracles
+    stay cheap."""
+    q = draw(st.integers(0, 3))
+    m = draw(st.integers(1, {0: 7, 1: 7, 2: 6, 3: 4}[q]))
+    point = st.integers(0, m - 1)
+    gens = draw(st.lists(st.tuples(*[point] * m), min_size=1, max_size=3))
+    sys = det_system(*gens)
+    return lift_system(sys, q).system if q else sys
+
+
+@st.composite
+def sunk_cerny(draw):
+    """Cerny's C_n on the points 0..n-1, relabelled, beside 1-2 points fixed
+    by both letters: never synchronizing, and greedy merging collapses the
+    Cerny part before it reaches a pair with a fixed point."""
+    n = draw(st.integers(2, 14))
+    return relabelled_cerny(draw(st.permutations(range(n))), draw(st.integers(1, 2)))
+
+
+def relabelled_cerny(perm, sinks=0):
+    """Cerny's C_n with point x relabelled perm[x], and ``sinks`` points
+    n, n + 1, ... fixed by both letters."""
+    n = len(perm)
+    images = []
+    for g in cerny(n).generators:
+        image = list(range(n + sinks))
+        for x, y in enumerate(g.image):
+            image[perm[x]] = perm[y]
+        images.append(tuple(image))
+    return det_system(*images)
+
+
+class TestPairTable:
+    """``_pair_distances``, the one backward search over pairs, and greedy
+    merging once it switches to walking that table."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair_table_systems())
+    def test_walk_matches_merge_images_and_oracle(self, sys):
+        m = len(sys.space)
+        maps = [g.image for g in sys.generators]
+        dist = proximality._pair_distances(maps, m)
+        for x, y in combinations(range(m), 2):
+            word, _ = proximality._merge_images(maps, m, (x, y))
+            assert word == merge_word_oracle(sys, x, y)
+            if word is None:
+                assert x * m + y not in dist
+            else:
+                assert dist[x * m + y] == len(word)
+                assert proximality._table_word(maps, m, dist, (x, y)) == word
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair_table_systems())
+    def test_full_table_exactly_when_every_pair_merges(self, sys):
+        m = len(sys.space)
+        maps = [g.image for g in sys.generators]
+        dist = proximality._pair_distances(maps, m)
+        merged = mergeable_pairs_oracle(sys)
+        assert {divmod(pid, m) for pid in dist} == merged
+        every = merged == set(combinations(range(m), 2))
+        assert (len(dist) == m * (m - 1) // 2) == every
+
+    def test_greedy_with_the_switch_matches_oracle(self):
+        # Both sides of the switch must occur: greedy merging that ends
+        # before its searches reach m(m - 1)/2 pairs, and greedy merging
+        # that walks the table to a YES or to the pair where it stops.
+        outcomes = Counter()
+        builds = []
+        real = proximality._pair_distances
+
+        def counting(maps, m):
+            builds.append(m)
+            return real(maps, m)
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(
+            st.one_of(pair_table_systems(), permutation_systems(), sunk_cerny())
+        )
+        def check(sys):
+            m = len(sys.space)
+            maps = [g.image for g in sys.generators]
+            want = greedy_reset_oracle(sys)
+            builds.clear()
+            state = proximality._synchronizes(maps, m)
+            if isinstance(state, Verdict):
+                assert state == want
+            else:
+                assert want.status is Status.YES
+                # A paused table holds every pair; an unpaused run has
+                # finished its word without one.
+                assert state.dist is None or len(state.dist) == m * (m - 1) // 2
+                assert proximality._greedy_word(maps, m, state) == want
+            switched = bool(builds)
+            assert proximality._greedy_reset(sys) == want
+            outcomes[want.status, switched] += 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(proximality, "_pair_distances", counting)
+            check()
+        assert min(
+            outcomes[status, switched]
+            for status in (Status.YES, Status.NO)
+            for switched in (False, True)
+        ) >= 10
+
+    def test_relabelled_cerny20_builds_the_table(self, monkeypatch):
+        builds = []
+        real = proximality._pair_distances
+
+        def counting(maps, m):
+            builds.append(m)
+            return real(maps, m)
+
+        monkeypatch.setattr(proximality, "_pair_distances", counting)
+        sys = relabelled_cerny(random.Random(20).sample(range(20), 20))
+        prox, strong, reset = decide(sys, B)
+        assert builds == [20]
+        assert len(reset.witness) == 361 and prox.status is Status.YES
+        assert sys.word_transformation(reset.witness).is_constant()
+
+    def test_cerny7_lift_builds_no_table(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(
+            proximality, "_pair_distances", lambda maps, m: builds.append(m)
+        )
+        lifted = lift_system(cerny(7), 6).system
+        assert len(lifted.space) == 924
+        prox, strong, reset = decide(lifted, B)
+        assert builds == []
+        assert prox.status is strong.status is Status.YES
+        assert lifted.word_transformation(reset.witness).is_constant()
