@@ -10,7 +10,7 @@ That convention is fixed here and used everywhere witnesses are reported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul, sub
@@ -69,26 +69,31 @@ class StochasticMatrix:
 
     The entries must be ``Fraction``s.  The matrix is checked once as
     integer rows over its common denominator den: every numerator is
-    nonnegative and every row sums to den.
+    nonnegative and every row sums to den.  ``cleared`` keeps those
+    ``(rows, den)`` for the integer kernels: word products
+    (``_word_rows``), Dobrushin coefficients, the row supports and entry
+    bounds of ``proximality`` and the replays of ``cli``.  Equal entries
+    give equal integer rows, so it stays out of equality, hash and repr.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    cleared: tuple[tuple[tuple[int, ...], ...], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        m = len(self.rows)
+        rows = self.rows
+        m = len(rows)
         if m == 0:
             raise ValidationError("empty stochastic matrix")
-        if all(len(row) == m for row in self.rows) and set(
-            map(type, chain.from_iterable(self.rows))
-        ) == {Fraction}:
-            nums, den = clear_denominators(self.rows)
-            if all(min(row) >= 0 and sum(row) == den for row in nums):
-                return
-        # Otherwise the row-by-row loop decides and names the first fault.
-        for row in self.rows:
-            if len(row) != m:
-                raise DimensionMismatch("stochastic matrix must be square", m)
-            Measure(row)  # each row is a probability vector
+        if not all(len(row) == m for row in rows) or set(
+            map(type, chain.from_iterable(rows))
+        ) != {Fraction}:
+            _check_rows(rows)
+        nums, den = clear_denominators(rows)
+        if not all(min(row) >= 0 and sum(row) == den for row in nums):
+            _check_rows(rows)
+        object.__setattr__(self, "cleared", (tuple(map(tuple, nums)), den))
 
     @classmethod
     def from_rows(
@@ -125,12 +130,26 @@ class StochasticMatrix:
         )
 
     def is_deterministic(self) -> bool:
-        return all(all(p in (0, 1) for p in row) for row in self.rows)
+        # Entries in 0..1 summing to 1 per row are 0/1 exactly when their
+        # common denominator is 1.
+        return self.cleared[1] == 1
 
     def to_transformation(self) -> Transformation:
-        if not self.is_deterministic():
+        rows, den = self.cleared
+        if den != 1:
             raise ValidationError("matrix has non 0/1 entries")
-        return Transformation(tuple(row.index(Fraction(1)) for row in self.rows))
+        return Transformation(tuple(row.index(1) for row in rows))
+
+
+def _check_rows(rows: tuple) -> None:
+    """Raise the first fault of rows that form no stochastic matrix, row by
+    row; ``StochasticMatrix`` calls it when its integer check cannot run or
+    fails."""
+    m = len(rows)
+    for row in rows:
+        if len(row) != m:
+            raise DimensionMismatch("stochastic matrix must be square", m)
+        Measure(row)  # each row is a probability vector
 
 
 Generator = Union[Transformation, StochasticMatrix]
@@ -186,32 +205,44 @@ class ActionSystem:
         return Transformation(tuple(image))
 
     def word_matrix(self, w: Word) -> StochasticMatrix:
-        """The product matrix realized by a word, left-to-right.
-
-        The product is kept as integer rows over one integer denominator: a
-        transformation moves each column to its image, a stochastic letter
-        multiplies by its own integer rows and denominator.  The
-        ``Fraction`` entries are built once, at the end.
-        """
+        """The product matrix realized by a word, left-to-right, multiplied
+        in integers by ``_word_rows``; the ``Fraction`` entries are built
+        once, at the end."""
         self.check_word(w)
-        m = len(self.space)
-        rows = [[int(i == j) for j in range(m)] for i in range(m)]
-        den = 1
-        letters: dict[int, tuple[list, int]] = {}
-        for a in w:
-            g = self.generators[a]
-            if isinstance(g, Transformation):
-                rows = [_push(g.image, row) for row in rows]
-                continue
-            if a not in letters:
-                g_rows, g_den = clear_denominators(g.rows)
-                letters[a] = list(zip(*g_rows)), g_den
-            cols, g_den = letters[a]
-            rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-            den *= g_den
+        rows, den = _word_rows(self.generators, len(self.space), w)
         return StochasticMatrix(
             tuple(tuple(Fraction(p, den) for p in row) for row in rows)
         )
+
+
+IntRows = list[list[int]]
+
+
+def _word_rows(
+    generators: Sequence[Generator], m: int, w: Word
+) -> tuple[IntRows, int]:
+    """The product of a checked word's letters as integer rows over one
+    integer denominator, left-to-right.
+
+    A transformation moves each column to its image; a stochastic letter
+    multiplies by its cleared rows and its denominator.  No ``Fraction`` is
+    built.
+    """
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    den = 1
+    letters: dict[int, tuple[list, int]] = {}
+    for a in w:
+        g = generators[a]
+        if isinstance(g, Transformation):
+            rows = [_push(g.image, row) for row in rows]
+            continue
+        if a not in letters:
+            g_rows, g_den = g.cleared
+            letters[a] = list(zip(*g_rows)), g_den
+        cols, g_den = letters[a]
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        den *= g_den
+    return rows, den
 
 
 def _push(image: Sequence[int], weights: Sequence[int | Fraction]) -> list:
@@ -316,10 +347,7 @@ def convolution(table: SemigroupTable, mu: Measure, nu: Measure) -> Measure:
     return Measure.from_weights(_convolve(table, mu.weights, nu.weights))
 
 
-IntRows = list[list[int]]
-
-
-def _dobrushin(rows: IntRows, den: int) -> Fraction:
+def _dobrushin(rows: Sequence[Sequence[int]], den: int) -> Fraction:
     """Dobrushin coefficient of the matrix with these integer rows over den."""
     gap = max(
         (sum(map(abs, map(sub, r, t))) for r, t in combinations(rows, 2)),
@@ -334,6 +362,6 @@ def dobrushin(s: StochasticMatrix) -> Fraction:
     Zero exactly when all rows agree (rank one); total variation between
     pushed measures contracts by at least this factor, and the coefficient is
     submultiplicative under matrix products.  The gaps are summed on the
-    integer rows of s over its common denominator.
+    cleared integer rows of s.
     """
-    return _dobrushin(*clear_denominators(s.rows))
+    return _dobrushin(*s.cleared)

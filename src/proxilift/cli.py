@@ -10,9 +10,11 @@ whole run in ``seconds`` and its stages in ``load_s`` (reading the spec),
 
 A metric written as the 0/1 integer matrix is read as the discrete metric,
 without building or checking a matrix; every other metric is parsed entry by
-entry.  ``main`` builds its argument parser on first use and keeps it while
-the ``PROXILIFT_*`` environment stays the same, so repeated in-process calls
-pay for argument set-up once.
+entry.  Within one ``load_spec`` call each distinct rational literal becomes
+a ``Fraction`` once, and the memo ends with the call.  ``main`` builds its
+argument parser on first use and keeps it while the ``PROXILIFT_*``
+environment stays the same, so repeated in-process calls pay for argument
+set-up once.
 
 ``--verify`` replays each verdict from data: a YES from its witness word, a
 NO from its typed ``evidence`` (``NeverMerges`` or ``EntryBound``).  The
@@ -48,7 +50,9 @@ from .actions import (
     StochasticMatrix,
     Transformation,
     Word,
-    dobrushin,
+    _dobrushin,
+    _push,
+    _word_rows,
 )
 from .affine import (
     AffineVertexMap,
@@ -67,7 +71,6 @@ from .lift import (
     invariant_metas,
     lift_system,
     meta_is_vertex_point_mass,
-    push_meta,
     psi_checks,
     psi_homomorphism_check,
 )
@@ -110,6 +113,25 @@ def parse_rational(node: Any, path: str) -> Fraction:
         num, den = literal.groups()
         return Fraction(int(num), int(den or 1))
     raise SpecError(path, f"expected a rational, got {type(node).__name__}")
+
+
+def _literals() -> Callable[[Any, str], Fraction]:
+    """``parse_rational`` with each distinct string or integer literal parsed
+    once, for as long as the returned function lives: ``load_spec`` makes
+    one per call.  A literal that fails is not stored, so it fails again,
+    with its own path, wherever it recurs.  Booleans and floats never reach
+    the memo, where they would pass for the integers they equal."""
+    seen: dict[Any, Fraction] = {}
+
+    def rational(node: Any, path: str) -> Fraction:
+        if type(node) is str or type(node) is int:
+            x = seen.get(node)
+            if x is None:
+                x = seen[node] = parse_rational(node, path)
+            return x
+        return parse_rational(node, path)
+
+    return rational
 
 
 def _expect_list(node: Any, path: str) -> list:
@@ -173,10 +195,12 @@ def _is_discrete_metric(node: Any, m: int) -> bool:
     )
 
 
-def parse_space(node: Any, path: str) -> FiniteSpace:
+def parse_space(
+    node: Any, path: str, rational: Callable[[Any, str], Fraction]
+) -> FiniteSpace:
     """The space at path.  A metric written as the 0/1 integer matrix is read
     as ``FiniteSpace.discrete``, which equals the explicit space; any other
-    metric is parsed and checked entry by entry."""
+    metric is parsed by ``rational`` and checked entry by entry."""
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with labels and metric")
     labels = _expect_list(node.get("labels"), f"{path}.labels")
@@ -185,11 +209,16 @@ def parse_space(node: Any, path: str) -> FiniteSpace:
     metric = node.get("metric")
     if _is_discrete_metric(metric, len(labels)):
         return _at(path, FiniteSpace.discrete, labels)
-    rows = _rows(metric, f"{path}.metric", parse_rational)
+    rows = _rows(metric, f"{path}.metric", rational)
     return _at(path, FiniteSpace, tuple(labels), rows)
 
 
-def parse_action(node: Any, space: FiniteSpace, path: str) -> ActionSystem:
+def parse_action(
+    node: Any,
+    space: FiniteSpace,
+    path: str,
+    rational: Callable[[Any, str], Fraction],
+) -> ActionSystem:
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with kind and generators")
     kind_raw = node.get("kind")
@@ -213,7 +242,7 @@ def parse_action(node: Any, space: FiniteSpace, path: str) -> ActionSystem:
             )
             gens.append(_at(gpath, Transformation, image))
         else:
-            rows = _rows(glist, gpath, parse_rational)
+            rows = _rows(glist, gpath, rational)
             gens.append(_at(gpath, StochasticMatrix, rows))
     return _at(path, ActionSystem, space, kind, tuple(gens))
 
@@ -223,11 +252,11 @@ def parse_table(node: Any, path: str) -> SemigroupTable:
 
 
 def parse_simplex(
-    node: Any, path: str
+    node: Any, path: str, rational: Callable[[Any, str], Fraction]
 ) -> tuple[SimplexModel, tuple[AffineVertexMap, ...]]:
     if not isinstance(node, dict):
         raise SpecError(path, "expected an object with vertices and maps")
-    vertices = _rows(node.get("vertices"), f"{path}.vertices", parse_rational)
+    vertices = _rows(node.get("vertices"), f"{path}.vertices", rational)
     model = _at(f"{path}.vertices", SimplexModel, vertices)
     map_nodes = _expect_list(node.get("maps"), f"{path}.maps")
     if not map_nodes:
@@ -239,7 +268,7 @@ def parse_simplex(
         if all(type(x) is int for x in mlist):
             maps.append(_at(mpath, AffineVertexMap.from_vertex_images, mlist, model.n))
         else:
-            rows = _rows(mlist, mpath, parse_rational)
+            rows = _rows(mlist, mpath, rational)
             maps.append(_at(mpath, AffineVertexMap, rows))
     return model, tuple(maps)
 
@@ -270,19 +299,20 @@ def load_spec(path: str) -> ParsedSpec:
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         raise SpecError(path, f"unknown keys: {sorted(unknown)}")
+    rational = _literals()
     system = None
     if "action" in doc:
         if "space" not in doc:
             raise SpecError(path, "action requires a space")
-        space = parse_space(doc["space"], "space")
-        system = parse_action(doc["action"], space, "action")
+        space = parse_space(doc["space"], "space", rational)
+        system = parse_action(doc["action"], space, "action", rational)
     elif "space" in doc:
-        parse_space(doc["space"], "space")
+        parse_space(doc["space"], "space", rational)
         raise SpecError(path, "space without an action is useless; add one")
     table = parse_table(doc["table"], "table") if "table" in doc else None
     model, maps = (None, None)
     if "simplex" in doc:
-        model, maps = parse_simplex(doc["simplex"], "simplex")
+        model, maps = parse_simplex(doc["simplex"], "simplex", rational)
     return ParsedSpec(path, digest, system, table, model, maps)
 
 
@@ -360,7 +390,7 @@ def _reachable_pairs(sysm: ActionSystem, pair: tuple[int, int]) -> set:
     moves = [
         [(p,) for p in g.image]
         if isinstance(g, Transformation)
-        else [[j for j, p in enumerate(row) if p] for row in g.rows]
+        else [[j for j, p in enumerate(row) if p] for row in g.cleared[0]]
         for g in sysm.generators
     ]
     seen, todo = {pair}, [pair]
@@ -386,7 +416,9 @@ def _replays(
     when the pairs reachable from its pair avoid the diagonal and are
     ``reached`` unordered pairs; an ``EntryBound`` when the largest
     generator entry is its ``top`` and at most 1 - epsilon.  Each distinct
-    word and pair is replayed once, however many verdicts share it.
+    word and pair is replayed once, however many verdicts share it.  The
+    stochastic replays read the generators' cleared integer rows and
+    multiply words out with ``actions._word_rows``.
     """
     pairs: dict[tuple[int, int], Optional[int]] = {}  # None: meets the diagonal
     words: dict[Word, bool] = {}
@@ -402,7 +434,10 @@ def _replays(
         return pairs[ev.pair] == ev.reached
 
     def bounded(ev: EntryBound) -> bool:
-        top = max(p for g in sysm.generators for row in g.rows for p in row)
+        top = max(
+            Fraction(max(map(max, rows)), den)
+            for rows, den in (g.cleared for g in sysm.generators)
+        )
         return top == ev.top and top <= 1 - epsilon
 
     def constant(word: Word) -> bool:
@@ -417,12 +452,16 @@ def _replays(
             words[word] = len(image) == 1
         return words[word]
 
+    def product(word: Word) -> tuple[list[list[int]], int]:
+        sysm.check_word(word)
+        return _word_rows(sysm.generators, len(sysm.space), word)
+
     def contracts(word: Word) -> bool:
-        return dobrushin(sysm.word_matrix(word)) < 1
+        return _dobrushin(*product(word)) < 1
 
     def crowds(word: Word) -> bool:
-        crowd = max(min(col) for col in zip(*sysm.word_matrix(word).rows))
-        return 1 - crowd < epsilon
+        rows, den = product(word)
+        return 1 - Fraction(max(map(min, zip(*rows))), den) < epsilon
 
     def replay(name: str, v: Verdict) -> list[Replay]:
         if isinstance(v.evidence, NeverMerges):
@@ -447,18 +486,18 @@ def _extreme_meta_replay(
     lifted: LiftedSystem, meta: Measure
 ) -> Callable[[], bool]:
     """Invariant, uniform on its support, and that support is one orbit
-    that every lifted generator maps bijectively onto itself."""
+    that every lifted generator maps bijectively onto itself.  The checks
+    run on the meta's cleared integer masses, pushed along each atom map
+    with ``actions._push``."""
 
     def run() -> bool:
-        if any(
-            push_meta(lifted, (gi,), meta) != meta
-            for gi in range(len(lifted.generators))
-        ):
-            return False
-        support = set(meta.support())
-        if len({meta.weights[x] for x in support}) != 1:
-            return False
+        counts = list(meta.cleared[0])
         maps = [t.image for t in lifted.generators]
+        if any(_push(g, counts) != counts for g in maps):
+            return False
+        support = {x for x, c in enumerate(counts) if c}
+        if len({counts[x] for x in support}) != 1:
+            return False
         if any({g[x] for x in support} != support for g in maps):
             return False
         start = min(support)

@@ -39,7 +39,7 @@ from .actions import (
     pushforward,
 )
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
-from .linalg import _as_int, clear_denominators
+from .linalg import _as_int
 from .proximality import (
     Budget,
     Status,
@@ -97,14 +97,15 @@ class LiftedSystem:
         transporting the integer masses a onto b under the base metric,
         divided by q.  The base metric is validated (zero diagonal, triangle
         inequality), so that cost depends on b - a alone: the shared mass
-        stays put (``transport._w1_cost``).  The metric is scaled to integers
-        once, each pair i < j is keyed by ``comps[j] - comps[i]`` (its first
-        nonzero entry is positive, since compositions are in lex order), and
-        each distinct difference is solved once, with its ``Fraction`` built
-        once.  The metric is symmetric, so the table is too.
+        stays put (``transport._w1_cost``).  The metric is read as the base
+        space's cleared integer rows, each pair i < j is keyed by
+        ``comps[j] - comps[i]`` (its first nonzero entry is positive, since
+        compositions are in lex order), and each distinct difference is
+        solved once, with its ``Fraction`` built once.  The metric is
+        symmetric, so the table is too.
         """
         comps, q = self.grid.compositions, self.grid.resolution
-        cost, scale = clear_denominators(self.grid.base.metric)
+        cost, scale = self.grid.base.cleared
         den = q * scale
         solved: dict[tuple[int, ...], Fraction] = {}
         rows = [[ZERO] * len(comps) for _ in comps]
@@ -165,10 +166,11 @@ def _barycenter_numerators(
 
 
 def barycenter(grid: GridSimplex, rho: MetaMeasure) -> Measure:
-    """Mean measure of rho: sum over atoms c / q of rho(c / q) * c / q, exact."""
+    """Mean measure of rho: sum over atoms c / q of rho(c / q) * c / q, exact,
+    summed on rho's cleared integer masses."""
     if len(rho) != len(grid):
         raise DimensionMismatch("meta-measure size does not match grid", len(grid))
-    (counts,), den = clear_denominators((rho.weights,))
+    counts, den = rho.cleared
     total = den * grid.resolution
     return Measure(
         tuple(

@@ -1,16 +1,20 @@
 """Exact rational linear algebra: elimination, rank, affine solution sets.
 
 Everything here is exact; no floating point, no tolerances.  ``rank`` and
-``solve_affine`` take ``Fraction`` rows, clear their denominators once and
-run Gauss-Jordan elimination on integers, fraction-free, by
+``solve_affine`` take ``Fraction`` or int rows, clear their denominators
+once and run Gauss-Jordan elimination on integers, fraction-free, by
 cross-multiplication and gcd reduction; only the solutions they return are
 ``Fraction``s.  Matrices are small (desk scale), so no pivoting strategy or
-modular method is needed.  ``clear_denominators`` is the one place where
-rational rows become integer rows over a common denominator, and the
-exact-input gate below is the one place that decides what an exact input
-is; every other module imports both from here.  Past the gate, measures,
-stochastic matrices and metrics are checked, and Dobrushin coefficients
-summed, on the integer rows ``clear_denominators`` gives.
+modular method is needed.  ``clear_denominators`` turns rational rows into
+integer rows over a common denominator, and the exact-input gate below is
+the one place that decides what an exact input is.  Past the gate,
+``Measure``, ``StochasticMatrix`` and ``FiniteSpace`` clear their entries
+once, in their validation, and keep the result as their ``cleared``
+attribute; every kernel that works on integers (word products, Dobrushin
+coefficients, supports, the pair and measure searches, barycenters and W1
+distances) reads that attribute instead of clearing again.  Only the three
+validations, ``rank``, ``solve_affine`` and ``transport.min_cost_transport``
+call ``clear_denominators``; the last three take general rows.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def _check_indices(xs: Collection[int], m: int, what: str) -> None:
 
 
 def clear_denominators(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int | Fraction]],
 ) -> tuple[list[list[int]], int]:
     """The rows as integer rows over their least common denominator."""
     den = math.lcm(*(x.denominator for row in rows for x in row))
@@ -104,14 +108,15 @@ def _echelon(m: list[list[int]]) -> list[int]:
 
 
 def solve_affine(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """Solve ``A x = b`` exactly.
 
     Returns ``(particular, nullspace_basis)`` describing the full affine
-    solution set, or ``None`` when the system is inconsistent.  The
-    elimination runs on integer rows; only the entries returned become
-    ``Fraction``s, each an entry of its reduced row over the pivot.
+    solution set, or ``None`` when the system is inconsistent.  The entries
+    are ``Fraction``s or ints; the elimination runs on integer rows, and
+    only the entries returned become ``Fraction``s, each an entry of its
+    reduced row over the pivot.
     """
     if not rows:
         raise ValueError("empty system")

@@ -47,7 +47,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul, sub
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .actions import (
@@ -60,14 +60,8 @@ from .actions import (
     _push,
 )
 from .errors import UnsupportedKind, ValidationError
-from .linalg import (
-    _as_fraction,
-    _as_int,
-    _check_indices,
-    clear_denominators,
-    solve_affine,
-)
-from .spaces import Measure, tv_distance
+from .linalg import _as_fraction, _as_int, _check_indices, solve_affine
+from .spaces import Measure, _difference, tv_distance
 
 
 class Status(enum.Enum):
@@ -168,10 +162,10 @@ def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:
 
 def _successors(sys: ActionSystem) -> list[tuple[tuple[int, ...], ...]]:
     """Per letter of a stochastic system, the successors of each point: the
-    support of its row.  Deterministic systems search on their images
-    (``_merge_images``)."""
+    support of its row, the nonzero entries of its cleared integer row.
+    Deterministic systems search on their images (``_merge_images``)."""
     return [
-        tuple(tuple(j for j, p in enumerate(row) if p) for row in g.rows)
+        tuple(tuple(j for j, p in enumerate(row) if p) for row in g.cleared[0])
         for g in sys.generators
     ]
 
@@ -468,15 +462,16 @@ def _greedy_products(
     """Greedy word search on a stochastic system, one letter per step.
 
     The product S_w is kept exactly, as integer rows over one integer
-    denominator.  Each step appends the generator g whose product S_wg
-    minimizes ``key(rows, den) + (g,)`` and yields the word, that key and
-    the rows, for at most ``b.max_word_len`` steps.  The values are exact,
+    denominator, and each generator is read from its cleared integer rows.
+    Each step appends the generator g whose product S_wg minimizes
+    ``key(rows, den) + (g,)`` and yields the word, that key and the rows,
+    for at most ``b.max_word_len`` steps.  The values are exact,
     so keys and ties are those of the same products in ``Fraction`` form.
     """
     steps = []
     for g in sys.generators:
         assert isinstance(g, StochasticMatrix)
-        g_rows, g_den = clear_denominators(g.rows)
+        g_rows, g_den = g.cleared
         steps.append((list(zip(*g_rows)), g_den))
     m = len(sys.space)
     rows = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -540,8 +535,7 @@ def _stochastic_pair_search(
     """
     if tv_distance(mu, nu) < b.epsilon:
         return yes((), f"tv already below epsilon for {label}")
-    (mu_n, nu_n), scale = clear_denominators((mu.weights, nu.weights))
-    diff = list(map(sub, mu_n, nu_n))
+    diff, scale = _difference(mu, nu)
 
     def key(rows: IntRows, den: int) -> tuple[Fraction, Fraction]:
         gap = sum(abs(sum(map(mul, diff, col))) for col in zip(*rows))
@@ -803,7 +797,10 @@ def decide(
         blocked = _single_generator_obstruction(sys, b)
         if blocked is not None:
             return prox, blocked, None
-    top = max(p for g in sys.generators for row in g.rows for p in row)
+    top = max(
+        Fraction(max(map(max, rows)), den)
+        for rows, den in (g.cleared for g in sys.generators)
+    )
     if top <= 1 - b.epsilon:
         # An entry of S_ug is sum_z (S_u)_yz g_zx <= max_z g_zx <= top.
         bounded = no(
@@ -824,16 +821,21 @@ def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
 
 
 def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verdict]:
-    """NO when orbits provably converge to one interior distribution."""
+    """NO when orbits provably converge to one interior distribution.
+
+    The stationary distributions pi solve pi (S - I) = 0 with total mass 1;
+    with S's cleared rows N over den that is pi (N - den I) = 0, an integer
+    system with the same solutions.
+    """
     s = sys.generators[0]
     assert isinstance(s, StochasticMatrix)
+    nums, den = s.cleared
     m = len(s)
     rows = [
-        [s.rows[i][j] - (1 if i == j else 0) for i in range(m)] for j in range(m)
+        [nums[i][j] - (den if i == j else 0) for i in range(m)] for j in range(m)
     ]
-    rows.append([Fraction(1)] * m)
-    rhs = [Fraction(0)] * m + [Fraction(1)]
-    solved = solve_affine([list(map(Fraction, r)) for r in rows], rhs)
+    rows.append([1] * m)
+    solved = solve_affine(rows, [0] * m + [1])
     if solved is None:
         return None
     pi, basis = solved
@@ -905,8 +907,7 @@ def measure_pair_proximal(
         return _stochastic_pair_search(sys, mu, nu, b, "(mu,nu)")
     if mu == nu:
         return yes((), "measures already equal")
-    (mu_n, nu_n), _ = clear_denominators((mu.weights, nu.weights))
-    start = tuple(map(sub, mu_n, nu_n))
+    start = tuple(_difference(mu, nu)[0])
     maps = [g.image for g in det.generators]
     seen = {start}
     queue = [start]

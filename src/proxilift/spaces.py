@@ -16,8 +16,9 @@ denominators.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
@@ -45,9 +46,11 @@ class FiniteSpace:
     None for the discrete metric (build that with ``discrete``).  The checks
     (zero diagonal, symmetry, positive distances, the triangle inequality
     for every triple (i, j, k)) run on the integer numerators of the matrix
-    over its common denominator.  Equality compares labels and metric
-    values, so a discrete space equals the explicit space with the same
-    labels and the 0/1 matrix.
+    over its common denominator, and ``cleared`` keeps those integer rows
+    and that denominator for the W1 kernels (``w1_distance``,
+    ``LiftedSystem.metric``).  Equality compares labels and metric values,
+    so a discrete space equals the explicit space with the same labels and
+    the 0/1 matrix.
     """
 
     labels: tuple[str, ...]
@@ -64,7 +67,7 @@ class FiniteSpace:
         rows = _fraction_rows(self.matrix)
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DimensionMismatch("metric matrix must be square of size", m)
-        rows, _ = clear_denominators(rows)
+        rows, den = clear_denominators(rows)
         for i in range(m):
             if rows[i][i] != 0:
                 raise ValidationError(f"metric diagonal must be zero at {i}")
@@ -91,6 +94,7 @@ class FiniteSpace:
                         raise ValidationError(
                             f"triangle inequality fails on ({i},{j},{k})"
                         )
+        object.__setattr__(self, "cleared", (tuple(map(tuple, rows)), den))
 
     @classmethod
     def discrete(cls, labels: Sequence[str]) -> "FiniteSpace":
@@ -117,6 +121,14 @@ class FiniteSpace:
             tuple(ZERO if i == j else ONE for j in range(m)) for i in range(m)
         )
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The metric as integer rows over their common denominator: kept
+        from validation for an explicit matrix, and for a discrete space the
+        0/1 rows over 1, built on first read."""
+        m = len(self.labels)
+        return tuple(tuple(int(i != j) for j in range(m)) for i in range(m)), 1
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSpace):
             return NotImplemented
@@ -137,29 +149,25 @@ class Measure:
 
     The weights must be ``Fraction``s.  They are checked as integer
     numerators over their common denominator den: each numerator lies in
-    0..den and they sum to den.
+    0..den and they sum to den.  ``cleared`` keeps ``(numerators, den)``
+    for the integer kernels (the measure-pair searches, ``barycenter``,
+    ``w1_distance``, the invariant-measure replay); equal weights give
+    equal numerators, so it stays out of equality, hash and repr.
     """
 
     weights: tuple[Fraction, ...]
+    cleared: tuple[tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         weights = self.weights
-        if weights and set(map(type, weights)) == {Fraction}:
-            (nums,), den = clear_denominators((weights,))
-            if min(nums) >= 0 and sum(nums) == den:
-                return
-        # Otherwise the entry-by-entry loop decides and names the first fault.
-        if not weights:
-            raise ValidationError("a measure needs at least one coordinate")
-        total = ZERO
-        for w in weights:
-            if not isinstance(w, Fraction):
-                raise ValidationError("measure weights must be Fractions")
-            if w < 0 or w > 1:
-                raise ValidationError(f"weight {w} outside [0,1]")
-            total += w
-        if total != 1:
-            raise ValidationError(f"weights sum to {total}, not 1")
+        if not weights or set(map(type, weights)) != {Fraction}:
+            _check_weights(weights)
+        (nums,), den = clear_denominators((weights,))
+        if min(nums) < 0 or sum(nums) != den:
+            _check_weights(weights)
+        object.__setattr__(self, "cleared", (tuple(nums), den))
 
     @classmethod
     def from_weights(cls, weights: Iterable[int | Fraction]) -> "Measure":
@@ -206,6 +214,32 @@ class Measure:
         )
 
 
+def _check_weights(weights: Sequence) -> None:
+    """Raise the first fault of weights that are no probability vector,
+    entry by entry; ``Measure`` calls it when its integer check cannot run
+    or fails."""
+    if not weights:
+        raise ValidationError("a measure needs at least one coordinate")
+    total = ZERO
+    for w in weights:
+        if not isinstance(w, Fraction):
+            raise ValidationError("measure weights must be Fractions")
+        if w < 0 or w > 1:
+            raise ValidationError(f"weight {w} outside [0,1]")
+        total += w
+    if total != 1:
+        raise ValidationError(f"weights sum to {total}, not 1")
+
+
+def _difference(mu: Measure, nu: Measure) -> tuple[list[int], int]:
+    """The numerators of mu - nu over den, the least common denominator of
+    the weights of both, read off their cleared forms."""
+    (a, da), (b, db) = mu.cleared, nu.cleared
+    den = math.lcm(da, db)
+    ka, kb = den // da, den // db
+    return [x * ka - y * kb for x, y in zip(a, b)], den
+
+
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     """Total variation (1/2) sum |mu_i - nu_i|, exact."""
     if len(mu) != len(nu):
@@ -216,8 +250,9 @@ def tv_distance(mu: Measure, nu: Measure) -> Fraction:
 def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
     """Optimal-transport cost between mu and nu under the space metric.
 
-    Masses and metric are each scaled to integers by a common denominator,
-    and only the difference of the masses is transported: the metric is
+    Masses and metric are read as integers over a common denominator from
+    their cleared forms, and only the difference of the masses is
+    transported: the metric is
     validated (zero diagonal, triangle inequality), so the mass mu and nu
     share stays in place (see ``transport._w1_cost``).  The value is an
     exact rational and satisfies the metric axioms.
@@ -225,9 +260,8 @@ def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
     m = len(space)
     if len(mu) != m or len(nu) != m:
         raise DimensionMismatch("measure size does not match space", m)
-    (supply, demand), denom = clear_denominators((mu.weights, nu.weights))
-    metric, scale = clear_denominators(space.metric)
-    diff = [a - b for a, b in zip(supply, demand)]
+    diff, denom = _difference(mu, nu)
+    metric, scale = space.cleared
     return Fraction(_w1_cost(diff, metric), denom * scale)
 
 

@@ -21,6 +21,8 @@ from proxilift import (
     pushforward,
     tv_distance,
 )
+from proxilift.actions import _word_rows
+from proxilift.linalg import clear_denominators
 from helpers import (
     fault_of,
     fraction_dobrushin,
@@ -267,6 +269,47 @@ class TestWordMatrix:
     def test_matches_fraction_fold(self, drawn):
         sys, word = drawn
         assert sys.word_matrix(word) == fraction_word_matrix(sys, word)
+
+
+class TestClearedRows:
+    """The integer rows a matrix keeps from its validation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stochastic_matrices())
+    def test_cleared_form_is_the_cleared_entries(self, s):
+        rows, den = clear_denominators(s.rows)
+        assert s.cleared == (tuple(map(tuple, rows)), den)
+        assert all(type(a) is int for row in s.cleared[0] for a in row)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stochastic_matrices())
+    def test_equal_matrices_by_other_paths_compare_hash_and_print_alike(self, s):
+        m = len(s)
+        space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+        ints = [[int(p) if p.denominator == 1 else p for p in row] for row in s.rows]
+        others = [
+            StochasticMatrix.from_rows(ints),
+            s.then(StochasticMatrix.from_transformation(Transformation.identity(m))),
+            ActionSystem.stochastic(space, [s]).word_matrix((0,)),
+        ]
+        for t in others:
+            assert t == s and hash(t) == hash(s) and repr(t) == repr(s)
+            assert t.cleared == s.cleared
+        assert "cleared" not in repr(s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(word_systems())
+    def test_word_rows_kernel_matches_fraction_fold(self, drawn):
+        sys, word = drawn
+        rows, den = _word_rows(sys.generators, len(sys.space), word)
+        want = fraction_word_matrix(sys, word).rows
+        assert tuple(tuple(F(p, den) for p in row) for row in rows) == want
+
+    def test_a_matrix_over_a_larger_denominator_is_not_deterministic(self):
+        lazy = StochasticMatrix.from_rows([[F(1, 2), F(1, 2)], [0, 1]])
+        assert not lazy.is_deterministic()
+        with pytest.raises(ValidationError, match="non 0/1"):
+            lazy.to_transformation()
 
 
 class TestStochasticValidation:

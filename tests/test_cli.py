@@ -236,6 +236,76 @@ class TestLoadSpec:
         ).hexdigest()
 
 
+class TestLiteralMemo:
+    """Within one ``load_spec`` call each distinct literal is parsed once."""
+
+    TWELFTHS = [
+        [["1/12", "5/12", "1/2", 0], ["1/2", "1/2", 0, 0], [0, "1/12", "5/12", "1/2"],
+         [1, 0, 0, 0]],
+        [["1/2", 0, "1/2", 0], [0, "1/12", "5/12", "1/2"], ["1/12", "5/12", "1/2", 0],
+         ["1/2", "1/2", 0, 0]],
+    ]
+
+    def test_repeated_literals_parse_as_each_entry_alone(self, tmp_path):
+        doc = {
+            "space": {"labels": list("abcd"), "metric": [
+                [0, "1/2", 1, "3/2"], ["1/2", 0, "1/2", 1],
+                [1, "1/2", 0, "1/2"], ["3/2", 1, "1/2", 0],
+            ]},
+            "action": {"kind": "stochastic", "generators": self.TWELFTHS},
+        }
+        system = load_spec(write_spec(tmp_path, doc)).system
+        assert system.space.metric == tuple(
+            tuple(parse_rational(x, "x") for x in row)
+            for row in doc["space"]["metric"]
+        )
+        assert [g.rows for g in system.generators] == [
+            tuple(tuple(parse_rational(x, "x") for x in row) for row in g)
+            for g in self.TWELFTHS
+        ]
+
+    def test_malformed_literal_after_repeated_ones_keeps_its_path(self, tmp_path):
+        doc = {
+            "space": SPACE2,
+            "action": {"kind": "stochastic", "generators": [
+                [["1/2", "1/2"], ["1/2\n", "1/2"]],
+            ]},
+        }
+        with pytest.raises(SpecError) as info:
+            load_spec(write_spec(tmp_path, doc))
+        assert str(info.value) == (
+            "action.generators[0][1][0]: not a rational literal: '1/2\\n'"
+        )
+
+    @pytest.mark.parametrize(
+        "late, message",
+        [(True, "expected a rational, got a boolean"),
+         (1.0, "floats are forbidden in spec files; write \"p/q\"")],
+    )
+    def test_integer_seen_first_does_not_admit_its_lookalikes(
+        self, tmp_path, late, message
+    ):
+        # 1 is parsed before True and 1.0, which compare and hash equal to it
+        doc = _metric_doc([[0, 1], [late, 0]])
+        with pytest.raises(SpecError) as info:
+            load_spec(write_spec(tmp_path, doc))
+        assert str(info.value) == f"space.metric[1][0]: {message}"
+
+    def test_memo_ends_with_its_call(self, tmp_path):
+        path = write_spec(tmp_path, {
+            "space": {"labels": list("abcd"), "metric": [
+                [int(i != j) for j in range(4)] for i in range(4)
+            ]},
+            "action": {"kind": "stochastic", "generators": self.TWELFTHS},
+        })
+        a = load_spec(path).system.generators[0]
+        b = load_spec(path).system.generators[0]
+        assert a == b
+        assert a.rows[0][0] is not b.rows[0][0]
+        # within one call, a repeated literal is one object
+        assert a.rows[0][2] is a.rows[1][0]
+
+
 def _metric_doc(metric, labels=("a", "b")):
     return {
         "space": {"labels": list(labels), "metric": metric},
@@ -699,6 +769,25 @@ class TestAnalyzeModes:
         # uniform measure on their union is invariant but not extreme
         monkeypatch.setattr(
             cli, "invariant_metas", lambda lifted: [Measure.uniform(3)]
+        )
+        code, rep = run_json(
+            [
+                "analyze",
+                str(SPECS / "swap2.json"),
+                "--mode",
+                "invariant",
+                "--verify",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert rep["verify"]["failures"] == ["extreme meta 0 is invariant"]
+
+    def test_verify_rejects_non_invariant_extreme(self, monkeypatch, capsys):
+        # the point mass at atom (0,2) of the swap's q=2 lift is uniform on
+        # its support, but the swap moves that atom to (2,0)
+        monkeypatch.setattr(
+            cli, "invariant_metas", lambda lifted: [Measure.point_mass(3, 0)]
         )
         code, rep = run_json(
             [

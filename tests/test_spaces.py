@@ -34,7 +34,7 @@ from proxilift import (
 )
 from proxilift.cli import ParsedSpec, load_spec, serialize_spec
 from proxilift.linalg import clear_denominators
-from proxilift.spaces import _compositions
+from proxilift.spaces import _compositions, _difference
 from helpers import (
     brute_force_w1,
     fault_of,
@@ -519,3 +519,83 @@ class TestClearDenominators:
         assert den == math.lcm(*(x.denominator for row in rows for x in row))
         assert [[Fraction(a, den) for a in row] for row in ints] == rows
         assert all(type(a) is int for row in ints for a in row)
+
+
+@st.composite
+def mixed_measures(draw, size=None):
+    """A measure on 1-6 (or ``size``) points whose weights, reduced, have
+    mixed denominators."""
+    n = draw(st.integers(1, 6)) if size is None else size
+    counts = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    if not any(counts):
+        counts[draw(st.integers(0, n - 1))] = 1
+    return Measure(tuple(Fraction(c, sum(counts)) for c in counts))
+
+
+class TestClearedForms:
+    """The integer form each exact input keeps from its validation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_measures())
+    def test_measure_keeps_its_cleared_weights(self, mu):
+        (nums,), den = clear_denominators((mu.weights,))
+        assert mu.cleared == (tuple(nums), den)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_measures())
+    def test_equal_measures_by_other_paths_compare_hash_and_print_alike(self, mu):
+        ints = [int(w) if w.denominator == 1 else w for w in mu.weights]
+        m = len(mu)
+        identity = ActionSystem.deterministic(
+            FiniteSpace.discrete(tuple(f"x{i}" for i in range(m))), [range(m)]
+        )
+        for nu in (
+            Measure.from_weights(ints),
+            mu.mix(mu, F(1, 3)),
+            pushforward(identity, (0,), mu),
+        ):
+            assert nu == mu and hash(nu) == hash(mu) and repr(nu) == repr(mu)
+            assert nu.cleared == mu.cleared
+        assert "cleared" not in repr(mu)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(mixed_measures(n), mixed_measures(n))
+    ))
+    def test_difference_is_the_cleared_pair(self, pair):
+        mu, nu = pair
+        (a, b), den = clear_denominators((mu.weights, nu.weights))
+        assert _difference(mu, nu) == ([x - y for x, y in zip(a, b)], den)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.sampled_from([None, (1, 2), (2, 3, 5)]),
+    )
+    def test_explicit_space_keeps_its_cleared_metric(self, seed, m, dens):
+        space = rand_metric_space(random.Random(seed), m, dens)
+        rows, den = clear_denominators(space.metric)
+        assert space.cleared == (tuple(map(tuple, rows)), den)
+        ints = [[int(d) if d.denominator == 1 else d for d in row] for row in space.metric]
+        again = FiniteSpace.from_rows(space.labels, ints)
+        assert again == space and hash(again) == hash(space)
+        assert repr(again) == repr(space) and again.cleared == space.cleared
+        assert "cleared" not in repr(space)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.booleans())
+    def test_discrete_space_builds_the_zero_one_form(self, m, read_first):
+        labels = tuple(f"x{i}" for i in range(m))
+        discrete = FiniteSpace.discrete(labels)
+        before = repr(discrete)
+        if read_first:
+            discrete.metric
+        explicit = FiniteSpace.from_rows(
+            labels, [[int(i != j) for j in range(m)] for i in range(m)]
+        )
+        rows, den = clear_denominators(discrete.metric)
+        assert discrete.cleared == explicit.cleared == (tuple(map(tuple, rows)), den)
+        assert discrete == explicit and hash(discrete) == hash(explicit)
+        # reading the lazy forms leaves the repr as it was
+        assert repr(discrete) == before == repr(FiniteSpace.discrete(labels))
