@@ -14,7 +14,15 @@ entry.  Within one ``load_spec`` call each distinct rational literal becomes
 a ``Fraction`` once, and the memo ends with the call.  ``main`` builds its
 argument parser on first use and keeps it while the ``PROXILIFT_*``
 environment stays the same, so repeated in-process calls pay for argument
-set-up once.
+set-up once.  When the first argument names a subcommand, that
+subcommand's parser alone reads its flags, once; tokens it leaves are
+refused by the top-level parser, as a full parse refuses them.
+
+A JSON report is printed by ``_json_text``, whose bytes equal
+``json.dumps(report, indent=2, sort_keys=True)``: with ``indent`` the
+standard library runs its pure-Python encoder, so the writer joins each
+container in one ``str.join`` and quotes strings with the C string
+encoder instead.
 
 ``--verify`` replays each verdict from data: a YES from its witness word, a
 NO from its typed ``evidence`` (``NeverMerges`` or ``EntryBound``).  The
@@ -40,6 +48,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from gettext import gettext
 from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
@@ -614,6 +623,48 @@ def _canonical_digest(report: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj: Any, pad: str = "\n") -> str:
+    """obj as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, byte
+    for byte, for a tree of dicts with str keys, lists, str, int, finite
+    float, bool and None; pad is the newline and indent of obj's own line.
+    A list of plain ints, such as a witness word, is written with no call
+    per letter.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            _quote(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _text_lines(obj: Any, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -697,7 +748,7 @@ def analyze(args: argparse.Namespace) -> int:
         "seconds": round(time.monotonic() - started, 6),
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         print("\n".join(_text_lines(report)))
     return code
@@ -840,10 +891,13 @@ def _rational_flag(text: str) -> Fraction:
 
 
 def _cube_list(text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        out.append(parse_rational(part.strip(), "--cubes"))
-    return out
+    try:
+        return [
+            parse_rational(part.strip(), f"entry {i}")
+            for i, part in enumerate(text.split(","), 1)
+        ]
+    except SpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _choice(*names: str) -> Callable[[str], str]:
@@ -976,8 +1030,33 @@ def _parser(env: tuple[Optional[str], ...]) -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with a subcommand's flags scanned once.
+
+    The full parse scans every token of ``analyze SPEC --flag ...`` at the
+    top level and then again in the subcommand's parser.  When argv[0]
+    names a subcommand, its parser alone reads the rest; tokens it leaves
+    are refused by the top-level parser, with its usage and message, as the
+    full parse refuses them.  Any other argv (none, ``-h``, an unknown
+    command) takes the full parse.
+    """
+    (commands,) = (
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extra:  # argparse's own message, translated as argparse translates it
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser(tuple(map(os.environ.get, _ENV_NAMES))).parse_args(argv)
+    parser = _parser(tuple(map(os.environ.get, _ENV_NAMES)))
+    args = _parse(parser, _sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ProxiliftError, OSError) as exc:

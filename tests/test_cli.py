@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxilift import (
     ActionSystem,
@@ -1259,6 +1260,224 @@ GENERATED_SPECS = {
 }
 
 
+ANALYZE_USAGE = (
+    "usage: proxilift analyze [-h] [--mode {base,prop1,thm,psi,invariant,affine}]\n"
+    "                         [--grid GRID] [--max-word-len MAX_WORD_LEN]\n"
+    "                         [--max-closure MAX_CLOSURE] [--epsilon EPSILON]\n"
+    "                         [--format {json,text}] [--seed SEED]\n"
+    "                         [--trials TRIALS] [--verify]\n"
+    "                         spec\n"
+)
+TOP_USAGE = "usage: proxilift [-h] {analyze,demo-sl} ...\n"
+
+# Exit code, stdout and stderr of each argv, as the full top-level parse
+# printed them; the help texts at 80 columns.
+USAGE_CASES = {
+    "unknown flag": (
+        ["analyze", "specs/cerny4.json", "--bogus"], 2, "",
+        TOP_USAGE + "proxilift: error: unrecognized arguments: --bogus\n",
+    ),
+    "extra positional": (
+        ["analyze", "specs/cerny4.json", "extra"], 2, "",
+        TOP_USAGE + "proxilift: error: unrecognized arguments: extra\n",
+    ),
+    "leftovers in order": (
+        ["analyze", "specs/cerny4.json", "--bogus", "x", "--seed=3", "y"], 2, "",
+        TOP_USAGE + "proxilift: error: unrecognized arguments: --bogus x y\n",
+    ),
+    "demo unknown flag": (
+        ["demo-sl", "--bogus"], 2, "",
+        TOP_USAGE + "proxilift: error: unrecognized arguments: --bogus\n",
+    ),
+    "no spec": (
+        ["analyze"], 2, "",
+        ANALYZE_USAGE
+        + "proxilift analyze: error: the following arguments are required: spec\n",
+    ),
+    "no arguments": (
+        [], 2, "",
+        TOP_USAGE
+        + "proxilift: error: the following arguments are required: command\n",
+    ),
+    "analyze help": (
+        ["analyze", "--help"], 0,
+        ANALYZE_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  spec                  path to the spec file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --mode {base,prop1,thm,psi,invariant,affine}\n"
+        "  --grid GRID\n"
+        "  --max-word-len MAX_WORD_LEN\n"
+        "                        longest word the greedy stochastic searches build, one\n"
+        "                        letter per step\n"
+        "  --max-closure MAX_CLOSURE\n"
+        "                        most sets the reset-word search stores, forward and\n"
+        "                        backward together, before the greedy word stands;\n"
+        "                        greedy merging's pair searches and pair table are not\n"
+        "                        counted\n"
+        "  --epsilon EPSILON     closeness threshold of the stochastic searches,\n"
+        "                        strictly between 0 and 1: total variation below it\n"
+        "                        counts as reached\n"
+        "  --format {json,text}\n"
+        "  --seed SEED\n"
+        "  --trials TRIALS\n"
+        "  --verify              replay every YES witness, every pair NO and every\n"
+        "                        entry-bound NO, and record the outcome\n",
+        "",
+    ),
+    "top-level help": (
+        ["--help"], 0,
+        TOP_USAGE
+        + "\n"
+        "Exact analysis of semigroup actions on finite metric spaces and their lifts to\n"
+        "measure simplices\n"
+        "\n"
+        "positional arguments:\n"
+        "  {analyze,demo-sl}\n"
+        "    analyze          analyze a JSON system spec\n"
+        "    demo-sl          numeric demo of a proximal, not strongly proximal action\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n",
+        "",
+    ),
+}
+
+
+def run_captured(argv, capsys, run=main):
+    """Exit code, stdout and stderr of run(argv), argparse's exits too."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestUsageText:
+    """Usage, help and error text, byte for byte, with the exit code.
+
+    ``main`` hands a subcommand's tokens to its parser alone; the full
+    top-level parse is the oracle.  Help is formatted at 80 columns.
+    """
+
+    @pytest.fixture(autouse=True)
+    def plain_environment(self, monkeypatch):
+        monkeypatch.chdir(SPECS.parent)
+        monkeypatch.setenv("COLUMNS", "80")
+        for name in cli._ENV_NAMES:
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize("case", sorted(USAGE_CASES))
+    def test_pinned_text(self, case, capsys):
+        argv, code, out, err = USAGE_CASES[case]
+        assert run_captured(argv, capsys) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [case[0] for case in USAGE_CASES.values()]
+        + [
+            # Not pinned: the quoting of a choice list differs between
+            # Python releases.
+            ["analyz"],
+            ["-h", "analyze"],
+            ["demo-sl", "-h"],
+            ["analyze", "specs/cerny4.json", "--mode", "nope"],
+            ["analyze", "specs/cerny4.json", "--grid", "x"],
+            ["analyze", "specs/cerny4.json", "--he"],
+            ["analyze", "--", "specs/cerny4.json", "--bogus"],
+        ],
+    )
+    def test_same_text_as_the_full_parse(self, argv, capsys):
+        def full_parse(args):
+            build_parser().parse_args(args)
+            raise AssertionError(f"{args} parsed")
+
+        want = run_captured(argv, capsys, full_parse)
+        assert run_captured(argv, capsys) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "specs/cerny4.json"],
+            ["analyze", "--mode", "thm", "specs/cerny4.json", "--grid=3", "--verify"],
+            ["analyze", "specs/cerny4.json", "--epsilon", "1/7", "--format", "text"],
+            ["demo-sl", "--cubes", "2,3", "--out", "-"],
+            ["demo-sl"],
+        ],
+    )
+    def test_same_namespace_as_the_full_parse(self, argv):
+        parser = build_parser()
+        assert vars(cli._parse(parser, argv)) == vars(parser.parse_args(argv))
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1])
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+json_trees = st.recursive(
+    json_scalars | st.lists(st.integers()) | st.lists(st.sampled_from([0, 1, True, False])),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+# The modes each shipped spec runs in.
+SPEC_MODES = [
+    (name, mode)
+    for names, modes in [
+        (
+            ("cerny4", "collapse3", "swap2", "z2_translation"),
+            ("base", "prop1", "thm", "psi", "invariant"),
+        ),
+        (("lazy_chain", "lazy_pair"), ("base",)),
+        (("affine_wedge",), ("affine",)),
+    ]
+    for name in names
+    for mode in modes
+]
+
+
+class TestReportWriter:
+    """The report writer against ``json.dumps(obj, indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_matches_the_standard_library(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{}, [], {"": []}, [{}], {"b": 1, "a": {"c": []}}, [True, 1, 0, False],
+         [7, 0, 1], "\"\\\x00\x1fé\U0001f600", -0.0, 1e300],
+    )
+    def test_edge_cases(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": {1, 2}})
+
+    @pytest.mark.parametrize("name, mode", SPEC_MODES)
+    def test_shipped_report_is_the_standard_encoding(self, name, mode, capsys):
+        args = [
+            "analyze", str(SPECS / f"{name}.json"), "--mode", mode, "--grid", "3",
+            "--format", "json", "--verify",
+        ]
+        main(args)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestGoldenDigests:
     """Pinned report digests of every shipped spec in its applicable modes,
     and of ``GENERATED_SPECS`` in base mode, so any change of verdict,
@@ -1404,6 +1623,15 @@ class TestDemoSL:
         ]
         gap = {float(r[0]): float(r[1]) for r in rows}
         assert gap[64.0] == pytest.approx(gap[1.0] / 64.0)
+
+    def test_non_rational_cube_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-sl", "--cubes", "1,2.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --cubes: entry 2: not a rational literal: '2.5'\n"
+        )
 
     def test_bad_cubes_exit_1(self, capsys):
         for cubes in ("2,1", "-1,1", "0,1"):

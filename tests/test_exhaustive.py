@@ -1,0 +1,105 @@
+"""Every small deterministic system, against the brute-force oracles.
+
+Random draws leave gaps; on a few points every system can be checked
+instead.  The small scope hypothesis says that most faults show on small
+instances (Jackson, *Software Abstractions*, 2006).  The sweeps take every
+one- and two-letter system up to letter order: each map alone, and each
+unordered pair of maps, a map paired with itself included.
+"""
+
+from itertools import combinations_with_replacement, product
+
+from proxilift import (
+    ActionSystem,
+    Budget,
+    FiniteSpace,
+    Status,
+    is_proximal,
+    lift_system,
+    reset_word,
+)
+from proxilift.proximality import NeverMerges
+
+from helpers import mergeable_pairs_oracle, subset_bfs_oracle
+
+B = Budget()
+
+
+def systems(m: int) -> list[ActionSystem]:
+    """The one-letter systems on m points, then the two-letter ones."""
+    space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+    maps = list(product(range(m), repeat=m))
+    letters = [(g,) for g in maps] + list(combinations_with_replacement(maps, 2))
+    return [ActionSystem.deterministic(space, gens) for gens in letters]
+
+
+SMALL = [sys for m in (1, 2, 3) for sys in systems(m)]
+
+
+def test_small_sweep_sizes():
+    # m^m maps alone, and m^m (m^m + 1) / 2 unordered pairs, for m = 1, 2, 3.
+    assert len(SMALL) == (1 + 1) + (4 + 10) + (27 + 378)
+
+
+def pair_criterion(sys: ActionSystem) -> bool:
+    """Whether every pair of points merges under some word."""
+    m = len(sys.space)
+    return len(mergeable_pairs_oracle(sys)) == m * (m - 1) // 2
+
+
+def mismatches(sys: ActionSystem) -> list[str]:
+    """How ``reset_word`` and ``is_proximal`` differ from the oracles.
+
+    The reset word's status and word must be the subset BFS's.  By Černý's
+    pair criterion a reset word exists exactly when every pair merges, and
+    on a finite deterministic system proximality is that same criterion; a
+    NO must name a pair that never merges.
+    """
+    status, word, _ = subset_bfs_oracle(sys, B.max_closure)
+    v = reset_word(sys, B)
+    bad = []
+    if (v.status.value, v.witness) != (status, word):
+        bad.append(f"reset_word {v.status.value} {v.witness} against "
+                   f"{status} {word} on {sys.generators}")
+    mergeable = pair_criterion(sys)
+    if (status == "YES") != mergeable:
+        bad.append(f"the oracles disagree on {sys.generators}")
+    prox = is_proximal(sys, B)
+    if (prox.status is Status.YES) != mergeable:
+        bad.append(f"is_proximal {prox.status.value} on {sys.generators}")
+    elif prox.status is Status.NO:
+        pair = prox.evidence.pair if isinstance(prox.evidence, NeverMerges) else None
+        if pair is None or tuple(sorted(pair)) in mergeable_pairs_oracle(sys):
+            bad.append(f"is_proximal NO names a pair that merges: {prox.evidence}")
+    return bad
+
+
+def test_every_small_system_matches_the_oracles():
+    assert [bad for sys in SMALL for bad in mismatches(sys)] == []
+
+
+def test_small_lifts_keep_the_reset_word():
+    # A word is constant on the q = 2 grid iff it is constant on the points.
+    bad = []
+    for sys in SMALL:
+        if len(sys.space) < 2:
+            continue
+        base = reset_word(sys, B)
+        lift = reset_word(lift_system(sys, 2).system, B)
+        if (lift.status, lift.witness) != (base.status, base.witness):
+            bad.append(f"lift {lift.status.value} {lift.witness} against "
+                       f"base {base.status.value} {base.witness} on {sys.generators}")
+    assert bad == []
+
+
+def test_every_four_point_system_matches_the_oracles():
+    four = systems(4)
+    assert len(four) == 256 + 256 * 257 // 2
+    assert [bad for sys in four for bad in mismatches(sys)] == []
+
+
+def test_the_small_sweep_meets_both_answers():
+    # The oracles say YES and NO on 2 and on 3 points alike.
+    for m in (2, 3):
+        answers = {pair_criterion(sys) for sys in SMALL if len(sys.space) == m}
+        assert answers == {True, False}
