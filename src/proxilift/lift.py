@@ -23,7 +23,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
@@ -49,6 +49,7 @@ from .proximality import (
 )
 from .spaces import (
     ZERO,
+    DeferredLabelSpace,
     FiniteSpace,
     GridSimplex,
     Measure,
@@ -62,26 +63,42 @@ from .transport import _w1_cost
 MetaMeasure = Measure
 
 
+def _atom_labels(grid: GridSimplex) -> list[str]:
+    """Atom c's label "(c_0,c_1,...)", for every atom of the grid in order.
+
+    The labels are the grid fold of string pieces "a," per part, with "("
+    put before those of the first part and the last part's "," turned into
+    ")"; with one point that gives "(a)".
+    """
+    q = grid.resolution
+    parts = [[f"{a}," for a in range(q + 1)] for _ in range(len(grid.base))]
+    parts[0] = ["(" + p for p in parts[0]]
+    parts[-1] = [p[:-1] + ")" for p in parts[-1]]
+    return _grid_fold(parts, q)
+
+
 @dataclass(frozen=True)
 class LiftedSystem:
-    """Grid atoms as points, with the generator-induced atom maps."""
+    """Grid atoms as points, with the generator-induced atom maps.
+
+    ``len`` reads the atom count off the generators; the atom labels and the
+    W1 table are built only when something reads them.
+    """
 
     grid: GridSimplex
     generators: tuple[Transformation, ...]
 
     @cached_property
     def atom_space(self) -> FiniteSpace:
-        """The atoms as a discrete space, atom c labelled "(c_0,c_1,...)".
+        """The atoms as a discrete space, atom c labelled "(c_0,c_1,...)"
+        (``_atom_labels``).
 
-        The labels are the grid fold of string pieces "a," per part, with
-        "(" put before those of the first part and the last part's ","
-        turned into ")"; with one point that gives "(a)".
+        The space is sized by the grid, and its labels are folded, and
+        checked distinct, only when something reads them: no decision,
+        replay or report does.  Once read, it equals, hashes and prints as
+        ``FiniteSpace.discrete`` of those labels.
         """
-        q = self.grid.resolution
-        parts = [[f"{a}," for a in range(q + 1)] for _ in range(len(self.grid.base))]
-        parts[0] = ["(" + p for p in parts[0]]
-        parts[-1] = [p[:-1] + ")" for p in parts[-1]]
-        return FiniteSpace.discrete(tuple(_grid_fold(parts, q)))
+        return DeferredLabelSpace(len(self.grid), partial(_atom_labels, self.grid))
 
     @cached_property
     def system(self) -> ActionSystem:
@@ -118,7 +135,7 @@ class LiftedSystem:
         return tuple(map(tuple, rows))
 
     def __len__(self) -> int:
-        return len(self.grid)
+        return len(self.generators[0])
 
 
 def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:

@@ -584,19 +584,22 @@ def _all_pairs_merge(m: int) -> Verdict:
 def _nibble_tables(masks: list[int], m: int) -> list[tuple[list[int], list[int]]]:
     """Per mask byte, two 16-entry tables for its low and high nibble.
 
-    ``masks`` holds one mask per point; entry n of the table of the points
-    4j..4j + 3 is the OR of the masks of the points 4j + i for the set bits
-    i of n.  With the masks 1 << g(x) the tables map a set to its image
-    under g, and with the masks of the preimages g^-1(x) to its preimage.
+    ``masks`` holds one mask for each of the m points, zero-padded here to
+    a multiple of 8 points.  Entry n of the table of the points 4j..4j + 3,
+    with masks a, b, c, d, is the OR of the masks of the points 4j + i for
+    the set bits i of n; the 16 entries take 11 ORs of the four masks.
+    With the masks 1 << g(x) the tables map a set to its image under g, and
+    with the masks of the preimages g^-1(x) to its preimage.
     """
+    points = iter(masks + [0] * (-m % 8))
     tables = []
-    for first in range(0, m + (-m) % 8, 4):
-        table = [0] * 16
-        for n in range(1, 16):
-            low = n & -n
-            point = first + low.bit_length() - 1
-            table[n] = table[n ^ low] | (masks[point] if point < m else 0)
-        tables.append(table)
+    for a, b, c, d in zip(points, points, points, points):
+        ab, ac, bc = a | b, a | c, b | c
+        abc = ab | c
+        tables.append(
+            [0, a, b, ab, c, ac, bc, abc,
+             d, a | d, b | d, ab | d, c | d, ac | d, bc | d, abc | d]
+        )
     return list(zip(tables[::2], tables[1::2]))
 
 

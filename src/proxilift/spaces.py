@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
 from .linalg import (
@@ -116,7 +116,7 @@ class FiniteSpace:
         """The metric matrix, built on first read for a discrete space."""
         if self.matrix is not None:
             return self.matrix
-        m = len(self.labels)
+        m = len(self)
         return tuple(
             tuple(ZERO if i == j else ONE for j in range(m)) for i in range(m)
         )
@@ -126,7 +126,7 @@ class FiniteSpace:
         """The metric as integer rows over their common denominator: kept
         from validation for an explicit matrix, and for a discrete space the
         0/1 rows over 1, built on first read."""
-        m = len(self.labels)
+        m = len(self)
         return tuple(tuple(int(i != j) for j in range(m)) for i in range(m)), 1
 
     def __eq__(self, other: object) -> bool:
@@ -141,6 +141,37 @@ class FiniteSpace:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+class DeferredLabelSpace(FiniteSpace):
+    """A discrete space of ``size`` points whose labels ``build()`` makes
+    on first read, the way ``FiniteSpace.discrete`` defers its matrix.
+
+    ``len`` is ``size`` without a build.  The labels are checked when they
+    are built: there must be ``size`` of them, all distinct.  Equality, hash
+    and repr read the labels and are those of
+    ``FiniteSpace.discrete(labels)``.
+    """
+
+    def __init__(self, size: int, build: Callable[[], Sequence[str]]) -> None:
+        object.__setattr__(self, "matrix", None)
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_build", build)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        labels = tuple(self._build())
+        if len(labels) != self._size:
+            raise DimensionMismatch("label count must equal space size", self._size)
+        if len(set(labels)) != self._size:
+            raise ValidationError("point labels must be distinct")
+        return labels
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __repr__(self) -> str:
+        return repr(FiniteSpace.discrete(self.labels))
 
 
 @dataclass(frozen=True)
@@ -343,7 +374,8 @@ class GridSimplex:
         return tuple(grid_atoms(len(self.base), self.resolution))
 
     def __len__(self) -> int:
-        return len(self.compositions)
+        """binomial(q + m - 1, m - 1), without building the compositions."""
+        return math.comb(self.resolution + len(self.base) - 1, len(self.base) - 1)
 
     def atom_index(self, mu: Measure) -> int:
         # An integral Fraction hashes and compares like the int it equals, so

@@ -306,6 +306,21 @@ def _apply_bitwise(image: Sequence[int], mask: int) -> int:
     return out
 
 
+def loop_nibble_tables(masks: Sequence[int], m: int) -> list[tuple[list[int], list[int]]]:
+    """``proximality._nibble_tables`` as a per-entry loop: entry n of the
+    table of the points 4j..4j + 3 is entry n less its lowest set bit, ORed
+    with the mask of the point of that bit (0 past the m points)."""
+    tables = []
+    for first in range(0, m + (-m) % 8, 4):
+        table = [0] * 16
+        for n in range(1, 16):
+            low = n & -n
+            point = first + low.bit_length() - 1
+            table[n] = table[n ^ low] | (masks[point] if point < m else 0)
+        tables.append(table)
+    return list(zip(tables[::2], tables[1::2]))
+
+
 def subset_bfs_oracle(
     sys: ActionSystem, max_closure: int
 ) -> tuple[str, Optional[tuple[int, ...]], int]:

@@ -954,6 +954,27 @@ class TestReplaysRunOnce:
         assert len(lifted) == sum(r["lift"]["status"] == "NO" for r in rows)
 
 
+class TestLiftLabelsUnread:
+    @pytest.mark.parametrize("name", ["cerny4", "swap2"])
+    @pytest.mark.parametrize("mode", ["thm", "prop1"])
+    def test_harness_builds_no_atom_label(self, mode, name, monkeypatch, capsys):
+        # No decision, replay or report of a lifted row reads atom labels.
+        builds = []
+        real = lift._atom_labels
+
+        def counting(grid):
+            builds.append(grid.resolution)
+            return real(grid)
+
+        monkeypatch.setattr(lift, "_atom_labels", counting)
+        path = str(SPECS / f"{name}.json")
+        argv = ["analyze", path, "--mode", mode, "--grid", "5", "--verify"]
+        code, rep = run_json(argv, capsys)
+        assert code == 0 and rep["verify"]["ok"] is True
+        assert [row["q"] for row in rep["results"]["harness"]["rows"]] == [1, 2, 3, 5]
+        assert builds == []
+
+
 class TestDeterminism:
     def strip(self, rep):
         rep = dict(rep)

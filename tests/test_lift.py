@@ -126,6 +126,49 @@ class TestLiftSystem:
         assert labels == tuple(f"({','.join(map(str, c))})" for c in comps)
         assert labels[-1] == "(" + ",".join([str(q)] + ["0"] * (m - 1)) + ")"
 
+    def test_sizes_fold_no_compositions(self):
+        for m in range(1, 7):
+            for q in range(1, 7):
+                lifted = lift_system(det_system(tuple(range(1, m)) + (0,)), q)
+                grid = lifted.grid
+                assert len(grid) == len(lifted) == len(lifted.atom_space)
+                assert "compositions" not in vars(grid)
+                assert len(grid) == len(grid.compositions), (m, q)
+
+    @pytest.mark.parametrize("m, q", [(1, 3), (3, 2), (5, 4)])
+    def test_atom_space_builds_labels_on_first_read(self, m, q, monkeypatch):
+        builds = []
+        real = lift_module._atom_labels
+
+        def counting(grid):
+            builds.append(grid.resolution)
+            return real(grid)
+
+        monkeypatch.setattr(lift_module, "_atom_labels", counting)
+        lifted = lift_system(det_system(tuple(range(m))), q)
+        space = lifted.system.space
+        assert space is lifted.atom_space
+        assert len(space) == len(lifted) and builds == []
+        labels = space.labels
+        assert builds == [q]
+        assert labels == tuple(real(lifted.grid))
+        plain = FiniteSpace.discrete(labels)
+        assert space == plain and plain == space
+        assert hash(space) == hash(plain)
+        assert repr(space) == repr(plain)
+        assert space.metric == plain.metric and space.cleared == plain.cleared
+        assert space != FiniteSpace.discrete(("other",) + labels[1:])
+        assert builds == [q]
+
+    def test_repeated_atom_label_raises_on_read(self, monkeypatch):
+        monkeypatch.setattr(
+            lift_module, "_atom_labels", lambda grid: ["(0,2)"] * len(grid)
+        )
+        lifted = lift_system(det_system((1, 0)), 2)
+        assert strongly_proximal(lifted.system, B).status is Status.NO
+        with pytest.raises(ValidationError, match="point labels must be distinct"):
+            lifted.atom_space.labels
+
     def test_cerny_lift_is_strongly_proximal(self):
         lifted = lift_system(cerny4(), 2)
         assert strongly_proximal(lifted.system, B).status is Status.YES

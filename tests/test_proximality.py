@@ -41,6 +41,7 @@ from helpers import (
     fraction_strongly_proximal,
     greedy_reset_oracle,
     is_scrambling,
+    loop_nibble_tables,
     largest_entry,
     measure_pair_oracle,
     merge_word_oracle,
@@ -1210,3 +1211,28 @@ class TestPairTable:
         assert builds == []
         assert prox.status is strong.status is Status.YES
         assert lifted.word_transformation(reset.witness).is_constant()
+
+
+class TestNibbleTables:
+    """``_nibble_tables`` against the per-entry loop, and ``_map_set``
+    against images and preimages taken point by point."""
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_tables_match_loop_and_map_sets(self, m, data):
+        g = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        mask = data.draw(st.integers(0, (1 << m) - 1), label="set")
+        image = [1 << y for y in g]
+        preimage = [0] * m
+        for x, y in enumerate(g):
+            preimage[y] |= 1 << x
+        raw = mask.to_bytes((m + 7) // 8, "little")
+        points = [x for x in range(m) if mask >> x & 1]
+        for masks, want in (
+            (image, sum({1 << g[x] for x in points})),
+            (preimage, sum(1 << x for x in range(m) if g[x] in points)),
+        ):
+            tables = proximality._nibble_tables(masks, m)
+            assert tables == loop_nibble_tables(masks, m)
+            assert proximality._map_set(tables, raw) == want
