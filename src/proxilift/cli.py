@@ -108,6 +108,13 @@ _OUTCOME_CODE = {"PASS": 0, "INCONCLUSIVE": 2, "FAIL": 1}
 # ---------------------------------------------------------------------------
 # Spec parsing (exact rationals only; every error carries its JSON path).
 
+def _too_long(what: str) -> str:
+    """The message for an integer past Python's int-digit limit, which
+    exists wherever that error can be raised."""
+    limit = _sys.get_int_max_str_digits()
+    return f"{what} longer than Python's limit of {limit} digits"
+
+
 def parse_rational(node: Any, path: str) -> Fraction:
     if isinstance(node, bool):
         raise SpecError(path, "expected a rational, got a boolean")
@@ -120,7 +127,10 @@ def parse_rational(node: Any, path: str) -> Fraction:
         if literal is None:
             raise SpecError(path, f"not a rational literal: {node!r}")
         num, den = literal.groups()
-        return Fraction(int(num), int(den or 1))
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ValueError as exc:  # more digits than Python's int limit
+            raise SpecError(path, _too_long("numerator or denominator")) from exc
     raise SpecError(path, f"expected a rational, got {type(node).__name__}")
 
 
@@ -303,6 +313,8 @@ def load_spec(path: str) -> ParsedSpec:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(path, f"not valid UTF-8 JSON ({exc})") from exc
+    except ValueError as exc:  # a number with more digits than Python's int limit
+        raise SpecError(path, _too_long("JSON number")) from exc
     if not isinstance(doc, dict):
         raise SpecError(path, "top level must be a JSON object")
     unknown = set(doc) - _KNOWN_KEYS
@@ -852,22 +864,32 @@ def demo_sl(args: argparse.Namespace) -> int:
         f"max ball mass (radius {radius:g}): peak {peak:.6g} vs uniform bound "
         f"density*volume = {density * ball_volume:.6g}"
     )
+    held = []  # the cubes whose mass never drops below 0.9 in the run
     for c, p, per_step in zip(
         cubes, profile, zip(*[r[3:] for r in rows])
     ):
         below = next(
             (schedule[i] for i, v in enumerate(per_step) if v < 0.9), None
         )
+        if below is None:
+            held.append(f"the cube |x|<={c}")
         where = f"from n={below} onward" if below is not None else "never"
         summary.append(
             f"cube |x|<={c}: min mass over the run {float(p):.6g}; "
             f"below 0.9 {where}"
         )
-    summary.append(
-        "no fixed cube retains mass 0.9, so the pushed measures admit no "
-        "limit at all, let alone a point mass: strong proximality fails "
-        "along this sequence while pair gaps vanish"
-    )
+    if held:
+        summary.append(
+            f"mass 0.9 still lies in {' and in '.join(held)} at "
+            f"n={final_n}: the run is too short to show that no fixed cube "
+            "retains it; raise --n-max"
+        )
+    else:
+        summary.append(
+            "no fixed cube retains mass 0.9, so the pushed measures admit no "
+            "limit at all, let alone a point mass: strong proximality fails "
+            "along this sequence while pair gaps vanish"
+        )
     summary_text = "\n".join(summary) + "\n"
 
     if args.out and args.out != "-":

@@ -16,8 +16,9 @@ pair that never merges.  Once its pair searches have stored m(m - 1)/2
 pairs in all, it builds one table of every pair's shortest merge length
 (``_pair_distances``, one backward BFS over pairs) and reads the rest from
 it: a reset word exists exactly when the table holds every pair, and the
-later merge words are walks down the table.  Greedy's word itself is built
-only when it is the answer, for a NO or when ``max_closure`` runs out.
+later merge words are walks down the table.  The synchronization test stops
+there; greedy's word is built for a NO, up to the pair where it stops, or by
+one more greedy run when ``max_closure`` runs out.
 A bidirectional subset search (Kisielewicz, Kowalski and Szykula, J. Comb.
 Optim. 2015) then finds the length-minimal reset word: images of the full
 set forward, preimages of the singletons backward, as bitmasks mapped a
@@ -58,6 +59,7 @@ from .actions import (
     Word,
     _dobrushin,
     _push,
+    _word_rows,
 )
 from .errors import UnsupportedKind, ValidationError
 from .linalg import _as_fraction, _as_int, _check_indices, solve_affine
@@ -131,10 +133,11 @@ class Budget:
     ``max_word_len`` bounds the words of the greedy stochastic searches.
     ``max_closure`` bounds the sets that ``reset_word`` stores and the
     differences that ``measure_pair_proximal`` stores; when either runs
-    out, greedy merging's constant word stands if there is one (for a
-    measure pair, if ``max_closure`` also holds every point pair).  Greedy
-    merging's pair searches and its pair table are not counted.  epsilon is
-    the stochastic closeness threshold.
+    out, greedy merging runs once more, to the end of its word, and its
+    constant word stands if there is one (for a measure pair, if
+    ``max_closure`` also holds every point pair).  Greedy merging's pair
+    searches and its pair table are not counted.  epsilon is the stochastic
+    closeness threshold.
     """
 
     max_word_len: int = 64
@@ -336,20 +339,11 @@ def _image(points: set[int], succ: list, word: Word) -> set[int]:
     return points
 
 
-class _Merging(NamedTuple):
-    """Greedy merging paused: the word so far, the image of the full set
-    under it, and the ``_pair_distances`` table once built."""
-
-    word: Word
-    current: set[int]
-    dist: Optional[dict[int, int]]
-
-
 def _greedy_merge(
-    maps: list[tuple[int, ...]], m: int, state: _Merging, pause: bool
-) -> Verdict | _Merging:
+    maps: list[tuple[int, ...]], m: int, whole: bool
+) -> Optional[Verdict]:
     """Greedy merging of a deterministic system with letters ``maps``, from
-    ``state`` on.
+    the full set.
 
     Merge the two smallest image points with ``_merge_images``'s word,
     apply it to the image set letter by letter, repeat: at most m - 1
@@ -358,14 +352,14 @@ def _greedy_merge(
     walked (``_table_word``) for every later piece, and a pair outside it
     stops the merging.  Returns the NO naming the first pair that never
     merges, with its count from one ``_merge_images`` closure, and then no
-    reset word exists.  Otherwise the YES with the word; or, with
-    ``pause``, the state as soon as the table holds every pair, when a
-    reset word is known to exist (the piece just found is left for the walk
-    to find again), or at the end of the word.
+    reset word exists.  Otherwise, with ``whole``, the YES with greedy's
+    word; without it, None as soon as a reset word is known to exist: when
+    the table holds every pair, or at the end of the word.
     """
     total = m * (m - 1) // 2
-    word = list(state.word)
-    current, dist = state.current, state.dist
+    word: list[int] = []
+    current = set(range(m))
+    dist: Optional[dict[int, int]] = None
     spent = 0
     while len(current) > 1:
         pair = tuple(sorted(current)[:2])
@@ -376,8 +370,8 @@ def _greedy_merge(
             spent += reached
             if spent >= total:
                 dist = _pair_distances(maps, m)
-                if pause and len(dist) == total:
-                    return _Merging(tuple(word), current, dist)
+                if not whole and len(dist) == total:
+                    return None
         elif pair[0] * m + pair[1] in dist:
             piece = _table_word(maps, m, dist, pair)
         else:
@@ -386,8 +380,8 @@ def _greedy_merge(
         for letter in piece:
             g = maps[letter]
             current = {g[a] for a in current}
-    if pause:
-        return _Merging(tuple(word), current, dist)
+    if not whole:
+        return None
     return yes(
         tuple(word),
         f"greedy pair merging, constant to point {min(current)} "
@@ -395,28 +389,18 @@ def _greedy_merge(
     )
 
 
-def _synchronizes(maps: list[tuple[int, ...]], m: int) -> Verdict | _Merging:
-    """Does a reset word exist?  Greedy merging from the full set, paused
-    once the answer is known: the NO where it stops, or the state from
-    which ``_greedy_word`` finishes its constant word."""
-    return _greedy_merge(maps, m, _Merging((), set(range(m)), None), True)
-
-
-def _greedy_word(maps: list[tuple[int, ...]], m: int, state: _Merging) -> Verdict:
-    """The YES of greedy merging, finished from a state of ``_synchronizes``
-    by walking its table."""
-    verdict = _greedy_merge(maps, m, state, False)
-    assert isinstance(verdict, Verdict)
-    return verdict
+def _synchronizes(maps: list[tuple[int, ...]], m: int) -> Optional[Verdict]:
+    """Does a reset word exist?  None if so, else greedy merging's NO at
+    the pair where it stops; no word is built for a YES."""
+    return _greedy_merge(maps, m, False)
 
 
 def _greedy_reset(sys: ActionSystem) -> Verdict:
     """A reset word of the deterministic ``sys`` by greedy merging: YES
     with the word, or the NO naming the first pair that never merges."""
-    m = len(sys.space)
-    maps = [g.image for g in sys.generators]
-    state = _synchronizes(maps, m)
-    return state if isinstance(state, Verdict) else _greedy_word(maps, m, state)
+    verdict = _greedy_merge([g.image for g in sys.generators], len(sys.space), True)
+    assert verdict is not None
+    return verdict
 
 
 def _greedy_scrambling(sys: ActionSystem) -> Verdict:
@@ -450,10 +434,6 @@ def _greedy_scrambling(sys: ActionSystem) -> Verdict:
             return _never_merges(starts[0], _merge_path(succ, m, starts[:1])[1])
         word += piece
         rows = [_image(row, succ, piece) for row in rows]
-
-
-def _by_dobrushin(rows: IntRows, den: int) -> tuple[Fraction]:
-    return (_dobrushin(rows, den),)
 
 
 def _greedy_products(
@@ -559,8 +539,9 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
 
     Deterministic systems are YES when a reset word exists, since every
     pair then merges, and otherwise NO at the pair where greedy merging
-    stops; the test (``_synchronizes``) ends as soon as greedy merging's
-    pair table holds every pair, and builds no word.  Stochastic systems
+    stops; the test (``_synchronizes``) ends as soon as a reset word is
+    known to exist, when greedy merging's pair table holds every pair or
+    its word ends, and its YES carries no word.  Stochastic systems
     are YES with the scrambling word of greedy row merging (its powers
     contract every pair), and otherwise NO at the pair of points where it
     stops.  Neither answers UNKNOWN.
@@ -570,7 +551,7 @@ def is_proximal(sys: ActionSystem, b: Budget) -> Verdict:
         return _greedy_scrambling(sys)
     m = len(sys.space)
     stop = _synchronizes([g.image for g in det.generators], m)
-    return stop if isinstance(stop, Verdict) else _all_pairs_merge(m)
+    return _all_pairs_merge(m) if stop is None else stop
 
 
 def _all_pairs_merge(m: int) -> Verdict:
@@ -658,12 +639,12 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     neither side runs dry before they meet; if one does, so that no meet
     can follow, the search raises RuntimeError.  ``max_closure`` bounds the
     sets stored on both sides, the singletons aside, and not greedy
-    merging's pairs or its table; when it runs out, greedy's word, finished
-    from the table, is the valid, possibly non-minimal, answer.  It is never
-    built otherwise.  The preimage tables are built when the backward
-    side first expands, which a search that the forward side ends alone
-    never does.  ``decide`` reads both other verdicts of a deterministic
-    system from this one.
+    merging's pairs or its table; when it runs out, greedy merging runs
+    once more, to the end of its word (``_greedy_reset``), and that word is
+    the valid, possibly non-minimal, answer.  It is never built otherwise.
+    The preimage tables are built when the backward side first expands,
+    which a search that the forward side ends alone never does.  ``decide``
+    reads both other verdicts of a deterministic system from this one.
     """
     det = _deterministic_view(sys)
     if det is None:
@@ -672,9 +653,9 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     if m == 1:
         return yes((), "single point, identity already constant")
     maps = [g.image for g in det.generators]
-    greedy = _synchronizes(maps, m)
-    if isinstance(greedy, Verdict):
-        return greedy
+    stop = _synchronizes(maps, m)
+    if stop is not None:
+        return stop
     width = (m + 7) // 8
     full = (1 << m) - 1
     images = [_nibble_tables([1 << y for y in g], m) for g in maps]
@@ -702,7 +683,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     if nxt in parent:
                         continue
                     if len(parent) + len(stored) >= b.max_closure:
-                        return _greedy_word(maps, m, greedy)
+                        return _greedy_reset(det)
                     parent[nxt] = (mask, gi)
                     new.append(nxt)
                     size = nxt.bit_count()
@@ -730,7 +711,7 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
                     if pre & (pre - 1) == 0 or pre in stored:
                         continue  # empty, a singleton, or seen
                     if len(parent) + len(stored) >= b.max_closure:
-                        return _greedy_word(maps, m, greedy)
+                        return _greedy_reset(det)
                     stored.add(pre)
                     new.append(pre)
             levels.append(new)
@@ -763,20 +744,21 @@ def decide(
     A deterministic view, 0/1 stochastic matrices unwrapped, gets one
     ``reset_word``, so one synchronization test: greedy merging until its
     pair table shows every pair merges, or to the pair where it stops.
-    Greedy's word is built only when the subset search runs out of
-    ``max_closure``.  A constant word merges every pair and collapses every
-    measure to a point mass, and on a finite space no weaker behaviour
-    drives all measures to point masses; where greedy merging stops,
-    neither property holds.  Otherwise one greedy row merge answers
-    ``is_proximal``, and its NO, a pair of disjoint rows that never merge,
-    leaves no vertex near both rows.  Then strong proximality is NO for a
-    single generator with a unique full-support stationary distribution
-    plus strict contraction (all orbits converge to an interior point).  It
-    is NO when no generator entry exceeds 1 - epsilon: the entries of every
-    nonempty product stay at most the largest one, so no row of any word
-    comes near a vertex, in the limit too, and the identity's rows are m
-    distinct vertices.  Otherwise it is YES when some word takes every row
-    within epsilon of one vertex, and else UNKNOWN.
+    Greedy's word is built, by one more greedy run, only when the subset
+    search runs out of ``max_closure``.  A constant word merges every pair
+    and collapses every measure to a point mass, and on a finite space no
+    weaker behaviour drives all measures to point masses; where greedy
+    merging stops, neither property holds.  Otherwise one greedy row merge
+    answers ``is_proximal``, and its NO, a pair of disjoint rows that never
+    merge, leaves no vertex near both rows.  Then strong proximality is NO
+    for a single generator with a unique full-support stationary
+    distribution plus strict contraction, read off the row merge's word
+    (all orbits converge to an interior point).  It is NO when no generator
+    entry exceeds 1 - epsilon: the entries of every nonempty product stay
+    at most the largest one, so no row of any word comes near a vertex, in
+    the limit too, and the identity's rows are m distinct vertices.
+    Otherwise it is YES when some word takes every row within epsilon of
+    one vertex, and else UNKNOWN.
     """
     det = _deterministic_view(sys)
     if det is not None:
@@ -797,7 +779,7 @@ def decide(
         crowded = f"no word crowds all rows near one vertex ({prox.certificate})"
         return prox, no(crowded, prox.evidence), None
     if len(sys.generators) == 1:
-        blocked = _single_generator_obstruction(sys, b)
+        blocked = _single_generator_obstruction(sys, b, prox)
         if blocked is not None:
             return prox, blocked, None
     top = max(
@@ -823,13 +805,29 @@ def strongly_proximal(sys: ActionSystem, b: Budget) -> Verdict:
     return decide(sys, b)[1]
 
 
-def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verdict]:
+def _single_generator_obstruction(
+    sys: ActionSystem, b: Budget, scrambling: Verdict
+) -> Optional[Verdict]:
     """NO when orbits provably converge to one interior distribution.
 
     The stationary distributions pi solve pi (S - I) = 0 with total mass 1;
     with S's cleared rows N over den that is pi (N - den I) = 0, an integer
     system with the same solutions.
+
+    The contraction is that of S^k, k the length of ``scrambling``, the YES
+    of ``_greedy_scrambling``; None when k exceeds ``b.max_word_len``.  S^k
+    is the least power with Dobrushin coefficient below 1, the least power
+    K whose rows pairwise share a column.  With one generator every word is
+    a power, and rows that share a column keep sharing one under every
+    extension.  Each greedy piece is the shortest extension that makes one
+    more pair of rows share a column, so it ends at the first power at which
+    that pair shares one, which is at most K; and greedy stops only once
+    every pair shares one, so k is K.
     """
+    word = scrambling.witness
+    assert word is not None
+    if len(word) > b.max_word_len:
+        return None
     s = sys.generators[0]
     assert isinstance(s, StochasticMatrix)
     nums, den = s.cleared
@@ -844,17 +842,14 @@ def _single_generator_obstruction(sys: ActionSystem, b: Budget) -> Optional[Verd
     pi, basis = solved
     if basis or any(p <= 0 for p in pi):
         return None
-    # With one generator the greedy words are the powers S^k.
-    for word, (coeff, _), _ in _greedy_products(sys, b, _by_dobrushin):
-        if coeff < 1:
-            margin = 1 - max(pi)
-            return no(
-                "unique stationary distribution "
-                f"({', '.join(str(p) for p in pi)}) has full support and "
-                f"dobrushin(S^{len(word)}) = {coeff} < 1: every orbit converges to it, "
-                f"staying tv >= {margin} away from every point mass in the limit"
-            )
-    return None
+    coeff = _dobrushin(*_word_rows(sys.generators, m, word))
+    margin = 1 - max(pi)
+    return no(
+        "unique stationary distribution "
+        f"({', '.join(str(p) for p in pi)}) has full support and "
+        f"dobrushin(S^{len(word)}) = {coeff} < 1: every orbit converges to it, "
+        f"staying tv >= {margin} away from every point mass in the limit"
+    )
 
 
 def _stochastic_vertex_search(sys: ActionSystem, b: Budget) -> Verdict:

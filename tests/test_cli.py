@@ -108,6 +108,60 @@ class TestParseRational:
 
 SPACE2 = {"labels": ["a", "b"], "metric": [[0, 1], [1, 0]]}
 
+
+class TestIntDigitLimit:
+    """A literal past Python's int-digit limit is a spec or usage error."""
+
+    DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+    TOO_LONG = f"longer than Python's limit of {sys.get_int_max_str_digits()} digits"
+
+    def test_json_number_exits_1(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError here, not JSONDecodeError.
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"space": {"labels": ["a", "b"], "metric": [[0, %s], [1, 0]]}, '
+            '"action": {"kind": "deterministic", "generators": [[1, 0]]}}'
+            % self.DIGITS,
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: JSON number {self.TOO_LONG}\n"
+
+    def test_string_literal_exits_1(self, tmp_path, capsys):
+        doc = {
+            "space": SPACE2,
+            "action": {
+                "kind": "stochastic",
+                "generators": [[[1, 0], [f"1/{self.DIGITS}", "1/2"]]],
+            },
+        }
+        assert main(["analyze", write_spec(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: action.generators[0][1][0]: numerator or denominator "
+            f"{self.TOO_LONG}\n"
+        )
+
+    def test_epsilon_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["analyze", str(SPECS / "swap2.json"), "--epsilon", f"1/{self.DIGITS}"]
+            )
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --epsilon: flag: numerator or denominator "
+            f"{self.TOO_LONG}\n"
+        )
+
+    def test_cubes_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-sl", "--cubes", f"1,{self.DIGITS}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --cubes: entry 2: numerator or denominator "
+            f"{self.TOO_LONG}\n"
+        )
+
 # One malformed spec per place where a library error becomes a SpecError,
 # with the JSON path it must be reported at.
 MALFORMED = {
@@ -412,25 +466,25 @@ class TestAnalyzeModes:
 
     @pytest.mark.parametrize("name", ["cerny4", "swap2"])
     def test_base_runs_one_subset_search(self, name, monkeypatch, capsys):
-        tests, words, tables = [], [], []
+        tests, reruns, tables = [], [], []
         real_test = proximality._synchronizes
-        real_word = proximality._greedy_word
+        real_rerun = proximality._greedy_reset
         real_tables = proximality._nibble_tables
 
         def counting_test(maps, m):
             tests.append(m)
             return real_test(maps, m)
 
-        def counting_word(*args):
-            words.append(args)
-            return real_word(*args)
+        def counting_rerun(system):
+            reruns.append(system)
+            return real_rerun(system)
 
         def counting_tables(*args):
             tables.append(args)
             return real_tables(*args)
 
         monkeypatch.setattr(proximality, "_synchronizes", counting_test)
-        monkeypatch.setattr(proximality, "_greedy_word", counting_word)
+        monkeypatch.setattr(proximality, "_greedy_reset", counting_rerun)
         monkeypatch.setattr(proximality, "_nibble_tables", counting_tables)
         code, _ = run_json(
             ["analyze", str(SPECS / f"{name}.json"), "--mode", "base"], capsys
@@ -438,11 +492,11 @@ class TestAnalyzeModes:
         assert code == 0
         # One synchronization test answers all three questions.  The subset
         # search builds one list of image tables per letter, and cerny4's
-        # forward side ends it alone, so greedy's word is never built;
-        # swap2 is not proximal, so its NO is greedy merging's and the
-        # search never runs.
+        # forward side ends it alone, so greedy merging never runs again to
+        # build its word; swap2 is not proximal, so its NO is greedy
+        # merging's and the search never runs.
         assert tests == [{"cerny4": 4, "swap2": 2}[name]]
-        assert words == []
+        assert reruns == []
         assert len(tables) == {"cerny4": 2, "swap2": 0}[name]
 
     def test_stochastic_base_runs_one_row_merge(self, monkeypatch, capsys):
@@ -1633,7 +1687,14 @@ class TestDemoSL:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("n,pair_gap")
-        assert "strong proximality fails" in captured.err
+        # At n = 4 the largest cube still holds all the mass, so the run
+        # cannot conclude that no fixed cube retains 0.9.
+        assert "strong proximality fails" not in captured.err
+        assert captured.err.endswith(
+            "cube |x|<=100: min mass over the run 1; below 0.9 never\n"
+            "mass 0.9 still lies in the cube |x|<=100 at n=4: the run is too "
+            "short to show that no fixed cube retains it; raise --n-max\n"
+        )
 
     def test_gap_scales_inverse_n(self, tmp_path):
         out = tmp_path / "demo.csv"

@@ -20,7 +20,7 @@ from proxilift import (
 )
 from proxilift.proximality import NeverMerges
 
-from helpers import mergeable_pairs_oracle, subset_bfs_oracle
+from helpers import greedy_reset_oracle, mergeable_pairs_oracle, subset_bfs_oracle
 
 B = Budget()
 
@@ -76,6 +76,19 @@ def mismatches(sys: ActionSystem) -> list[str]:
 
 def test_every_small_system_matches_the_oracles():
     assert [bad for sys in SMALL for bad in mismatches(sys)] == []
+
+
+def test_small_fallback_is_greedys_word():
+    # A budget of one set runs out at the first new image, so every
+    # system on 2 or 3 points takes the greedy rerun: a NO where greedy
+    # merging stops, or greedy's whole word.  One point needs no search.
+    tight = Budget(max_closure=1)
+    bad = [
+        sys.generators
+        for sys in SMALL
+        if len(sys.space) > 1 and reset_word(sys, tight) != greedy_reset_oracle(sys)
+    ]
+    assert bad == []
 
 
 def test_small_lifts_keep_the_reset_word():

@@ -32,6 +32,7 @@ from proxilift import (
     tv_distance,
 )
 from helpers import (
+    _fraction_single_generator_obstruction,
     _fraction_vertex_search,
     brute_merge_length,
     brute_reset_length,
@@ -567,12 +568,11 @@ class TestResetWord:
 
     def test_empty_frontier_raises(self, monkeypatch):
         # A forged synchronization test on the swap, which has no reset
-        # word: it reports a constant word, so the subset search runs, and
+        # word: it reports that one exists, so the subset search runs, and
         # the full set is the only image, so the forward side runs empty
         # before any meet.  The search must raise instead of looping; the
         # alarm turns a hang into a failure.
-        forged = proximality._Merging((0,), {0}, None)
-        monkeypatch.setattr(proximality, "_synchronizes", lambda maps, m: forged)
+        monkeypatch.setattr(proximality, "_synchronizes", lambda maps, m: None)
 
         def hang(signum, frame):
             raise TimeoutError("reset_word did not return within 10 s")
@@ -864,6 +864,37 @@ def stochastic_systems(draw):
 
 
 @st.composite
+def one_generator_systems(draw):
+    """A one-generator stochastic system on 2-7 points: an m-cycle plus
+    one random extra entry and a random set of others, so the stationary
+    law is unique with full support and sparse rows make the least
+    contracting power long; or, one draw in four, a dense matrix of
+    ``rand_stochastic``."""
+    m = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        gen = rand_stochastic(rng, m, 4)
+    else:
+        cycle = list(range(m))
+        rng.shuffle(cycle)
+        spread = rng.choice((0, 0.1, 0.3))
+        extra = rng.randrange(m)
+        rows = []
+        for i in range(m):
+            support = {cycle[(cycle.index(i) + 1) % m]}
+            support |= {j for j in range(m) if rng.random() < spread}
+            if i == extra:
+                support.add(rng.randrange(m))
+            nums = {j: rng.randint(1, 3) for j in support}
+            total = sum(nums.values())
+            rows.append([F(nums.get(j, 0), total) for j in range(m)])
+        gen = StochasticMatrix.from_rows(rows)
+    assume(not gen.is_deterministic())
+    space = FiniteSpace.discrete(tuple(f"x{i}" for i in range(m)))
+    return ActionSystem.stochastic(space, [gen])
+
+
+@st.composite
 def base_systems(draw):
     """A system of ``det_systems``, the same as 0/1 stochastic matrices, or
     one of ``stochastic_systems``; with its deterministic view, or None."""
@@ -896,6 +927,34 @@ def measure_pairs(draw):
 
 class TestDifferential:
     """The fast paths against the brute-force oracles in ``helpers``."""
+
+    @pytest.mark.parametrize("max_word_len", [1, 2, 3, 4, 64])
+    def test_single_generator_obstruction_matches_oracle(self, max_word_len):
+        # The obstruction reads its power off greedy row merging's word; the
+        # oracle tries the powers S, S^2, ... in Fraction arithmetic.  With
+        # no scrambling word no power contracts, and no obstruction holds.
+        b = Budget(max_word_len=max_word_len)
+        outcomes = Counter()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(one_generator_systems())
+        def check(sys):
+            want = _fraction_single_generator_obstruction(sys, b)
+            prox = is_proximal(sys, b)
+            if prox.status is Status.YES:
+                got = proximality._single_generator_obstruction(sys, b, prox)
+                assert got == want
+                k = len(prox.witness)
+                outcomes[want is None, k > max_word_len, k > 1] += 1
+            else:
+                assert want is None
+
+        check()
+        # NOs at S itself and at higher powers, and past a short budget
+        # the None that the power loop gives there too.
+        assert outcomes[False, False, False] >= 5
+        assert outcomes[False, False, True] >= 5 or max_word_len == 1
+        assert outcomes[True, True, True] >= 5 or max_word_len == 64
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(base_systems())
@@ -1163,15 +1222,12 @@ class TestPairTable:
             maps = [g.image for g in sys.generators]
             want = greedy_reset_oracle(sys)
             builds.clear()
-            state = proximality._synchronizes(maps, m)
-            if isinstance(state, Verdict):
-                assert state == want
+            stop = proximality._synchronizes(maps, m)
+            # None exactly when a reset word exists, else greedy's NO.
+            if want.status is Status.YES:
+                assert stop is None
             else:
-                assert want.status is Status.YES
-                # A paused table holds every pair; an unpaused run has
-                # finished its word without one.
-                assert state.dist is None or len(state.dist) == m * (m - 1) // 2
-                assert proximality._greedy_word(maps, m, state) == want
+                assert stop == want
             switched = bool(builds)
             assert proximality._greedy_reset(sys) == want
             outcomes[want.status, switched] += 1
