@@ -74,7 +74,7 @@ def _atom_labels(grid: GridSimplex) -> list[str]:
     parts = [[f"{a}," for a in range(q + 1)] for _ in range(len(grid.base))]
     parts[0] = ["(" + p for p in parts[0]]
     parts[-1] = [p[:-1] + ")" for p in parts[-1]]
-    return _grid_fold(parts, q)
+    return _grid_fold(parts, (q,))[0]
 
 
 @dataclass(frozen=True)
@@ -139,34 +139,55 @@ class LiftedSystem:
 
 
 def lift_system(sys: ActionSystem, q: int) -> LiftedSystem:
-    """Lift a deterministic system to its resolution-q grid simplex.
+    """Lift a deterministic system to its resolution-q grid simplex: the
+    one-resolution case of ``_lift_systems``.
+
+    Lifts are not memoized: each call builds a new one, and callers keep
+    the ``LiftedSystem`` they need again.
+    """
+    return _lift_systems(sys, (q,))[0]
+
+
+def _lift_systems(
+    sys: ActionSystem, resolutions: Sequence[int]
+) -> list[LiftedSystem]:
+    """The lifts of a deterministic system to the grid at each resolution,
+    in the order given.
 
     Atoms are the grid's integer compositions c of q (atom = c / q).  A
     generator g pushes c to the composition that adds c_x into g(x) for
-    every point x, the numerator vector of the pushforward.  Each composition
-    c has the integer key sum_x c_x (q + 1)^x, unique since no part exceeds
-    q, and its push by g has the key sum_x c_x (q + 1)^g(x).  Both key lists
-    are one grid fold (``_grid_fold``) of the multiples of those weights, so
-    a generator costs one fold and one dict lookup per atom.  Lifts are not
-    memoized: each call builds a new one, and callers keep the
-    ``LiftedSystem`` they need again.
+    every point x, the numerator vector of the pushforward.  With top the
+    largest resolution, each composition c has the integer key
+    sum_x c_x (top + 1)^x, unique at every resolution since no part
+    exceeds top, and its push by g has the key sum_x c_x (top + 1)^g(x).
+    Both key lists are one grid fold (``_grid_fold``) of the multiples of
+    those weights, which shares the levels of all points but the first
+    between the resolutions.  So all the lifts cost one fold of the atom
+    keys, one fold per generator and one dict lookup per atom.
     """
     if sys.kind is not Kind.DETERMINISTIC:
         raise UnsupportedKind("only deterministic systems lift to the grid")
-    grid = GridSimplex.build(sys.space, q)
-    weights = [(q + 1) ** x for x in range(len(sys.space))]
+    grids = [GridSimplex.build(sys.space, q) for q in resolutions]
+    base = max(resolutions) + 1
+    weights = [base**x for x in range(len(sys.space))]
 
-    def keys(point_weights: Iterable[int]) -> list[int]:
-        return _grid_fold([range(0, (q + 1) * w, w) for w in point_weights], q)
+    def keys(point_weights: Iterable[int]) -> list[list[int]]:
+        parts = [range(0, base * w, w) for w in point_weights]
+        return _grid_fold(parts, resolutions)
 
-    atom = {k: i for i, k in enumerate(keys(weights))}
-    lifted = tuple(
-        Transformation(
-            tuple(map(atom.__getitem__, keys([weights[y] for y in g.image])))
+    atoms = [{k: i for i, k in enumerate(level)} for level in keys(weights)]
+    # Per resolution, the pushed keys of every generator.
+    pushed = zip(*(keys([weights[y] for y in g.image]) for g in sys.generators))
+    return [
+        LiftedSystem(
+            grid,
+            tuple(
+                Transformation(tuple(map(atom.__getitem__, images)))
+                for images in level
+            ),
         )
-        for g in sys.generators
-    )
-    return LiftedSystem(grid, lifted)
+        for grid, atom, level in zip(grids, atoms, pushed)
+    ]
 
 
 def _barycenter_numerators(
@@ -418,11 +439,13 @@ def equivalence_harness(
     verdicts must agree; UNKNOWN on either side makes the row inconclusive
     rather than failed.  Resolutions 1, 2, 3 are always cross-checked
     alongside the requested q as a stability probe; each row keeps its lift.
+    The lifts at all the resolutions come from one ``_lift_systems`` call,
+    which folds the grid keys once for all of them.
     """
     base_verdict = strongly_proximal(sys, b)
     rows = []
-    for qq in sorted({1, 2, 3, q}):
-        lifted = lift_system(sys, qq)
+    resolutions = sorted({1, 2, 3, q})
+    for qq, lifted in zip(resolutions, _lift_systems(sys, resolutions)):
         if mode is HarnessMode.LIFT_PROXIMAL:
             lift_verdict = is_proximal(lifted.system, b)
         else:

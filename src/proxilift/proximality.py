@@ -350,21 +350,29 @@ def _greedy_merge(
     pieces.  Once the pairs these searches reached add up to m(m - 1)/2, as
     many as a full ``_pair_distances`` table holds, that table is built and
     walked (``_table_word``) for every later piece, and a pair outside it
-    stops the merging.  Returns the NO naming the first pair that never
-    merges, with its count from one ``_merge_images`` closure, and then no
-    reset word exists.  Otherwise, with ``whole``, the YES with greedy's
-    word; without it, None as soon as a reset word is known to exist: when
-    the table holds every pair, or at the end of the word.
+    stops the merging.  A pair that comes back before the switch reuses
+    the word and count of its first search: each distinct pair is searched
+    once, and its count is still added to the pairs stored, so the switch
+    comes where it would with the search repeated.  Returns the NO naming
+    the first pair that never merges, with its count from one
+    ``_merge_images`` closure, and then no reset word exists.  Otherwise,
+    with ``whole``, the YES with greedy's word; without it, None as soon as
+    a reset word is known to exist: when the table holds every pair, or at
+    the end of the word.
     """
     total = m * (m - 1) // 2
     word: list[int] = []
     current = set(range(m))
     dist: Optional[dict[int, int]] = None
+    searched: dict[tuple[int, ...], tuple[Optional[Word], int]] = {}
     spent = 0
     while len(current) > 1:
         pair = tuple(sorted(current)[:2])
         if dist is None:
-            piece, reached = _merge_images(maps, m, pair)
+            found = searched.get(pair)
+            if found is None:
+                found = searched[pair] = _merge_images(maps, m, pair)
+            piece, reached = found
             if piece is None:
                 return _never_merges(pair, reached)
             spent += reached
@@ -586,10 +594,15 @@ def _nibble_tables(masks: list[int], m: int) -> list[tuple[list[int], list[int]]
 
 def _map_set(tables: list[tuple[list[int], list[int]]], data: bytes) -> int:
     """The mask that ``_nibble_tables`` tables send the set with these
-    little-endian mask bytes to."""
+    little-endian mask bytes to.
+
+    A zero byte holds no point of the set and adds nothing, so it is
+    skipped: the sets of a wide lift are mostly zero bytes.
+    """
     out = 0
     for (low, high), byte in zip(tables, data):
-        out |= low[byte & 15] | high[byte >> 4]
+        if byte:
+            out |= low[byte & 15] | high[byte >> 4]
     return out
 
 
@@ -610,8 +623,9 @@ def reset_word(sys: ActionSystem, b: Budget) -> Verdict:
     One bidirectional subset search (Kisielewicz, Kowalski and Szykula,
     Computing the shortest reset words of synchronizing automata, J. Comb.
     Optim. 2015).  Sets of points are bitmasks, mapped a byte at a time
-    through nibble tables.  Forward levels hold the images of the full set;
-    backward levels the preimages of the singletons, which form depth 0,
+    through nibble tables, their zero bytes skipped.  Forward levels hold
+    the images of the full set; backward levels the preimages of the
+    singletons, which form depth 0,
     empty preimages dropped.  A word of length k sends a set to a point
     exactly when the set lies inside a preimage of a singleton under it, so
     a forward set at depth d1 inside a backward set at depth d2 closes a

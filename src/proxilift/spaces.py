@@ -296,32 +296,39 @@ def w1_distance(space: FiniteSpace, mu: Measure, nu: Measure) -> Fraction:
     return Fraction(_w1_cost(diff, metric), denom * scale)
 
 
-def _grid_fold(parts: Sequence[Sequence], q: int) -> list:
-    """parts[0][c_0] + parts[1][c_1] + ... for each composition c of q into
-    len(parts) nonnegative parts, in lexicographic order of c.
+def _grid_fold(parts: Sequence[Sequence], resolutions: Sequence[int]) -> list[list]:
+    """For each q of ``resolutions``, parts[0][c_0] + parts[1][c_1] + ...
+    for each composition c of q into len(parts) nonnegative parts, in
+    lexicographic order of c.
 
-    Each part lists its q + 1 pieces, for the values 0..q; ``+`` may add
-    ints or concatenate tuples or strings.  Level r of the last k parts holds
-    the sums of their compositions of r, in order: value a of the part before
-    them, ascending, then level r - a below it.  Only level q of all the
-    parts is built.
+    Each part lists its top + 1 pieces, for the values 0..top, where top is
+    the largest resolution; ``+`` may add ints or concatenate tuples or
+    strings.  Level r of the last k parts holds the sums of their
+    compositions of r, in order: value a of the part before them,
+    ascending, then level r - a below it.  The levels r <= top of all parts
+    but the first are built once and shared, and the first part is joined
+    to them at each requested resolution alone.
     """
     first, *rest = parts
     if not rest:
-        return [first[q]]
+        return [[first[q]] for q in resolutions]
+    top = max(resolutions)
     levels = [[p] for p in rest[-1]]
     for part in reversed(rest[:-1]):
         levels = [
             [p + s for a, p in enumerate(part[: r + 1]) for s in levels[r - a]]
-            for r in range(q + 1)
+            for r in range(top + 1)
         ]
-    return [p + s for a, p in enumerate(first) for s in levels[q - a]]
+    return [
+        [p + s for a, p in enumerate(first[: q + 1]) for s in levels[q - a]]
+        for q in resolutions
+    ]
 
 
 def _compositions(m: int, q: int) -> list[tuple[int, ...]]:
     """The compositions of q into m nonnegative parts, in lexicographic order:
     the grid fold of the one-tuples (a,), a = 0..q, in every part."""
-    return _grid_fold([[(a,) for a in range(q + 1)]] * m, q)
+    return _grid_fold([[(a,) for a in range(q + 1)]] * m, (q,))[0]
 
 
 def grid_atoms(m: int, q: int) -> list[Measure]:

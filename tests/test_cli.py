@@ -21,7 +21,7 @@ from proxilift import (
     decide,
     reset_word,
 )
-from proxilift import affine, cli, lift, proximality
+from proxilift import cli, lift, proximality
 from proxilift.proximality import EntryBound, NeverMerges
 from proxilift.cli import (
     build_parser,
@@ -704,28 +704,41 @@ class TestAnalyzeModes:
     @pytest.mark.parametrize(
         "spec, mode, grid, lifted_qs",
         [
-            ("cerny4", "thm", 3, [1, 2, 3]),
-            ("cerny4", "prop1", 3, [1, 2, 3]),
-            ("swap2", "invariant", 3, [3]),
-            ("affine_wedge", "affine", 2, [2]),
+            ("cerny4", "thm", 3, [[1, 2, 3]]),
+            ("cerny4", "prop1", 3, [[1, 2, 3]]),
+            ("swap2", "invariant", 3, [[3]]),
+            ("affine_wedge", "affine", 2, [[2]]),
+            ("cerny4", "thm", 5, [[1, 2, 3, 5]]),
+            ("swap2", "prop1", 1, [[1, 2, 3]]),
         ],
     )
     def test_each_resolution_lifted_once(
         self, spec, mode, grid, lifted_qs, monkeypatch, capsys
     ):
-        calls = []
-        real = lift.lift_system
+        # One lift build per analysis: a harness lifts all of its
+        # resolutions [1, 2, 3, q] from one grid fold, and lift_system is
+        # the one-resolution build.
+        builds = []
+        real = lift._lift_systems
 
-        def counting(sys, q):
-            calls.append(q)
-            return real(sys, q)
+        def counting(sys, resolutions):
+            builds.append(list(resolutions))
+            return real(sys, resolutions)
 
-        for module in (lift, cli, affine):
-            monkeypatch.setattr(module, "lift_system", counting)
+        monkeypatch.setattr(lift, "_lift_systems", counting)
         argv = ["analyze", str(SPECS / f"{spec}.json"), "--mode", mode]
         code, rep = run_json(argv + ["--grid", str(grid), "--verify"], capsys)
         assert code == 0 and rep["verify"]["ok"] is True
-        assert calls == lifted_qs
+        assert builds == lifted_qs
+
+    @pytest.mark.parametrize("mode", ["thm", "prop1", "invariant"])
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_nonpositive_grid_is_refused(self, mode, grid, capsys):
+        argv = ["analyze", str(SPECS / "cerny4.json"), "--mode", mode]
+        assert main(argv + ["--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resolution must be positive" in captured.err
 
     @pytest.mark.parametrize(
         "name, checked", [("swap2", 3), ("two_sink10", 3), ("block4x2", 2)]

@@ -13,7 +13,9 @@ from proxilift import (
     ActionSystem,
     Budget,
     FiniteSpace,
+    HarnessMode,
     Status,
+    equivalence_harness,
     is_proximal,
     lift_system,
     reset_word,
@@ -102,6 +104,32 @@ def test_small_lifts_keep_the_reset_word():
         if (lift.status, lift.witness) != (base.status, base.witness):
             bad.append(f"lift {lift.status.value} {lift.witness} against "
                        f"base {base.status.value} {base.witness} on {sys.generators}")
+    assert bad == []
+
+
+def test_small_thm_rows_keep_the_base_word():
+    # On the grid at q = 1, 2, 3 the lift is strongly proximal exactly when
+    # the base is, and a lift word is constant exactly when the base word
+    # is, so each row's least shortest lift word is the base's.  At q = 1
+    # the lift is the base relabelled: in lexicographic order atom k is the
+    # point mass at m - 1 - k.
+    bad = []
+    for sys in SMALL:
+        m = len(sys.space)
+        rep = equivalence_harness(sys, 3, B, HarnessMode.LIFT_STRONG)
+        assert [row.q for row in rep.rows] == [1, 2, 3]
+        relabelled = tuple(
+            tuple(m - 1 - g.image[m - 1 - k] for k in range(m)) for g in sys.generators
+        )
+        assert tuple(g.image for g in rep.rows[0].lifted.generators) == relabelled
+        for row in rep.rows:
+            base, lift = row.base, row.lift
+            if lift.status is not base.status or (
+                base.status is Status.YES and lift.witness != base.witness
+            ):
+                bad.append(f"q={row.q} lift {lift.status.value} {lift.witness} "
+                           f"against base {base.status.value} {base.witness} "
+                           f"on {sys.generators}")
     assert bad == []
 
 

@@ -118,6 +118,30 @@ class TestLiftSystem:
         sys = det_system(*data.draw(st.lists(letter, min_size=1, max_size=3)))
         assert lift_system(sys, q).generators == helpers.push_loop_lift(sys, q)
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_one_fold_lifts_equal_single_lifts(self, m):
+        # The harness lifts {1, 2, 3, q} from one fold with keys in base
+        # top + 1; each lift must be the one-resolution lift, and the
+        # per-atom push loop, at every q <= 6 (top 3 for q = 1 and 2).
+        rng = random.Random(m)
+        cycle = tuple((i + 1) % m for i in range(m))
+        merge = (min(1, m - 1),) + tuple(range(1, m))
+        randoms = tuple(tuple(rng.randrange(m) for _ in range(m)) for _ in range(2))
+        for sys in (det_system(cycle, merge), det_system(*randoms)):
+            single = {r: lift_system(sys, r) for r in range(1, 7)}
+            for r, lifted in single.items():
+                assert lifted.generators == helpers.push_loop_lift(sys, r)
+            for q in range(1, 7):
+                for resolutions in (sorted({1, 2, 3, q}), [q], [q, 1]):
+                    lifts = lift_module._lift_systems(sys, resolutions)
+                    assert len(lifts) == len(resolutions)
+                    for r, lifted in zip(resolutions, lifts):
+                        want = single[r]
+                        assert lifted.generators == want.generators
+                        assert lifted.grid == want.grid == GridSimplex(sys.space, r)
+                        assert len(lifted) == len(want) == len(want.grid)
+                        assert lifted == want
+
     @pytest.mark.parametrize("m, q", [(1, 3), (3, 2), (5, 4)])
     def test_atom_labels(self, m, q):
         lifted = lift_system(det_system(tuple(range(m))), q)

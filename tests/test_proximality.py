@@ -1241,6 +1241,34 @@ class TestPairTable:
             for switched in (False, True)
         ) >= 10
 
+    @pytest.mark.parametrize(
+        "sys, pairs",
+        [
+            (cerny(20), [(0, 1), (1, 2)]),
+            # C_18 on points 0..17, 18 and 19 fixed: (1, 18) never merges.
+            (
+                det_system(
+                    tuple((i + 1) % 18 for i in range(18)) + (18, 19),
+                    (1,) + tuple(range(1, 18)) + (18, 19),
+                ),
+                [(0, 1), (1, 2), (1, 18)],
+            ),
+        ],
+        ids=["cerny20", "two-sink20"],
+    )
+    def test_each_distinct_pair_searched_once(self, sys, pairs, searches):
+        # Greedy merging comes back to (1, 2) eight or more times on both
+        # systems; each pair is searched once, and the verdicts are still
+        # those of the oracle, which searches every piece afresh.
+        m = len(sys.space)
+        want = greedy_reset_oracle(sys)
+        stop = proximality._synchronizes([g.image for g in sys.generators], m)
+        assert stop == (None if want.status is Status.YES else want)
+        assert searches == [[pair] for pair in pairs]
+        searches.clear()
+        assert proximality._greedy_reset(sys) == want
+        assert searches == [[pair] for pair in pairs]
+
     def test_relabelled_cerny20_builds_the_table(self, monkeypatch):
         builds = []
         real = proximality._pair_distances
@@ -1292,3 +1320,36 @@ class TestNibbleTables:
             tables = proximality._nibble_tables(masks, m)
             assert tables == loop_nibble_tables(masks, m)
             assert proximality._map_set(tables, raw) == want
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sparse_sets_map_like_every_byte(self, data):
+        # Sets of a wide lift are mostly whole zero bytes, which the mapper
+        # skips; it must give what the loop tables give on every byte, and
+        # the image and preimage taken point by point.
+        m = data.draw(st.integers(9, 100).filter(lambda m: m % 8), label="m")
+        width = (m + 7) // 8
+        g = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        filled = data.draw(
+            st.sets(st.integers(0, width - 1), max_size=width // 2), label="bytes"
+        )
+        mask = 0
+        for k in filled:
+            mask |= data.draw(st.integers(1, 255)) << 8 * k
+        mask &= (1 << m) - 1
+        raw = mask.to_bytes(width, "little")
+        assert raw.count(0) >= width - len(filled)
+        points = [x for x in range(m) if mask >> x & 1]
+        preimage = [0] * m
+        for x, y in enumerate(g):
+            preimage[y] |= 1 << x
+        for masks, want in (
+            ([1 << y for y in g], sum({1 << g[x] for x in points})),
+            (preimage, sum(1 << x for x in range(m) if g[x] in points)),
+        ):
+            loop = loop_nibble_tables(masks, m)
+            every_byte = 0
+            for (low, high), byte in zip(loop, raw):
+                every_byte |= low[byte & 15] | high[byte >> 4]
+            assert every_byte == want
+            assert proximality._map_set(proximality._nibble_tables(masks, m), raw) == want

@@ -34,7 +34,7 @@ from proxilift import (
 )
 from proxilift.cli import ParsedSpec, load_spec, serialize_spec
 from proxilift.linalg import clear_denominators
-from proxilift.spaces import _compositions, _difference
+from proxilift.spaces import _compositions, _difference, _grid_fold
 from helpers import (
     brute_force_w1,
     fault_of,
@@ -397,6 +397,19 @@ class TestGridAtoms:
         for q in range(7):
             want = [c for c in product(range(q + 1), repeat=m) if sum(c) == q]
             assert _compositions(m, q) == want
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_one_fold_serves_every_resolution(self, m):
+        # One fold at several resolutions gives each resolution's
+        # compositions, in the order asked, from pieces for 0..top.
+        for resolutions in ([1, 2, 3], [1, 2, 3, 6], [4], [5, 1], [2, 2]):
+            top = max(resolutions)
+            parts = [[(a,) for a in range(top + 1)]] * m
+            want = [
+                [c for c in product(range(q + 1), repeat=m) if sum(c) == q]
+                for q in resolutions
+            ]
+            assert _grid_fold(parts, resolutions) == want
 
     def test_order_is_lexicographic_on_numerators(self):
         atoms = grid_atoms(2, 2)
