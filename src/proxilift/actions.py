@@ -10,13 +10,13 @@ That convention is fixed here and used everywhere witnesses are reported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
+from .frozen import _Frozen
 from .linalg import _check_indices, _fraction_rows, clear_denominators
 from .spaces import ZERO, FiniteSpace, Measure
 
@@ -28,17 +28,18 @@ class Kind(enum.Enum):
     STOCHASTIC = "stochastic"
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(_Frozen):
     """Total selfmap of {0..m-1}; image[i] is where point i goes."""
 
+    _fields = ("image",)
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        m = len(self.image)
+    def __init__(self, image: tuple[int, ...]) -> None:
+        m = len(image)
         if m == 0:
             raise ValidationError("transformation on an empty set")
-        _check_indices(self.image, m, "transformation image")
+        _check_indices(image, m, "transformation image")
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def identity(cls, m: int) -> "Transformation":
@@ -63,8 +64,7 @@ class Transformation:
         return len(set(self.image)) == len(self.image)
 
 
-@dataclass(frozen=True)
-class StochasticMatrix:
+class StochasticMatrix(_Frozen):
     """Square matrix of exact transition probabilities, rows summing to 1.
 
     The entries must be ``Fraction``s.  The matrix is checked once as
@@ -76,13 +76,11 @@ class StochasticMatrix:
     give equal integer rows, so it stays out of equality, hash and repr.
     """
 
+    _fields = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
-    cleared: tuple[tuple[tuple[int, ...], ...], int] = field(
-        init=False, repr=False, compare=False
-    )
+    cleared: tuple[tuple[tuple[int, ...], ...], int]
 
-    def __post_init__(self) -> None:
-        rows = self.rows
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]) -> None:
         m = len(rows)
         if m == 0:
             raise ValidationError("empty stochastic matrix")
@@ -93,6 +91,7 @@ class StochasticMatrix:
         nums, den = clear_denominators(rows)
         if not all(min(row) >= 0 and sum(row) == den for row in nums):
             _check_rows(rows)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cleared", (tuple(map(tuple, nums)), den))
 
     @classmethod
@@ -155,26 +154,31 @@ def _check_rows(rows: tuple) -> None:
 Generator = Union[Transformation, StochasticMatrix]
 
 
-@dataclass(frozen=True)
-class ActionSystem:
+class ActionSystem(_Frozen):
     """A finite space together with finitely many generating selfmaps."""
 
+    _fields = ("space", "kind", "generators")
     space: FiniteSpace
     kind: Kind
     generators: tuple[Generator, ...]
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(
+        self, space: FiniteSpace, kind: Kind, generators: tuple[Generator, ...]
+    ) -> None:
+        if not generators:
             raise ValidationError("an action system needs at least one generator")
-        m = len(self.space)
-        want = Transformation if self.kind is Kind.DETERMINISTIC else StochasticMatrix
-        for g in self.generators:
+        m = len(space)
+        want = Transformation if kind is Kind.DETERMINISTIC else StochasticMatrix
+        for g in generators:
             if not isinstance(g, want):
                 raise ValidationError(
-                    f"{self.kind.value} system got a {type(g).__name__} generator"
+                    f"{kind.value} system got a {type(g).__name__} generator"
                 )
             if len(g) != m:
                 raise DimensionMismatch("generator size does not match space", m)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def deterministic(
@@ -284,28 +288,29 @@ def pushforward(sys: ActionSystem, w: Word, mu: Measure) -> Measure:
     return mu
 
 
-@dataclass(frozen=True)
-class SemigroupTable:
+class SemigroupTable(_Frozen):
     """Total binary operation on {0..m-1}; associativity checked on build."""
 
+    _fields = ("table",)
     table: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        m = len(self.table)
+    def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
+        m = len(table)
         if m == 0:
             raise ValidationError("empty semigroup table")
-        for row in self.table:
+        for row in table:
             if len(row) != m:
                 raise ValidationError("table is not a total operation")
             _check_indices(row, m, "table entry")
         for x in range(m):
             for y in range(m):
-                xy = self.table[x][y]
+                xy = table[x][y]
                 for z in range(m):
-                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
+                    if table[xy][z] != table[x][table[y][z]]:
                         raise ValidationError(
                             f"operation not associative at ({x},{y},{z})"
                         )
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def cyclic(cls, n: int) -> "SemigroupTable":

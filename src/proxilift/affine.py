@@ -15,7 +15,6 @@ the narrow surjectivity hypothesis while all machinery still applies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,29 +31,31 @@ from .errors import (
     UnsupportedKind,
     ValidationError,
 )
+from .frozen import _Frozen
 from .lift import CheckReport, LiftedSystem, _outcome, lift_system
 from .linalg import _fraction_rows, rank, solve_affine
 from .proximality import Budget, Verdict, decide
 from .spaces import ZERO, FiniteSpace, Measure, random_measure
 
 
-@dataclass(frozen=True)
-class SimplexModel:
+class SimplexModel(_Frozen):
     """n linearly independent vertices in dimension d >= n."""
 
+    _fields = ("vertices",)
     vertices: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
+    def __init__(self, vertices: tuple[tuple[Fraction, ...], ...]) -> None:
+        n = len(vertices)
         if n == 0:
             raise ValidationError("a simplex model needs at least one vertex")
-        d = len(self.vertices[0])
-        if any(len(v) != d for v in self.vertices):
+        d = len(vertices[0])
+        if any(len(v) != d for v in vertices):
             raise DimensionMismatch("vertices differ in coordinate dimension", d)
         if n > d:
             raise ValidationError(f"{n} vertices cannot be independent in R^{d}")
-        if rank(_fraction_rows(self.vertices)) != n:
+        if rank(_fraction_rows(vertices)) != n:
             raise ValidationError("vertices are linearly dependent")
+        object.__setattr__(self, "vertices", vertices)
 
     @classmethod
     def from_rows(
@@ -202,16 +203,24 @@ def f_equivariance_check(
     return CheckReport("f_equivariance", trials, tuple(violations))
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(_Frozen):
     """Proximal vs strongly proximal verdicts for the hull action; ``lifted``
     is the lift both were decided on, kept for replay and left out of equality
     and repr."""
 
+    _fields = ("extended", "proximal", "strong")
     extended: bool
     proximal: Verdict
     strong: Verdict
-    lifted: LiftedSystem = field(compare=False, repr=False)
+    lifted: LiftedSystem
+
+    def __init__(
+        self, extended: bool, proximal: Verdict, strong: Verdict, lifted: LiftedSystem
+    ) -> None:
+        object.__setattr__(self, "extended", extended)
+        object.__setattr__(self, "proximal", proximal)
+        object.__setattr__(self, "strong", strong)
+        object.__setattr__(self, "lifted", lifted)
 
     @property
     def outcome(self) -> str:

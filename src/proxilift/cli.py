@@ -46,7 +46,6 @@ import os
 import re
 import sys as _sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from gettext import gettext
 from typing import Any, Callable, Optional, Sequence
@@ -70,6 +69,7 @@ from .affine import (
     f_equivariance_check,
 )
 from .errors import ProxiliftError, SpecError
+from .frozen import _Frozen
 from .lift import (
     HarnessMode,
     HarnessReport,
@@ -292,14 +292,30 @@ def parse_simplex(
     return model, tuple(maps)
 
 
-@dataclass(frozen=True)
-class ParsedSpec:
+class ParsedSpec(_Frozen):
+    _fields = ("path", "sha256", "system", "table", "simplex", "maps")
     path: str
     sha256: str
     system: Optional[ActionSystem]
     table: Optional[SemigroupTable]
     simplex: Optional[SimplexModel]
     maps: Optional[tuple[AffineVertexMap, ...]]
+
+    def __init__(
+        self,
+        path: str,
+        sha256: str,
+        system: Optional[ActionSystem],
+        table: Optional[SemigroupTable],
+        simplex: Optional[SimplexModel],
+        maps: Optional[tuple[AffineVertexMap, ...]],
+    ) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "sha256", sha256)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "simplex", simplex)
+        object.__setattr__(self, "maps", maps)
 
 
 _KNOWN_KEYS = {"space", "action", "table", "simplex"}

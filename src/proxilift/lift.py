@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -39,6 +38,7 @@ from .actions import (
     pushforward,
 )
 from .errors import DimensionMismatch, UnsupportedKind, ValidationError
+from .frozen import _Frozen
 from .linalg import _as_int
 from .proximality import (
     Budget,
@@ -77,16 +77,22 @@ def _atom_labels(grid: GridSimplex) -> list[str]:
     return _grid_fold(parts, (q,))[0]
 
 
-@dataclass(frozen=True)
-class LiftedSystem:
+class LiftedSystem(_Frozen):
     """Grid atoms as points, with the generator-induced atom maps.
 
     ``len`` reads the atom count off the generators; the atom labels and the
     W1 table are built only when something reads them.
     """
 
+    _fields = ("grid", "generators")
     grid: GridSimplex
     generators: tuple[Transformation, ...]
+
+    def __init__(
+        self, grid: GridSimplex, generators: tuple[Transformation, ...]
+    ) -> None:
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "generators", generators)
 
     @cached_property
     def atom_space(self) -> FiniteSpace:
@@ -231,13 +237,18 @@ def meta_is_vertex_point_mass(grid: GridSimplex, rho: MetaMeasure) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Frozen):
     """Outcome of a randomized law check; empty violations means it held."""
 
+    _fields = ("name", "trials", "violations")
     name: str
     trials: int
     violations: tuple[str, ...]
+
+    def __init__(self, name: str, trials: int, violations: tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -395,25 +406,37 @@ def _outcome(pairs: Iterable[tuple[Verdict, Verdict]]) -> str:
     return outcome
 
 
-@dataclass(frozen=True)
-class HarnessRow:
+class HarnessRow(_Frozen):
     """Verdict pair at one grid resolution; ``lifted`` is the lift the lift
     verdict was decided on, kept for replay and left out of equality and repr."""
 
+    _fields = ("q", "base", "lift")
     q: int
     base: Verdict
     lift: Verdict
-    lifted: LiftedSystem = field(compare=False, repr=False)
+    lifted: LiftedSystem
+
+    def __init__(
+        self, q: int, base: Verdict, lift: Verdict, lifted: LiftedSystem
+    ) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "lifted", lifted)
 
     @property
     def agree(self) -> Optional[bool]:
         return {"PASS": True, "FAIL": False}.get(_outcome([(self.base, self.lift)]))
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(_Frozen):
+    _fields = ("mode", "rows")
     mode: HarnessMode
     rows: tuple[HarnessRow, ...]
+
+    def __init__(self, mode: HarnessMode, rows: tuple[HarnessRow, ...]) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def outcome(self) -> str:

@@ -45,7 +45,6 @@ synchronization test answers ``is_proximal`` and starts ``strongly_proximal``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -62,6 +61,7 @@ from .actions import (
     _word_rows,
 )
 from .errors import UnsupportedKind, ValidationError
+from .frozen import _Frozen
 from .linalg import _as_fraction, _as_int, _check_indices, solve_affine
 from .spaces import Measure, _difference, tv_distance
 
@@ -72,9 +72,9 @@ class Status(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-# The evidence records are NamedTuples: immutable, compared and hashed by
-# value like a frozen dataclass, and a seventh of its class-creation cost
-# at import.
+# The evidence records are NamedTuples: immutable and compared and hashed
+# by value, like the ``_Frozen`` value types, but with nothing to validate
+# they need no ``__init__`` of their own.
 class NeverMerges(NamedTuple):
     """A pair of points that no word merges: the ``reached`` unordered pairs
     reachable from it form a set closed under the generators that avoids
@@ -90,8 +90,7 @@ class EntryBound(NamedTuple):
     top: Fraction
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """Outcome of a decision procedure, with a witness or certificate.
 
     ``certificate`` explains the verdict to people.  A NO that rests on a
@@ -99,17 +98,28 @@ class Verdict:
     it as data in ``evidence``, and replays read that, never the text.
     """
 
+    _fields = ("status", "witness", "certificate", "evidence")
     status: Status
-    witness: Optional[Word] = None
-    certificate: Optional[str] = None
-    evidence: Optional[NeverMerges | EntryBound] = None
+    witness: Optional[Word]
+    certificate: Optional[str]
+    evidence: Optional[NeverMerges | EntryBound]
 
-    def __post_init__(self) -> None:
-        if self.status is Status.YES:
-            if self.witness is None and self.certificate is None:
+    def __init__(
+        self,
+        status: Status,
+        witness: Optional[Word] = None,
+        certificate: Optional[str] = None,
+        evidence: Optional[NeverMerges | EntryBound] = None,
+    ) -> None:
+        if status is Status.YES:
+            if witness is None and certificate is None:
                 raise ValidationError("YES verdict needs a witness or certificate")
-        elif self.certificate is None:
-            raise ValidationError(f"{self.status.value} verdict needs a certificate")
+        elif certificate is None:
+            raise ValidationError(f"{status.value} verdict needs a certificate")
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "evidence", evidence)
 
 
 def yes(witness: Optional[Word] = None, certificate: Optional[str] = None) -> Verdict:
@@ -126,8 +136,7 @@ def unknown(certificate: str) -> Verdict:
     return Verdict(Status.UNKNOWN, None, certificate)
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Frozen):
     """Search limits.
 
     ``max_word_len`` bounds the words of the greedy stochastic searches.
@@ -140,16 +149,27 @@ class Budget:
     closeness threshold.
     """
 
-    max_word_len: int = 64
-    max_closure: int = 100_000
-    epsilon: Fraction = Fraction(1, 1000)
+    _fields = ("max_word_len", "max_closure", "epsilon")
+    max_word_len: int
+    max_closure: int
+    epsilon: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("max_word_len", "max_closure"):
-            if _as_int(getattr(self, name), name) < 1:
-                raise ValidationError("budget limits must be positive")
-        if not 0 < _as_fraction(self.epsilon) < 1:
+    def __init__(
+        self,
+        max_word_len: int = 64,
+        max_closure: int = 100_000,
+        epsilon: Fraction = Fraction(1, 1000),
+    ) -> None:
+        if (
+            _as_int(max_word_len, "max_word_len") < 1
+            or _as_int(max_closure, "max_closure") < 1
+        ):
+            raise ValidationError("budget limits must be positive")
+        if not 0 < _as_fraction(epsilon) < 1:
             raise ValidationError("epsilon must lie strictly between 0 and 1")
+        object.__setattr__(self, "max_word_len", max_word_len)
+        object.__setattr__(self, "max_closure", max_closure)
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def _deterministic_view(sys: ActionSystem) -> Optional[ActionSystem]:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
+from .frozen import _Frozen
 from .linalg import (
     _as_fraction,
     _as_int,
@@ -38,8 +38,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSpace:
+class FiniteSpace(_Frozen):
     """Point labels plus a symmetric rational metric.
 
     ``matrix`` is an explicit metric matrix, validated on construction, or
@@ -53,18 +52,25 @@ class FiniteSpace:
     the 0/1 matrix.
     """
 
+    _fields = ("labels", "matrix")
     labels: tuple[str, ...]
     matrix: Optional[tuple[tuple[Fraction, ...], ...]]
 
-    def __post_init__(self) -> None:
-        m = len(self.labels)
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        matrix: Optional[tuple[tuple[Fraction, ...], ...]],
+    ) -> None:
+        m = len(labels)
         if m == 0:
             raise ValidationError("a space needs at least one point")
-        if len(set(self.labels)) != m:
+        if len(set(labels)) != m:
             raise ValidationError("point labels must be distinct")
-        if self.matrix is None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "matrix", matrix)
+        if matrix is None:
             return
-        rows = _fraction_rows(self.matrix)
+        rows = _fraction_rows(matrix)
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DimensionMismatch("metric matrix must be square of size", m)
         rows, den = clear_denominators(rows)
@@ -174,8 +180,7 @@ class DeferredLabelSpace(FiniteSpace):
         return repr(FiniteSpace.discrete(self.labels))
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(_Frozen):
     """Exact probability vector; the index set is supplied by context.
 
     The weights must be ``Fraction``s.  They are checked as integer
@@ -186,18 +191,17 @@ class Measure:
     equal numerators, so it stays out of equality, hash and repr.
     """
 
+    _fields = ("weights",)
     weights: tuple[Fraction, ...]
-    cleared: tuple[tuple[int, ...], int] = field(
-        init=False, repr=False, compare=False
-    )
+    cleared: tuple[tuple[int, ...], int]
 
-    def __post_init__(self) -> None:
-        weights = self.weights
+    def __init__(self, weights: tuple[Fraction, ...]) -> None:
         if not weights or set(map(type, weights)) != {Fraction}:
             _check_weights(weights)
         (nums,), den = clear_denominators((weights,))
         if min(nums) < 0 or sum(nums) != den:
             _check_weights(weights)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "cleared", (tuple(nums), den))
 
     @classmethod
@@ -344,8 +348,7 @@ def grid_atoms(m: int, q: int) -> list[Measure]:
     ]
 
 
-@dataclass(frozen=True)
-class GridSimplex:
+class GridSimplex(_Frozen):
     """The resolution-q discretization of the probability simplex over base.
 
     Atom k is the measure c / q for the k-th composition c of q into
@@ -356,12 +359,15 @@ class GridSimplex:
     objects only when something reads them.
     """
 
+    _fields = ("base", "resolution")
     base: FiniteSpace
     resolution: int
 
-    def __post_init__(self) -> None:
-        if _as_int(self.resolution, "resolution") < 1:
+    def __init__(self, base: FiniteSpace, resolution: int) -> None:
+        if _as_int(resolution, "resolution") < 1:
             raise ValidationError("resolution must be positive")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "resolution", resolution)
 
     @classmethod
     def build(cls, base: FiniteSpace, q: int) -> "GridSimplex":

@@ -1,6 +1,5 @@
 """Spec parsing, report determinism, exit codes, the SL demo."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -18,6 +17,7 @@ from proxilift import (
     Measure,
     SpecError,
     StochasticMatrix,
+    Verdict,
     decide,
     reset_word,
 )
@@ -819,7 +819,7 @@ class TestAnalyzeModes:
             return tuple(
                 v
                 if v is None or v.status is not proximality.Status.NO
-                else dataclasses.replace(v, certificate="for people only")
+                else Verdict(v.status, v.witness, "for people only", v.evidence)
                 for v in real(system, b)
             )
 
