@@ -7,6 +7,9 @@ digest over everything except timing, which makes equal inputs produce
 byte-identical reports up to the timing block.  The timing block gives the
 whole run in ``seconds`` and its stages in ``load_s`` (reading the spec),
 ``mode_s`` (the analysis) and ``verify_s`` (the replays and the report).
+Both digests, ``input.sha256`` and ``report_digest``, are SHA-256 from
+CPython's built-in module (``_sha2``, or ``_sha256`` before Python 3.12),
+with ``hashlib`` as the fallback, so a run does not load OpenSSL.
 
 A metric written as the 0/1 integer matrix is read as the discrete metric,
 without building or checking a matrix; every other metric is parsed entry by
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -59,7 +61,6 @@ from .actions import (
     Transformation,
     Word,
     _dobrushin,
-    _push,
     _word_rows,
 )
 from .affine import (
@@ -96,6 +97,24 @@ from .spaces import (
     Measure,
     tightness_profile,
 )
+
+# ``hashlib`` loads OpenSSL's libcrypto through ``_hashlib``, which is most of
+# what importing this module costs in memory, so SHA-256 comes from CPython's
+# built-in module where it exists, as ``random`` takes SHA-512 ("hashlib is
+# pretty heavy to load, try lean internal module first", CPython Lib/random.py).
+# SHA-256 is SHA-256 either way, so every digest is the same.
+try:
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _new_sha256
+
+
+def _sha256_hex(data: bytes) -> str:
+    return _new_sha256(data).hexdigest()
+
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -324,7 +343,7 @@ _KNOWN_KEYS = {"space", "action", "table", "simplex"}
 def load_spec(path: str) -> ParsedSpec:
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = _sha256_hex(raw)
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -522,16 +541,15 @@ def _replays(
 def _extreme_meta_replay(
     lifted: LiftedSystem, meta: Measure
 ) -> Callable[[], bool]:
-    """Invariant, uniform on its support, and that support is one orbit
-    that every lifted generator maps bijectively onto itself.  The checks
-    run on the meta's cleared integer masses, pushed along each atom map
-    with ``actions._push``."""
+    """Uniform on its support, and that support is one orbit that every
+    lifted generator maps bijectively onto itself.  The checks run on the
+    meta's cleared integer masses.  Invariance needs no check of its own:
+    pushing the uniform measure on S through a bijection of S gives that
+    same measure back."""
 
     def run() -> bool:
         counts = list(meta.cleared[0])
         maps = [t.image for t in lifted.generators]
-        if any(_push(g, counts) != counts for g in maps):
-            return False
         support = {x for x, c in enumerate(counts) if c}
         if len({counts[x] for x in support}) != 1:
             return False
@@ -648,7 +666,7 @@ def _mode_affine(
 def _canonical_digest(report: dict) -> str:
     body = {k: v for k, v in report.items() if k not in ("timing", "report_digest")}
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256_hex(blob.encode("utf-8"))
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -1129,6 +1129,58 @@ class TestDeterminism:
         assert build_parser().parse_args(["analyze", "x.json"]).grid == 3
 
 
+class TestBuiltinSha256:
+    """Both digests come from CPython's built-in SHA-256, so no run loads
+    ``hashlib`` and with it OpenSSL; ``hashlib`` is the fallback."""
+
+    SRC = pathlib.Path(cli.__file__).resolve().parent.parent
+    THM = ["analyze", "specs/cerny4.json", "--mode", "thm", "--grid", "3", "--verify"]
+
+    def run_fresh(self, code):
+        """stdout of code in a fresh ``python -I`` at the repository root."""
+        head = f"import sys; sys.path.insert(0, {str(self.SRC)!r})\n"
+        return subprocess.run(
+            [sys.executable, "-I", "-c", head + code],
+            cwd=SPECS.parent, capture_output=True, text=True, check=True,
+        ).stdout
+
+    def test_no_mode_loads_hashlib(self):
+        runs = [
+            ["specs/cerny4.json", "--mode", "base"],
+            ["specs/lazy_pair.json", "--mode", "base"],
+            *(["specs/swap2.json", "--mode", m, "--grid", "3"]
+              for m in ("prop1", "thm", "invariant")),
+            ["specs/z2_translation.json", "--mode", "psi"],
+            ["specs/affine_wedge.json", "--mode", "affine"],
+        ]
+        code = (
+            "import contextlib, io\n"
+            "import proxilift, proxilift.cli as cli\n"
+            "assert proxilift.__file__.startswith(sys.path[0]), proxilift.__file__\n"
+            "codes = []\n"
+            f"for run in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(['analyze', *run, '--verify']))\n"
+            "print(codes, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        assert self.run_fresh(code) == f"{[0] * len(runs)} []\n"
+
+    def test_hashlib_fallback_gives_the_same_digests(self, monkeypatch, capsys):
+        code = (
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import proxilift.cli as cli\n"
+            "assert 'hashlib' in sys.modules\n"
+            f"sys.exit(cli.main({self.THM!r}))\n"
+        )
+        fallback = json.loads(self.run_fresh(code))
+        monkeypatch.chdir(SPECS.parent)
+        _, lean = run_json(self.THM, capsys)
+        assert fallback["report_digest"] == lean["report_digest"] == (
+            "548cc3a1885dd735bed26dafc818b7a51a56d618f79ae40888f1a2b6f684bcca"
+        )
+        assert fallback["input"]["sha256"] == lean["input"]["sha256"]
+
+
 class TestParserReuse:
     """``main`` builds one parser per set of ``PROXILIFT_*`` items."""
 

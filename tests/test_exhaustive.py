@@ -55,11 +55,17 @@ def mismatches(sys: ActionSystem) -> list[str]:
     The reset word's status and word must be the subset BFS's.  By Černý's
     pair criterion a reset word exists exactly when every pair merges, and
     on a finite deterministic system proximality is that same criterion; a
-    NO must name a pair that never merges.
+    NO must name a pair that never merges.  A shortest reset word has at
+    most (m - 1)² letters: Černý's conjecture holds on every automaton
+    this small, so a longer one is a bug in the oracle or here.
     """
     status, word, _ = subset_bfs_oracle(sys, B.max_closure)
     v = reset_word(sys, B)
     bad = []
+    m = len(sys.space)
+    if status == "YES" and len(word) > (m - 1) ** 2:
+        bad.append(f"a shortest reset word of {len(word)} letters breaks "
+                   f"Černý's bound {(m - 1) ** 2} on {sys.generators}")
     if (v.status.value, v.witness) != (status, word):
         bad.append(f"reset_word {v.status.value} {v.witness} against "
                    f"{status} {word} on {sys.generators}")
